@@ -199,7 +199,6 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
 
     policy = AugmentPolicy.fixed_grid(grid, exact_scaling=exact_scaling)
     name = getattr(scorer, "name", scorer.__class__.__name__)
-    flops = int(getattr(scorer, "flops", 0))
 
     jobs = []
     for act_idx, activity in enumerate(activities):
@@ -211,15 +210,17 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
 
     def run(job):
         activity, snr_db, positives, seeds = job
-        auc, n_pos, n_neg = _score_grid_point(scorer, positives, negatives, ref,
-                                              snr_db, seeds, policy)
-        return EvalRow(name, activity.value, snr_db, auc, flops, n_pos, n_neg)
+        return _score_grid_point(scorer, positives, negatives, ref, snr_db, seeds, policy)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
+            results = list(pool.map(run, jobs))
     else:
-        rows = [run(job) for job in jobs]
+        results = [run(job) for job in jobs]
+    # Read after scoring: a baseline scorer learns its count from its first input.
+    flops = int(getattr(scorer, "flops", 0))
+    rows = [EvalRow(name, activity.value, snr_db, auc, flops, n_pos, n_neg)
+            for (activity, snr_db, _, _), (auc, n_pos, n_neg) in zip(jobs, results)]
 
     config = {
         "kind": "snr_sweep",

@@ -73,10 +73,22 @@ def check_layer_gradients(layer: Layer, x: np.ndarray, eps: float = 1e-6,
 
 def check_network_gradient(network: Network, batch: np.ndarray, labels: np.ndarray,
                            n_directions: int = 3, eps: float = 1e-6, rng=None) -> float:
-    """Directional-derivative check over all parameters; max relative error."""
-    rng = np.random.default_rng(rng)
-    params = network.params()
+    """Directional-derivative check over all parameters; max relative error.
 
+    Parameters and running statistics are restored afterwards, so the check
+    leaves the network as it found it (gradients aside).
+    """
+    saved = [(arr, arr.copy()) for _, arr in network.named_state()]
+    try:
+        return _directional_error(network, batch, labels, n_directions, eps,
+                                  np.random.default_rng(rng))
+    finally:
+        for arr, value in saved:
+            arr[...] = value
+
+
+def _directional_error(network, batch, labels, n_directions, eps, rng) -> float:
+    params = network.params()
     network.zero_grads()
     logits = network.forward(batch, train=True)
     _, dlogits = bce_with_logits(logits, labels)

@@ -1,20 +1,29 @@
 """Differentiable layers on numpy arrays, channels-first, double precision.
 
 Every layer caches what its backward pass needs during forward and exposes
-its trainable parameters as Param objects.  Convolutions are evaluated by
-unrolling input windows into a matrix and multiplying (im2col), which turns
-both passes into BLAS calls; the gradient with respect to the input of a
-stride-1 same-padded convolution is again a same-padded convolution, with
-the kernel flipped spatially and transposed in its channel axes.
+its trainable parameters as Param objects.  Batch layout: (batch, channels,
+length) in 1D, (batch, channels, height, width) in 2D.
 
-Batch layout: (batch, channels, length) in 1D, (batch, channels, height,
-width) in 2D.
+Convolutions (stride 1, same padding, odd kernel k, d spatial axes) share
+one engine.  Its columns are channels-first: a (C*k**d, B*S) matrix whose
+row c*k**d + t is channel c shifted by kernel tap t, built with k**d slice
+copies, so one GEMM with the (c_out, C*k**d) weight matrix gives the output.
+Columns are built one batch slice at a time, as many samples as fit in
+_COLUMN_BUDGET_BYTES (one at least), so slices depend only on shapes.  In train
+mode a convolution keeps a reference to its input, k**d times smaller than
+the columns, and rebuilds the columns in backward, where the weight
+gradient accumulates over the slices.  This relies on nothing mutating a
+layer's input between its forward and its backward call.  The input
+gradient is a same-padded convolution of the output gradient with the
+kernel flipped spatially and transposed in its channel axes.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataError
 
@@ -65,8 +74,55 @@ def _he_scale(fan_in: int) -> float:
     return np.sqrt(2.0 / fan_in)
 
 
-class Conv1d(Layer):
-    """Stride-1 same-padded 1D convolution; odd kernel size.
+# Bytes of float64 columns built at once; a batch is split into slices that fit.
+_COLUMN_BUDGET_BYTES = 64 << 20
+
+
+def _fill_columns(src: np.ndarray, kernel: int, out: np.ndarray) -> None:
+    """Write the zero-padded windows of src (C, B, *S) into out (C, k**d, B, *S)."""
+    pad, spatial = kernel // 2, src.shape[2:]
+    for tap, offsets in enumerate(itertools.product(range(kernel), repeat=len(spatial))):
+        dst, src_index, dst_index = out[:, tap], [slice(None)] * 2, [slice(None)] * 2
+        for axis, (offset, size) in enumerate(zip(offsets, spatial)):
+            shift = offset - pad
+            lo = min(max(-shift, 0), size)
+            hi = max(min(size - shift, size), lo)
+            lead = (slice(None),) * (axis + 2)
+            dst[lead + (slice(0, lo),)] = 0.0
+            dst[lead + (slice(hi, size),)] = 0.0
+            src_index.append(slice(lo + shift, hi + shift))
+            dst_index.append(slice(lo, hi))
+        dst[tuple(dst_index)] = src[tuple(src_index)]
+
+
+def _column_slices(src: np.ndarray, kernel: int):
+    """Per batch slice of src (C, B, *S), yield (lo, hi, the column matrix's [:, lo:hi]).
+
+    All slices share one buffer, so each block is stale once the next is yielded.
+    """
+    channels, batch, spatial = src.shape[0], src.shape[1], src.shape[2:]
+    rows, size = channels * kernel ** len(spatial), math.prod(spatial)
+    step = max(1, min(batch, _COLUMN_BUDGET_BYTES // (8 * rows * size)))
+    buffer = np.empty(rows * step * size)
+    for start in range(0, batch, step):
+        stop = min(start + step, batch)
+        cols = buffer[:rows * (stop - start) * size]
+        _fill_columns(src[:, start:stop], kernel,
+                      cols.reshape((channels, -1, stop - start) + spatial))
+        yield start * size, stop * size, cols.reshape(rows, -1)
+
+
+def _convolve(src: np.ndarray, wmat: np.ndarray, kernel: int) -> np.ndarray:
+    """Convolve src (C, B, *S) with wmat (c_out, C*k**d); returns (c_out, B, *S)."""
+    out = np.empty((wmat.shape[0],) + src.shape[1:])
+    flat = out.reshape(wmat.shape[0], -1)
+    for lo, hi, cols in _column_slices(src, kernel):
+        np.matmul(wmat, cols, out=flat[:, lo:hi])
+    return out
+
+
+class _Conv(Layer):
+    """Stride-1 same-padded convolution over `rank` spatial axes; odd kernel size.
 
     Pass bias=False when the convolution feeds a BatchNorm: the mean
     subtraction cancels any per-channel constant, so a bias there is a
@@ -78,105 +134,48 @@ class Conv1d(Layer):
             raise ValueError(f"kernel size must be odd and >= 1, got {kernel}")
         rng = np.random.default_rng(rng)
         self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
-        scale = _he_scale(c_in * kernel)
-        self.weight = Param("weight", scale * rng.standard_normal((c_out, c_in, kernel)))
+        weight = rng.standard_normal((c_out, c_in) + (kernel,) * self.rank)
+        self.weight = Param("weight", _he_scale(c_in * kernel ** self.rank) * weight)
         self.bias = Param("bias", np.zeros(c_out)) if bias else None
-        self._cols = None
-        self._x_shape = None
+        self._x = None
 
     def params(self):
         return [self.weight] if self.bias is None else [self.weight, self.bias]
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        pad = self.kernel // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        # windows: (B, C, L, k) -> (B*L, C*k)
-        win = sliding_window_view(xp, self.kernel, axis=2)
-        b, c, length, k = win.shape
-        return win.transpose(0, 2, 1, 3).reshape(b * length, c * k)
-
     def forward(self, x, train):
-        if x.ndim != 3 or x.shape[1] != self.c_in:
-            raise DataError(f"conv1d expects (B, {self.c_in}, L), got {x.shape}")
-        b, _, length = x.shape
-        cols = self._im2col(x)
-        w = self.weight.value.reshape(self.c_out, -1)
-        y = cols @ w.T
+        if x.ndim != self.rank + 2 or x.shape[1] != self.c_in:
+            raise DataError(f"conv{self.rank}d expects (B, {self.c_in}, {self.axes}), "
+                            f"got {x.shape}")
+        y = _convolve(x.swapaxes(0, 1), self.weight.value.reshape(self.c_out, -1), self.kernel)
         if self.bias is not None:
-            y += self.bias.value
+            y += self.bias.value.reshape((-1,) + (1,) * (self.rank + 1))
         if train:
-            self._cols, self._x_shape = cols, x.shape
-        return y.reshape(b, length, self.c_out).transpose(0, 2, 1)
+            self._x = x
+        return y.swapaxes(0, 1)
 
     def backward(self, dy):
-        b, _, length = self._x_shape
-        dy_r = dy.transpose(0, 2, 1).reshape(b * length, self.c_out)
+        x, self._x = self._x, None
+        dy_t = np.ascontiguousarray(dy.swapaxes(0, 1))
+        dy_flat = dy_t.reshape(self.c_out, -1)
         if self.bias is not None:
-            self.bias.grad += dy_r.sum(axis=0)
-        self.weight.grad += (dy_r.T @ self._cols).reshape(self.weight.value.shape)
-        # dx: convolve dy with the flipped, channel-transposed kernel
-        wt = self.weight.value[:, :, ::-1].transpose(1, 0, 2)  # (c_in, c_out, k)
-        pad = self.kernel // 2
-        dyp = np.pad(dy, ((0, 0), (0, 0), (pad, pad)))
-        win = sliding_window_view(dyp, self.kernel, axis=2)
-        cols = win.transpose(0, 2, 1, 3).reshape(b * length, self.c_out * self.kernel)
-        dx = cols @ wt.reshape(self.c_in, -1).T
-        self._cols = None
-        return dx.reshape(b, length, self.c_in).transpose(0, 2, 1)
+            self.bias.grad += dy_flat.sum(axis=1)
+        grad = sum(dy_flat[:, lo:hi] @ cols.T
+                   for lo, hi, cols in _column_slices(x.swapaxes(0, 1), self.kernel))
+        self.weight.grad += grad.reshape(self.weight.value.shape)
+        flipped = np.flip(self.weight.value, tuple(range(2, self.rank + 2))).swapaxes(0, 1)
+        return _convolve(dy_t, flipped.reshape(self.c_in, -1), self.kernel).swapaxes(0, 1)
 
 
-class Conv2d(Layer):
-    """Stride-1 same-padded 2D convolution; odd square kernel.
+class Conv1d(_Conv):
+    """Stride-1 same-padded 1D convolution; odd kernel size."""
 
-    Same bias convention as Conv1d: disable it under a BatchNorm.
-    """
+    rank, axes = 1, "L"
 
-    def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng=None, bias: bool = True):
-        if kernel < 1 or kernel % 2 == 0:
-            raise ValueError(f"kernel size must be odd and >= 1, got {kernel}")
-        rng = np.random.default_rng(rng)
-        self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
-        scale = _he_scale(c_in * kernel * kernel)
-        self.weight = Param("weight", scale * rng.standard_normal((c_out, c_in, kernel, kernel)))
-        self.bias = Param("bias", np.zeros(c_out)) if bias else None
-        self._cols = None
-        self._x_shape = None
 
-    def params(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
+class Conv2d(_Conv):
+    """Stride-1 same-padded 2D convolution; odd square kernel."""
 
-    @staticmethod
-    def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-        pad = kernel // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-        b, c, h, w, kh, kw = win.shape
-        return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kh * kw)
-
-    def forward(self, x, train):
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise DataError(f"conv2d expects (B, {self.c_in}, H, W), got {x.shape}")
-        b, _, h, w = x.shape
-        cols = self._im2col(x, self.kernel)
-        wmat = self.weight.value.reshape(self.c_out, -1)
-        y = cols @ wmat.T
-        if self.bias is not None:
-            y += self.bias.value
-        if train:
-            self._cols, self._x_shape = cols, x.shape
-        return y.reshape(b, h, w, self.c_out).transpose(0, 3, 1, 2)
-
-    def backward(self, dy):
-        b, _, h, w = self._x_shape
-        dy_r = dy.transpose(0, 2, 3, 1).reshape(b * h * w, self.c_out)
-        if self.bias is not None:
-            self.bias.grad += dy_r.sum(axis=0)
-        self.weight.grad += (dy_r.T @ self._cols).reshape(self.weight.value.shape)
-        wt = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        cols = self._im2col(dy, self.kernel)
-        dx = cols @ wt.reshape(self.c_in, -1).T
-        self._cols = None
-        return dx.reshape(b, h, w, self.c_in).transpose(0, 3, 1, 2)
+    rank, axes = 2, "H, W"
 
 
 class BatchNorm(Layer):

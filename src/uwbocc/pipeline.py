@@ -121,10 +121,21 @@ def reference_from_training(train_records) -> SnrReference:
     return compute_reference_energy(residuals)
 
 
+# Samples per inference forward call: bounds the activations one call holds.
+_INFERENCE_CHUNK = 256
+
+
+def _logits(network: Network, batch: np.ndarray, chunk: int = _INFERENCE_CHUNK) -> np.ndarray:
+    """Inference logits of a laid-out batch, chunk samples per forward call."""
+    return np.concatenate([network.forward(batch[start:start + chunk], train=False)
+                           for start in range(0, len(batch), chunk)])
+
+
 class NetworkScorer:
     """Scores residual batches with a trained network (inference mode)."""
 
-    def __init__(self, network: Network, name: str | None = None, chunk: int = 256):
+    def __init__(self, network: Network, name: str | None = None,
+                 chunk: int = _INFERENCE_CHUNK):
         self.network = network
         self.name = name or network.variant.name
         self.flops = flop_count(network)
@@ -136,11 +147,7 @@ class NetworkScorer:
         return layout_2d(residual).transpose(2, 0, 1)  # channels first
 
     def __call__(self, residuals) -> np.ndarray:
-        batch = np.stack([self._layout(r) for r in residuals])
-        scores = []
-        for start in range(0, len(batch), self.chunk):
-            scores.append(self.network.forward(batch[start:start + self.chunk], train=False))
-        return np.concatenate(scores)
+        return _logits(self.network, np.stack([self._layout(r) for r in residuals]), self.chunk)
 
 
 class BaselineScorer:
@@ -256,10 +263,7 @@ def _validation_scorer(val_samples, ref, settings, layout):
         raise DataError("validation split needs both classes for AUC-based early stopping")
 
     def score(network: Network) -> float:
-        logits = []
-        for start in range(0, len(batch), 256):
-            logits.append(network.forward(batch[start:start + 256], train=False))
-        return roc_auc(np.concatenate(logits), labels)
+        return roc_auc(_logits(network, batch), labels)
 
     return score
 

@@ -265,6 +265,19 @@ class TestAblation:
         assert len(report.rows) == 6
         assert report.config["detectors"] == {"custom-a": 10, "custom-b": 20}
 
+    def test_lazy_baseline_flops_reach_the_rows(self):
+        from uwbocc.pipeline import BaselineScorer
+
+        scorers = {kind: BaselineScorer(kind, window_cols=4) for kind in BaselineScorer.KINDS}
+        report = ablation(scorers, three_activity_samples(), SnrReference(100.0),
+                          require_all_variants=False)
+        assert all(report.config["detectors"].values())
+        for row in report.rows:
+            assert row.flops == report.config["detectors"][row.name]
+        sweep = snr_sweep(BaselineScorer("fft"), three_activity_samples(), SnrReference(100.0),
+                          grid=[-10.0])
+        assert {row.flops for row in sweep.rows} == {report.config["detectors"]["fft"]}
+
     def test_custom_anchor_subset(self):
         scorers = {"x": named_scorer("x", 10)}
         anchors = {ActivityLabel.BREATHING: -18.0}

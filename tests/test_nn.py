@@ -30,6 +30,7 @@ from uwbocc.nn import (
     stack_real_imag_1d,
     train_network,
 )
+from uwbocc.nn import layers
 from uwbocc.nn.model import ResidualBlock
 
 
@@ -274,6 +275,84 @@ class TestLoss:
         assert full == pytest.approx((2 * first + 4 * rest) / 6, rel=1e-12)
 
 
+def direct_conv(x, weight):
+    """Same-padded stride-1 convolution by explicit loops over outputs and taps."""
+    pad = weight.shape[-1] // 2
+    spatial = x.shape[2:]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * len(spatial))
+    y = np.zeros((x.shape[0], weight.shape[0]) + spatial)
+    for pos in np.ndindex(*spatial):
+        for tap in np.ndindex(*weight.shape[2:]):
+            window = xp[(...,) + tuple(p + t for p, t in zip(pos, tap))]
+            y[(...,) + pos] += window @ weight[(...,) + tap].T
+    return y
+
+
+def conv_pass(conv, x, dy):
+    """Train forward and backward; returns (y, dx, weight grad, bias grad)."""
+    for p in conv.params():
+        p.zero_grad()
+    y = conv.forward(x, train=True)
+    dx = conv.backward(dy)
+    return y, dx, conv.weight.grad.copy(), conv.bias.grad.copy()
+
+
+class TestConvEngine:
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("cls, spatial", [(Conv1d, (9,)), (Conv2d, (5, 6))])
+    def test_matches_direct_loops(self, cls, spatial, kernel):
+        rng = np.random.default_rng(kernel)
+        conv = cls(3, 4, kernel, rng=0)
+        conv.bias.value[:] = rng.standard_normal(4)
+        x = rng.standard_normal((2, 3) + spatial)
+        dy = rng.standard_normal((2, 4) + spatial)
+        y, dx, gw, gb = conv_pass(conv, x, dy)
+        w = conv.weight.value
+        np.testing.assert_allclose(y, direct_conv(x, w) + conv.bias.value.reshape(
+            (1, 4) + (1,) * len(spatial)), rtol=1e-12, atol=1e-12)
+        # The loss sum(y * dy) is linear in w and x: its gradients are probes of direct_conv.
+        probe_w = np.array([np.sum(direct_conv(x, e.reshape(w.shape)) * dy)
+                            for e in np.eye(w.size)]).reshape(w.shape)
+        np.testing.assert_allclose(gw, probe_w, rtol=1e-12, atol=1e-12)
+        probe_x = np.array([np.sum(direct_conv(e.reshape(x.shape), w) * dy)
+                            for e in np.eye(x.size)]).reshape(x.shape)
+        np.testing.assert_allclose(dx, probe_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gb, dy.sum(axis=(0,) + tuple(range(2, dy.ndim))), rtol=1e-12)
+
+    @pytest.mark.parametrize("cls, spatial", [(Conv1d, (11,)), (Conv2d, (4, 5))])
+    def test_batch_slices_match_one_slice(self, cls, spatial, monkeypatch):
+        rng = np.random.default_rng(4)
+        conv = cls(3, 2, 3, rng=0)
+        x = rng.standard_normal((7, 3) + spatial)
+        dy = rng.standard_normal((7, 2) + spatial)
+        whole = conv_pass(conv, x, dy)
+        # Column bytes per sample and channel; the budget holds 6 of them, so the
+        # input's 3-channel columns go 2 samples per slice and dy's 2-channel ones 3.
+        unit = 3 ** len(spatial) * int(np.prod(spatial)) * 8
+        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", 6 * unit)
+        calls = []
+        fill = layers._fill_columns
+        monkeypatch.setattr(layers, "_fill_columns",
+                            lambda src, k, out: calls.append(src.shape[1]) or fill(src, k, out))
+        sliced = conv_pass(conv, x, dy)
+        # forward, weight gradient, input gradient
+        assert calls == [2, 2, 2, 1] + [2, 2, 2, 1] + [3, 3, 1]
+        for a, b in zip(whole, sliced):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cls, spatial", [(Conv1d, (8,)), (Conv2d, (4, 6))])
+    def test_holds_only_its_input(self, cls, spatial):
+        conv = cls(2, 5, 3, rng=0)
+        x = np.random.default_rng(0).standard_normal((3, 2) + spatial)
+        conv.forward(x, train=False)
+        assert conv._x is None
+        y = conv.forward(x, train=True)
+        held = [v for v in vars(conv).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 1 and held[0] is x
+        conv.backward(np.ones_like(y))
+        assert not [v for v in vars(conv).values() if isinstance(v, np.ndarray)]
+
+
 class TestGradients:
     def test_conv1d_exhaustive(self):
         rng = np.random.default_rng(10)
@@ -315,6 +394,15 @@ class TestGradients:
         err2 = check_network_gradient(net2, rng.standard_normal((3, 2, 5, 6)),
                                       np.array([0.0, 1.0, 1.0]), rng=3)
         assert err1 < 1e-5 and err2 < 1e-5
+
+    def test_network_check_restores_running_stats(self):
+        rng = np.random.default_rng(17)
+        net = build_network("2D-E", (2, 5, 6), seed=1)
+        before = [arr.copy() for _, arr in net.named_state()]
+        check_network_gradient(net, rng.standard_normal((3, 2, 5, 6)),
+                               np.array([0.0, 1.0, 1.0]), rng=3)
+        for (name, arr), old in zip(net.named_state(), before):
+            np.testing.assert_array_equal(arr, old, err_msg=name)
 
     def test_dead_path_gradient_exactly_zero(self):
         relu = ReLU()
