@@ -12,7 +12,7 @@ Run: python demos/02_noise_calibration.py
 
 import numpy as np
 
-from uwbocc.augment import AugmentPolicy, SnrReference, add_noise, compute_reference_energy
+from uwbocc.augment import SnrReference, add_noise, compute_reference_energy
 from uwbocc.core import MeanRemovedMatrix, frobenius_energy
 from uwbocc.simulate import synth_dataset
 from uwbocc.pipeline import residual_samples
@@ -30,10 +30,9 @@ for snr_db in (0.0, -10.0, -20.0):
           f"(target {target:7.1f}, off by {100 * (mean / target - 1):+.2f}%)")
 
 print("\nexact-scaling mode, per-draw relative error:")
-exact = AugmentPolicy.fixed_grid((-20.0,), exact_scaling=True)
 errors = []
 for i in range(200):
-    noisy = add_noise(zero, ref, -20.0, exact, rng=np.random.default_rng((2, i)))
+    noisy = add_noise(zero, ref, -20.0, rng=np.random.default_rng((2, i)), exact=True)
     errors.append(abs(frobenius_energy(noisy) / 100.0 - 1.0))
 print(f"  worst over 200 draws: {max(errors):.2e}")
 

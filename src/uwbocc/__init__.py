@@ -10,13 +10,10 @@ from .core import (
     residual_array,
 )
 from .augment import (
-    AugmentMode,
-    AugmentPolicy,
     SnrReference,
     add_noise,
-    augment_pipeline,
     compute_reference_energy,
-    draw_training_snr,
+    corrupt,
     noise_sigma,
     normalize_unit_energy,
     spectral_flatness,
@@ -60,6 +57,7 @@ from .nn import (
     flop_count,
     layout_2d,
     load_checkpoint,
+    network_input,
     param_count,
     save_checkpoint,
     stack_real_imag_1d,
@@ -82,7 +80,6 @@ from .simulate import (
     Scene,
     load_scene,
     motion_path,
-    motion_trajectory,
     parse_scene,
     raised_cosine_pulse,
     raised_cosine_response,

@@ -11,25 +11,21 @@ to unit energy, then hand the result to a detector.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanRemovedMatrix, frobenius_energy, mean_remove, residual_array
+from .core import MeanRemovedMatrix, frobenius_energy, residual_array
 from .errors import ConfigError, DataError
 
 __all__ = [
     "SnrReference",
-    "AugmentMode",
-    "AugmentPolicy",
     "compute_reference_energy",
     "noise_sigma",
     "add_noise",
     "normalize_unit_energy",
-    "draw_training_snr",
-    "augment_pipeline",
+    "corrupt",
     "spectral_flatness",
 ]
 
@@ -43,50 +39,6 @@ class SnrReference:
     def __post_init__(self):
         if not (math.isfinite(self.e_s) and self.e_s > 0):
             raise ConfigError(f"reference energy must be positive and finite, got {self.e_s}")
-
-
-class AugmentMode(enum.Enum):
-    TRAIN_UNIFORM = "train_uniform"
-    FIXED_GRID = "fixed_grid"
-
-
-@dataclass(frozen=True)
-class AugmentPolicy:
-    """How SNR values are chosen and how the noise is scaled.
-
-    exact_scaling rescales each drawn noise matrix so the energy ratio
-    e_s/||V||^2 hits the requested SNR exactly instead of only in
-    expectation; the default draws at the variance the SNR implies.
-    """
-
-    mode: AugmentMode
-    snr_lo: float = -30.0
-    snr_hi: float = 0.0
-    grid: tuple = ()
-    exact_scaling: bool = False
-
-    def __post_init__(self):
-        if self.mode is AugmentMode.TRAIN_UNIFORM:
-            if not (math.isfinite(self.snr_lo) and math.isfinite(self.snr_hi)):
-                raise ConfigError("training SNR bounds must be finite")
-            if self.snr_lo > self.snr_hi:
-                raise ConfigError(f"snr_lo {self.snr_lo} exceeds snr_hi {self.snr_hi}")
-        else:
-            object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-            if not self.grid:
-                raise ConfigError("fixed-grid policy needs at least one SNR value")
-            if not all(math.isfinite(v) for v in self.grid):
-                raise ConfigError("grid SNR values must be finite")
-
-    @classmethod
-    def train_uniform(cls, snr_lo: float = -30.0, snr_hi: float = 0.0,
-                      exact_scaling: bool = False) -> "AugmentPolicy":
-        return cls(AugmentMode.TRAIN_UNIFORM, snr_lo=snr_lo, snr_hi=snr_hi,
-                   exact_scaling=exact_scaling)
-
-    @classmethod
-    def fixed_grid(cls, grid, exact_scaling: bool = False) -> "AugmentPolicy":
-        return cls(AugmentMode.FIXED_GRID, grid=tuple(grid), exact_scaling=exact_scaling)
 
 
 def compute_reference_energy(residuals) -> SnrReference:
@@ -105,19 +57,18 @@ def noise_sigma(ref: SnrReference, snr_db: float, n: int, m: int) -> float:
 
 
 def add_noise(residual: MeanRemovedMatrix, ref: SnrReference, snr_db: float,
-              policy: AugmentPolicy | None = None, rng=None) -> MeanRemovedMatrix:
+              rng=None, *, exact: bool = False) -> MeanRemovedMatrix:
     """Add circularly-symmetric white Gaussian noise at the requested SNR.
 
     The variance comes from noise_sigma, so it depends only on the reference
     energy and matrix size, never on the sample being corrupted.  With
-    exact_scaling the drawn noise is rescaled so e_s/||V||^2 equals
+    exact=True the drawn noise is rescaled so e_s/||V||^2 equals
     10^(snr_db/10) exactly.  snr_db = +inf is a noise-free passthrough.
     Deterministic per seed.
     """
     if math.isinf(snr_db) and snr_db > 0:
         return residual
     rng = np.random.default_rng(rng)
-    exact = bool(policy.exact_scaling) if policy is not None else False
     sigma2 = noise_sigma(ref, snr_db, residual.n_fast, residual.m_slow)
     shape = residual.data.shape
     noise = math.sqrt(sigma2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -145,20 +96,10 @@ def normalize_unit_energy(residual):
     return scaled
 
 
-def draw_training_snr(policy: AugmentPolicy, rng=None) -> float:
-    """One uniform SNR draw from the training interval, in dB."""
-    if policy.mode is not AugmentMode.TRAIN_UNIFORM:
-        raise ConfigError("draw_training_snr needs a train_uniform policy")
-    rng = np.random.default_rng(rng)
-    return float(rng.uniform(policy.snr_lo, policy.snr_hi))
-
-
-def augment_pipeline(cir, ref: SnrReference, snr_db: float,
-                     policy: AugmentPolicy | None = None, rng=None) -> MeanRemovedMatrix:
-    """The full fixed-order input chain: mean-remove, add noise, normalize."""
-    _, residual = mean_remove(cir)
-    noisy = add_noise(residual, ref, snr_db, policy, rng)
-    return normalize_unit_energy(noisy)
+def corrupt(residual: MeanRemovedMatrix, ref: SnrReference, snr_db: float,
+            rng=None, *, exact: bool = False) -> MeanRemovedMatrix:
+    """A detector input: add_noise at snr_db, then normalize_unit_energy."""
+    return normalize_unit_energy(add_noise(residual, ref, snr_db, rng, exact=exact))
 
 
 def spectral_flatness(residual) -> float:

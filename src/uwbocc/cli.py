@@ -75,18 +75,23 @@ def _output_path(value) -> Path:
 
 
 def _parse_counts(value) -> dict:
+    """{label: N} from repeated 'label=N[,label=N]' strings or a config object."""
     if isinstance(value, dict):
-        return {str(k): int(v) for k, v in value.items()}
+        pairs = [(str(k), v) for k, v in value.items()]
+    else:
+        pairs = []
+        for item in value:
+            for piece in item.split(","):
+                if "=" not in piece:
+                    raise ConfigError(f"counts look like label=N, got {piece!r}")
+                label, _, number = piece.partition("=")
+                pairs.append((label.strip(), number))
     counts: dict = {}
-    for item in value:
-        for piece in item.split(","):
-            if "=" not in piece:
-                raise ConfigError(f"counts look like label=N, got {piece!r}")
-            label, _, number = piece.partition("=")
-            try:
-                counts[label.strip()] = int(number)
-            except ValueError:
-                raise ConfigError(f"bad count {piece!r}: {number!r} is not an integer") from None
+    for label, number in pairs:
+        try:
+            counts[label] = int(number)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad count for {label!r}: {number!r} is not an integer") from None
     return counts
 
 
@@ -108,20 +113,6 @@ def _parse_grid(spec) -> tuple:
         return tuple(float(v) for v in spec.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --eval-grid {spec!r}: {exc}") from None
-
-
-def _parse_class_map(value) -> dict | None:
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return {str(k): int(v) for k, v in value.items()}
-    out: dict = {}
-    for item in value:
-        label, _, number = item.partition("=")
-        if not number:
-            raise ConfigError(f"expected label=N, got {item!r}")
-        out[label.strip()] = int(number)
-    return out
 
 
 def _reference(ns, records, checkpoint_extra=None) -> SnrReference:
@@ -160,6 +151,8 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_import(ns) -> int:
+    if not (ns.dt_fast > 0 and ns.dt_slow > 0):
+        raise ConfigError(f"--dt-fast {ns.dt_fast} and --dt-slow {ns.dt_slow} must be positive")
     label = ActivityLabel.from_string(ns.label)
     stream = CirMatrix(read_cir(ns.recording), ns.dt_fast, ns.dt_slow)
     segments = segment_recording(stream, ns.window, label, car=ns.car,
@@ -190,9 +183,9 @@ def cmd_import(ns) -> int:
 
 def cmd_train(ns) -> int:
     manifest, records = read_dataset(_manifest_path(_resolve_data_dir(ns.data)))
+    car1_validation = None if ns.car1_validation is None else _parse_counts(ns.car1_validation)
     split = make_split(manifest, ns.test_per_class, ns.empty_test,
-                       empty_train=ns.empty_train,
-                       car1_validation=_parse_class_map(ns.car1_validation))
+                       empty_train=ns.empty_train, car1_validation=car1_validation)
     settings = TrainSettings(
         variant=ns.variant, kernel=ns.kernel, snr_lo=ns.snr_lo, snr_hi=ns.snr_hi,
         exact_scaling=ns.exact_snr_scaling, reuse_occupied=ns.reuse_occupied,
@@ -244,18 +237,29 @@ def cmd_ablate(ns) -> int:
     if not models_dir.is_dir():
         raise DataError(f"{models_dir} is not a directory of checkpoints")
     scorers: dict = {}
+    stored = None  # (path, extra) of the first checkpoint that stores a reference energy
     for path in sorted(models_dir.glob("*.ckpt")):
-        network, _ = load_checkpoint(path)
+        network, extra = load_checkpoint(path)
         name = network.variant.name
         if name in scorers:
             raise ConfigError(f"two checkpoints in {models_dir} both claim variant {name}")
         scorers[name] = NetworkScorer(network)
+        if "reference_energy" not in extra:
+            continue
+        if stored is None:
+            stored = (path, extra)
+        elif (extra["reference_energy"] != stored[1]["reference_energy"]
+              and ns.reference_energy is None):
+            raise DataError(
+                f"checkpoints {stored[0]} and {path} store different reference energies "
+                f"({stored[1]['reference_energy']} and {extra['reference_energy']}); "
+                "pass --reference-energy to choose one")
     if not scorers:
         raise DataError(f"no .ckpt files in {models_dir}")
     if ns.include_baselines:
         scorers["energy"] = BaselineScorer("energy", window_cols=ns.energy_window)
         scorers["fft"] = BaselineScorer("fft")
-    ref = _reference(ns, records)
+    ref = _reference(ns, records, stored[1] if stored else None)
     report = ablation(scorers, samples, ref, seed=ns.seed,
                       require_all_variants=not ns.allow_missing,
                       exact_scaling=ns.exact_snr_scaling, threads=ns.threads)

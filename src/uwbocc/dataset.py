@@ -346,9 +346,11 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
 
     split = SplitAssignment(assignment)
     for rec in split.records(Split.TRAIN):
-        assert not (rec.car == "car2" and rec.label.occupied), "car2 occupied record leaked into train"
+        if rec.car == "car2" and rec.label.occupied:
+            raise DataError(f"car2 occupied record {rec.file} leaked into train")
     for rec in split.records(Split.TEST):
-        assert rec.car == "car2", "non-car2 record leaked into test"
+        if rec.car != "car2":
+            raise DataError(f"non-car2 record {rec.file} leaked into test")
     return split
 
 

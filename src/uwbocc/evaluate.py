@@ -18,12 +18,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentPolicy, SnrReference, add_noise, normalize_unit_energy
+from .augment import SnrReference, corrupt
 from .core import ActivityLabel, MeanRemovedMatrix
 from .errors import ConfigError, DataError
 
@@ -33,7 +34,6 @@ __all__ = [
     "REFERENCE_NETWORK_AUC",
     "REFERENCE_MESSAGE_PASSING_AUC",
     "REFERENCE_OPERATING_POINT",
-    "SMALL_VARIANT_FLOP_TARGET",
     "roc_auc",
     "mann_whitney_null_std",
     "EvalRow",
@@ -64,10 +64,6 @@ REFERENCE_NETWORK_AUC = 0.91
 REFERENCE_MESSAGE_PASSING_AUC = 0.87
 REFERENCE_OPERATING_POINT = (ActivityLabel.BREATHING, -20.0)
 
-# Complexity talking point for the second-smallest 1D variant: under 1e7
-# operations per forward pass.
-SMALL_VARIANT_FLOP_TARGET = 10_000_000
-
 
 def roc_auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties half).
@@ -87,17 +83,10 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError(f"AUC needs both classes; got {n_pos} positives, {n_neg} negatives")
 
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
-    rank_sum = float(ranks[pos].sum())
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based rank of each tie group's last member
+    average = last - 0.5 * (counts - 1)  # exact half-integers
+    rank_sum = float(average[group[pos]].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -137,38 +126,70 @@ class EvalReport:
         blob = json.dumps(self.config, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def merged_with(self, other: "EvalReport") -> "EvalReport":
-        if other.seed != self.seed:
-            raise ConfigError("cannot merge reports with different seeds")
-        config = dict(self.config)
-        config.update(other.config)
-        return EvalReport(self.rows + other.rows, self.seed, config)
 
-
-def _residuals_by_label(samples) -> dict:
-    groups: dict = {}
-    for item in samples:
-        label = item.label
-        groups.setdefault(label, []).append(item)
-    return groups
-
-
-def _score_grid_point(scorer, positives, negatives, ref, snr_db, seeds,
-                      exact_policy) -> tuple[float, int, int]:
-    corrupted = []
-    for sample_seed, residual in zip(seeds, positives + negatives):
-        noisy = add_noise(residual, ref, snr_db, exact_policy,
-                          rng=np.random.default_rng(sample_seed))
-        corrupted.append(normalize_unit_energy(noisy))
-    scores = np.asarray(scorer(corrupted), dtype=np.float64)
-    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
-    return roc_auc(scores, labels), len(positives), len(negatives)
+def _check_grid(grid) -> tuple:
+    grid = tuple(float(v) for v in grid)
+    if not grid:
+        raise ConfigError("empty SNR grid")
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError("grid SNR values must be finite")
+    return grid
 
 
 def _synthetic_negatives(template: MeanRemovedMatrix, count: int) -> list:
     zero = np.zeros_like(template.data)
     return [MeanRemovedMatrix(zero.copy(), template.dt_fast, template.dt_slow)
             for _ in range(count)]
+
+
+def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
+    """([(activity, positive residuals)], negative residuals) of a test set.
+
+    Activities are the occupied labels present, in label order; their
+    position is the act_idx of every seed drawn for them.
+    """
+    groups: dict = {}
+    for item in samples:
+        groups.setdefault(item.label, []).append(item.residual)
+    negatives = groups.get(ActivityLabel.EMPTY, [])
+    if not negatives and synthetic_negatives < 1:
+        raise DataError("sweep needs empty-class samples as negatives")
+    if synthetic_negatives:
+        template = (negatives or [r for g in groups.values() for r in g])[0]
+        negatives = negatives + _synthetic_negatives(template, synthetic_negatives)
+    activities = [(lab, groups[lab]) for lab in ActivityLabel if lab.occupied and lab in groups]
+    if not activities:
+        raise DataError("sweep needs at least one occupied activity in the test samples")
+    return activities, negatives
+
+
+def _score_grid_point(scorer, positives, negatives) -> tuple[float, int, int]:
+    """(auc, n_pos, n_neg) of one scorer on already corrupted inputs."""
+    scores = np.asarray(scorer(positives + negatives), dtype=np.float64)
+    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
+    return roc_auc(scores, labels), len(positives), len(negatives)
+
+
+def _score_points(scorers, points, negatives, ref, seed, exact, threads) -> list:
+    """Per point, one (auc, n_pos, n_neg) per scorer, in scorer order.
+
+    A point is (act_idx, activity, positives, snr_idx, snr_db).  Its
+    positives and the negatives are corrupted once, draw k seeded by
+    (seed, act_idx, snr_idx, k), and that one batch goes to every scorer,
+    so results depend neither on threads nor on which scorers share a run.
+    """
+    def run(point):
+        act_idx, _, positives, snr_idx, snr_db = point
+        inputs = [corrupt(residual, ref, snr_db,
+                          np.random.SeedSequence((seed, act_idx, snr_idx, k)), exact=exact)
+                  for k, residual in enumerate(positives + negatives)]
+        corrupted_pos, corrupted_neg = inputs[:len(positives)], inputs[len(positives):]
+        return [_score_grid_point(scorer, corrupted_pos, corrupted_neg) for scorer in scorers]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, points))
+    return [run(point) for point in points]
 
 
 def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
@@ -183,44 +204,17 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
     Each (sample, grid point) pair gets its own derived seed, so results
     are independent of threading and iteration order.
     """
-    grid = tuple(float(v) for v in grid)
-    if not grid:
-        raise ConfigError("empty SNR grid")
-    groups = _residuals_by_label(samples)
-    negatives = [s.residual for s in groups.get(ActivityLabel.EMPTY, [])]
-    if not negatives and synthetic_negatives < 1:
-        raise DataError("sweep needs empty-class samples as negatives")
-    if synthetic_negatives:
-        template = (negatives or [s.residual for g in groups.values() for s in g])[0]
-        negatives = negatives + _synthetic_negatives(template, synthetic_negatives)
-    activities = [lab for lab in ActivityLabel if lab.occupied and lab in groups]
-    if not activities:
-        raise DataError("sweep needs at least one occupied activity in the test samples")
-
-    policy = AugmentPolicy.fixed_grid(grid, exact_scaling=exact_scaling)
+    grid = _check_grid(grid)
+    activities, negatives = _test_groups(samples, synthetic_negatives)
+    points = [(act_idx, activity, positives, snr_idx, snr_db)
+              for act_idx, (activity, positives) in enumerate(activities)
+              for snr_idx, snr_db in enumerate(grid)]
+    results = _score_points([scorer], points, negatives, ref, seed, exact_scaling, threads)
     name = getattr(scorer, "name", scorer.__class__.__name__)
-
-    jobs = []
-    for act_idx, activity in enumerate(activities):
-        positives = [s.residual for s in groups[activity]]
-        for snr_idx, snr_db in enumerate(grid):
-            n_draws = len(positives) + len(negatives)
-            seeds = [np.random.SeedSequence((seed, act_idx, snr_idx, k)) for k in range(n_draws)]
-            jobs.append((activity, snr_db, positives, seeds))
-
-    def run(job):
-        activity, snr_db, positives, seeds = job
-        return _score_grid_point(scorer, positives, negatives, ref, snr_db, seeds, policy)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
     # Read after scoring: a baseline scorer learns its count from its first input.
     flops = int(getattr(scorer, "flops", 0))
     rows = [EvalRow(name, activity.value, snr_db, auc, flops, n_pos, n_neg)
-            for (activity, snr_db, _, _), (auc, n_pos, n_neg) in zip(jobs, results)]
+            for (_, activity, _, _, snr_db), [(auc, n_pos, n_neg)] in zip(points, results)]
 
     config = {
         "kind": "snr_sweep",
@@ -242,6 +236,8 @@ def ablation(scorers: dict, samples, ref: SnrReference,
     scorers maps a variant name to a scorer carrying .flops; when
     require_all_variants is set, all ten standard variant names must be
     present (a missing trained checkpoint is an error, not a silent gap).
+    Seeds match snr_sweep over the sorted distinct anchor SNRs, so each row
+    equals that sweep's row at the activity's anchor.
     """
     from .nn.model import VARIANTS
 
@@ -251,18 +247,23 @@ def ablation(scorers: dict, samples, ref: SnrReference,
         if missing:
             raise DataError(f"ablation is missing trained checkpoints for: {', '.join(missing)}")
 
+    grid = _check_grid(sorted({float(v) for v in anchors.values()}))
+    activities, negatives = _test_groups(samples)
+    points = [(act_idx, activity, positives, grid.index(float(anchors[activity])),
+               float(anchors[activity]))
+              for act_idx, (activity, positives) in enumerate(activities)
+              if activity in anchors]
+    names = sorted(scorers)
+    results = _score_points([scorers[name] for name in names], points, negatives, ref,
+                            seed, exact_scaling, threads)
+    # Read after scoring: a baseline scorer learns its count from its first input.
+    config_detectors = {name: int(getattr(scorers[name], "flops", 0)) for name in names}
     rows = []
-    config_detectors = {}
-    for name in sorted(scorers):
-        scorer = scorers[name]
-        sub_grid = sorted({float(v) for v in anchors.values()})
-        report = snr_sweep(scorer, samples, ref, grid=sub_grid, seed=seed,
-                           exact_scaling=exact_scaling, threads=threads)
-        wanted = {(lab.value, float(snr)) for lab, snr in anchors.items()}
-        for row in report.rows:
-            if (row.activity, row.snr_db) in wanted:
-                rows.append(replace(row, name=name))
-        config_detectors[name] = int(getattr(scorer, "flops", 0))
+    for j, name in enumerate(names):
+        for (_, activity, _, _, snr_db), by_scorer in zip(points, results):
+            auc, n_pos, n_neg = by_scorer[j]
+            rows.append(EvalRow(name, activity.value, snr_db, auc, config_detectors[name],
+                                n_pos, n_neg))
 
     config = {
         "kind": "ablation",

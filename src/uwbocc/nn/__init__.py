@@ -12,6 +12,7 @@ from .model import (
     flop_count,
     layout_2d,
     load_checkpoint,
+    network_input,
     param_count,
     save_checkpoint,
     stack_real_imag_1d,

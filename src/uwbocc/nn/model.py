@@ -34,6 +34,7 @@ __all__ = [
     "channel_plan",
     "stack_real_imag_1d",
     "layout_2d",
+    "network_input",
     "ResidualBlock",
     "Network",
     "build_network",
@@ -106,6 +107,13 @@ def layout_2d(residual) -> np.ndarray:
     """(N, M) complex -> (N, M, 2) real with a trailing real/imag axis."""
     arr = residual_array(residual)
     return np.stack([arr.real, arr.imag], axis=-1)
+
+
+def network_input(residual, dimensionality: int) -> np.ndarray:
+    """One sample's channels-first network input: (2N, M) for 1D, (2, N, M) for 2D."""
+    if dimensionality == 1:
+        return stack_real_imag_1d(residual)
+    return layout_2d(residual).transpose(2, 0, 1)
 
 
 class ResidualBlock(Layer):
@@ -369,19 +377,24 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     except (ValueError, struct.error) as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from None
 
-    spec = header["variant"]
-    variant = ArchitectureVariant(spec["name"], spec["dimensionality"],
-                                  spec["initial_filters"], spec["n_double"], spec["n_total"])
-    network = build_network(variant, tuple(header["input_shape"]),
-                            kernel=header["kernel"], seed=header["seed"])
+    try:
+        spec = header["variant"]
+        variant = ArchitectureVariant(spec["name"], spec["dimensionality"],
+                                      spec["initial_filters"], spec["n_double"], spec["n_total"])
+        network = build_network(variant, tuple(header["input_shape"]),
+                                kernel=header["kernel"], seed=header["seed"])
+        layout = [(meta["name"], meta["shape"]) for meta in header["arrays"]]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed header: "
+                        f"{type(exc).__name__} {exc}") from None
     flat = np.frombuffer(payload, dtype="<f4")
     offset = 0
     arrays = []
-    for meta in header["arrays"]:
-        size = int(np.prod(meta["shape"])) if meta["shape"] else 1
+    for name, shape in layout:
+        size = int(np.prod(shape)) if shape else 1
         if offset + size > flat.size:
-            raise DataError(f"checkpoint {path} payload truncated at {meta['name']}")
-        arrays.append(flat[offset:offset + size].astype(np.float64).reshape(meta["shape"]))
+            raise DataError(f"checkpoint {path} payload truncated at {name}")
+        arrays.append(flat[offset:offset + size].astype(np.float64).reshape(shape))
         offset += size
     if offset != flat.size:
         raise DataError(f"checkpoint {path} payload has {flat.size - offset} trailing values")

@@ -11,17 +11,12 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import (
-    AugmentPolicy,
-    SnrReference,
-    add_noise,
-    compute_reference_energy,
-    normalize_unit_energy,
-)
+from .augment import SnrReference, compute_reference_energy, corrupt
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
 from .core import ActivityLabel, MeanRemovedMatrix, mean_remove
 from .dataset import (
@@ -33,14 +28,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
-from .nn.model import (
-    VARIANTS,
-    Network,
-    build_network,
-    flop_count,
-    layout_2d,
-    stack_real_imag_1d,
-)
+from .nn.model import VARIANTS, Network, build_network, flop_count, network_input
 from .nn.training import EarlyStoppingConfig, OptimizerConfig, TrainingHistory, train_network
 
 __all__ = [
@@ -125,8 +113,9 @@ def reference_from_training(train_records) -> SnrReference:
 _INFERENCE_CHUNK = 256
 
 
-def _logits(network: Network, batch: np.ndarray, chunk: int = _INFERENCE_CHUNK) -> np.ndarray:
-    """Inference logits of a laid-out batch, chunk samples per forward call."""
+def _logits(network: Network, batch: np.ndarray) -> np.ndarray:
+    """Inference logits of a laid-out batch, _INFERENCE_CHUNK samples per forward call."""
+    chunk = _INFERENCE_CHUNK
     return np.concatenate([network.forward(batch[start:start + chunk], train=False)
                            for start in range(0, len(batch), chunk)])
 
@@ -134,20 +123,14 @@ def _logits(network: Network, batch: np.ndarray, chunk: int = _INFERENCE_CHUNK) 
 class NetworkScorer:
     """Scores residual batches with a trained network (inference mode)."""
 
-    def __init__(self, network: Network, name: str | None = None,
-                 chunk: int = _INFERENCE_CHUNK):
+    def __init__(self, network: Network, name: str | None = None):
         self.network = network
         self.name = name or network.variant.name
         self.flops = flop_count(network)
-        self.chunk = chunk
-
-    def _layout(self, residual: MeanRemovedMatrix) -> np.ndarray:
-        if self.network.variant.dimensionality == 1:
-            return stack_real_imag_1d(residual)
-        return layout_2d(residual).transpose(2, 0, 1)  # channels first
 
     def __call__(self, residuals) -> np.ndarray:
-        return _logits(self.network, np.stack([self._layout(r) for r in residuals]), self.chunk)
+        dim = self.network.variant.dimensionality
+        return _logits(self.network, np.stack([network_input(r, dim) for r in residuals]))
 
 
 class BaselineScorer:
@@ -195,28 +178,23 @@ class TrainSettings:
     validation_snr: float = -15.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(
+                f"unknown variant {self.variant!r}; known: {', '.join(sorted(VARIANTS))}")
+        if not (math.isfinite(self.snr_lo) and math.isfinite(self.snr_hi)):
+            raise ConfigError("training SNR bounds must be finite")
+        if self.snr_lo > self.snr_hi:
+            raise ConfigError(f"snr_lo {self.snr_lo} exceeds snr_hi {self.snr_hi}")
+
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
 
     def stopping(self) -> EarlyStoppingConfig:
         return EarlyStoppingConfig(patience=self.patience, max_epochs=self.max_epochs)
 
-    def policy(self) -> AugmentPolicy:
-        return AugmentPolicy.train_uniform(self.snr_lo, self.snr_hi,
-                                           exact_scaling=self.exact_scaling)
 
-
-def _layout_for(variant_name: str):
-    variant = VARIANTS.get(variant_name)
-    if variant is None:
-        raise ConfigError(f"unknown variant {variant_name!r}; known: {', '.join(sorted(VARIANTS))}")
-
-    if variant.dimensionality == 1:
-        return variant, lambda res: stack_real_imag_1d(res)
-    return variant, lambda res: layout_2d(res).transpose(2, 0, 1)
-
-
-def _epoch_batches(plan_records, residual_by_file, ref, settings, layout, epoch):
+def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     """Yield (inputs, labels) minibatches for one epoch, deterministically.
 
     Each draw's SNR and noise come from a SeedSequence keyed by (seed,
@@ -224,14 +202,15 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, layout, epoch)
     arrangement.  A trailing partial batch below 2 samples is dropped
     because batch statistics are undefined for it.
     """
-    policy = settings.policy()
     batch_inputs, batch_labels = [], []
     for position, (record, _draw) in enumerate(plan_records):
         residual = residual_by_file[record.file]
         rng = np.random.default_rng(np.random.SeedSequence((settings.seed, epoch, position)))
         snr_db = float(rng.uniform(settings.snr_lo, settings.snr_hi))
-        noisy = add_noise(residual, ref, snr_db, policy, rng=rng)
-        batch_inputs.append(layout(normalize_unit_energy(noisy)))
+        # Unnamed, so each corrupted sample is freed before the next draw;
+        # holding one across draws measurably raised peak RSS (heap layout).
+        batch_inputs.append(network_input(
+            corrupt(residual, ref, snr_db, rng, exact=settings.exact_scaling), dim))
         batch_labels.append(1.0 if record.label.occupied else 0.0)
         if len(batch_inputs) == settings.batch_size:
             yield np.stack(batch_inputs), np.asarray(batch_labels)
@@ -245,7 +224,7 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, layout, epoch)
 _VALIDATION_STREAM = 0x5EED_A11
 
 
-def _validation_scorer(val_samples, ref, settings, layout):
+def _validation_scorer(val_samples, ref, settings, dim):
     """Corrupt the validation set once, at a fixed SNR, and score each epoch.
 
     Freezing the corruption keeps the early-stopping signal comparable
@@ -254,8 +233,8 @@ def _validation_scorer(val_samples, ref, settings, layout):
     inputs, labels = [], []
     for i, sample in enumerate(val_samples):
         rng = np.random.default_rng(np.random.SeedSequence((settings.seed, _VALIDATION_STREAM, i)))
-        noisy = add_noise(sample.residual, ref, settings.validation_snr, None, rng=rng)
-        inputs.append(layout(normalize_unit_energy(noisy)))
+        noisy = corrupt(sample.residual, ref, settings.validation_snr, rng)
+        inputs.append(network_input(noisy, dim))
         labels.append(1.0 if sample.label.occupied else 0.0)
     batch = np.stack(inputs)
     labels = np.asarray(labels)
@@ -278,7 +257,7 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
     monitors AUC on the fixed-corruption validation set.
     """
     settings = settings or TrainSettings()
-    variant, layout = _layout_for(settings.variant)
+    variant = VARIANTS[settings.variant]
     by_split = assign_samples(manifest, samples, split)
     train_pairs = by_split[Split.TRAIN]
     if not train_pairs:
@@ -293,20 +272,17 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
     val_samples = residual_samples([sample for _, sample in by_split[Split.VALIDATION]])
     if not val_samples:
         raise DataError("validation split is empty")
-    scorer = _validation_scorer(val_samples, ref, settings, layout)
+    scorer = _validation_scorer(val_samples, ref, settings, variant.dimensionality)
 
-    first = train_samples[0].cir
-    if variant.dimensionality == 1:
-        input_shape = (2 * first.n_fast, first.m_slow)
-    else:
-        input_shape = (2, first.n_fast, first.m_slow)
+    input_shape = network_input(train_residuals[0].residual, variant.dimensionality).shape
     network = build_network(variant, input_shape, kernel=settings.kernel, seed=settings.seed)
 
     def batches(epoch: int):
         plan = build_epoch_plan(split, seed=int(np.random.SeedSequence(
             (settings.seed, epoch)).generate_state(1)[0]),
             reuse_occupied=settings.reuse_occupied, reuse_empty=settings.reuse_empty)
-        return _epoch_batches(plan.entries, residual_by_file, ref, settings, layout, epoch)
+        return _epoch_batches(plan.entries, residual_by_file, ref, settings,
+                              variant.dimensionality, epoch)
 
     history = train_network(network, batches, scorer,
                             optimizer_config=settings.optimizer(),

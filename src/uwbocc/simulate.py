@@ -28,7 +28,6 @@ __all__ = [
     "raised_cosine_response",
     "raised_cosine_pulse",
     "motion_path",
-    "motion_trajectory",
     "simulate_received",
     "synth_dataset",
     "parse_scene",
@@ -200,18 +199,6 @@ def motion_path(model: MotionModel, n_reps: int, dt_slow: float, rng=None) -> tu
     delay_offsets = model.delay_excursion * x
     amp_factors = (1.0 + model.amp_excursion * x).astype(np.complex128)
     return delay_offsets, amp_factors
-
-
-def motion_trajectory(model: MotionModel, m: int, dt_slow: float = 0.1, rng=None) -> tuple[float, complex]:
-    """Trajectory at repetition m: (delay_offset seconds, complex amp factor).
-
-    Generates the path from repetition 0 through m with draws from rng and
-    returns the final point, so equal seeds give identical trajectories.
-    """
-    if m < 0:
-        raise ValueError("repetition index must be >= 0")
-    offsets, factors = motion_path(model, m + 1, dt_slow, rng)
-    return float(offsets[m]), complex(factors[m])
 
 
 @dataclass(frozen=True)

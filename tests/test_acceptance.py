@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from uwbocc.augment import AugmentPolicy, SnrReference, add_noise
+from uwbocc.augment import SnrReference, add_noise
 from uwbocc.baselines import energy_detector
 from uwbocc.cli import main as cli_main
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
@@ -144,10 +144,9 @@ def test_criterion_3_snr_calibration():
     mean = float(energies.mean())
     assert abs(mean / target - 1.0) <= 0.02, f"mean noise energy {mean:.3f} vs {target}"
 
-    exact = AugmentPolicy.fixed_grid((-20.0,), exact_scaling=True)
     worst = 0.0
     for i in range(200):
-        noisy = add_noise(zero, ref, -20.0, exact, rng=np.random.default_rng((8, i)))
+        noisy = add_noise(zero, ref, -20.0, rng=np.random.default_rng((8, i)), exact=True)
         worst = max(worst, abs(frobenius_energy(noisy) / target - 1.0))
     assert worst <= 1e-12, f"exact-scaling relative error {worst:.3e}"
 

@@ -1,4 +1,4 @@
-"""Noise calibration, normalization, SNR draws, and the input pipeline."""
+"""Noise calibration, normalization, and the input pipeline."""
 
 import math
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from uwbocc.augment import (
-    AugmentPolicy,
     SnrReference,
     add_noise,
-    augment_pipeline,
     compute_reference_energy,
-    draw_training_snr,
+    corrupt,
     noise_sigma,
     normalize_unit_energy,
     spectral_flatness,
@@ -91,11 +89,10 @@ class TestAddNoise:
         assert total / n_draws == pytest.approx(100.0, rel=0.02)
 
     def test_exact_scaling_hits_ratio_exactly(self):
-        policy = AugmentPolicy.train_uniform(exact_scaling=True)
         ref = SnrReference(3.0)
         base = MeanRemovedMatrix(np.zeros((16, 20), dtype=np.complex128), *DT)
         for seed, snr in ((0, -20.0), (1, -5.5), (2, 0.0)):
-            noisy = add_noise(base, ref, snr, policy, rng=seed)
+            noisy = add_noise(base, ref, snr, rng=seed, exact=True)
             ratio = ref.e_s / frobenius_energy(noisy)
             assert ratio == pytest.approx(10.0 ** (snr / 10.0), rel=1e-12)
 
@@ -141,50 +138,18 @@ class TestNormalize:
             normalize_unit_energy(MeanRemovedMatrix(np.zeros((2, 3), dtype=np.complex128), *DT))
 
 
-class TestSnrDraws:
-    def test_degenerate_interval(self):
-        policy = AugmentPolicy.train_uniform(-15.0, -15.0)
-        assert draw_training_snr(policy, rng=0) == -15.0
-
-    def test_uniform_mean(self):
-        policy = AugmentPolicy.train_uniform(-30.0, 0.0)
-        rng = np.random.default_rng(11)
-        draws = np.array([draw_training_snr(policy, rng) for _ in range(100_000)])
-        assert abs(draws.mean() + 15.0) < 0.1
-        assert draws.min() >= -30.0 and draws.max() <= 0.0
-
-    def test_same_seed_same_sequence(self):
-        policy = AugmentPolicy.train_uniform()
-        r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
-        seq1 = [draw_training_snr(policy, r1) for _ in range(10)]
-        seq2 = [draw_training_snr(policy, r2) for _ in range(10)]
-        assert seq1 == seq2
-
-    def test_grid_policy_cannot_draw(self):
-        policy = AugmentPolicy.fixed_grid([-10.0, -20.0])
-        with pytest.raises(ConfigError):
-            draw_training_snr(policy, rng=0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError):
-            AugmentPolicy.train_uniform(-5.0, -10.0)
-        with pytest.raises(ConfigError):
-            AugmentPolicy.fixed_grid([])
-        with pytest.raises(ConfigError):
-            AugmentPolicy.fixed_grid([math.nan])
-
-
 class TestPipeline:
     def test_pipeline_is_mean_remove_then_noise_then_normalize(self):
         rng = np.random.default_rng(21)
         data = rng.standard_normal((8, 10)) + 1j * rng.standard_normal((8, 10))
         cir = CirMatrix(data, *DT)
         ref = SnrReference(2.0)
-        out = augment_pipeline(cir, ref, -12.0, rng=77)
         _, residual = mean_remove(cir)
-        expected = normalize_unit_energy(add_noise(residual, ref, -12.0, rng=77))
-        assert np.array_equal(out.data, expected.data)
-        assert frobenius_energy(out) == pytest.approx(1.0, rel=1e-12)
+        for exact in (False, True):
+            out = corrupt(residual, ref, -12.0, rng=77, exact=exact)
+            expected = normalize_unit_energy(add_noise(residual, ref, -12.0, rng=77, exact=exact))
+            assert np.array_equal(out.data, expected.data)
+            assert frobenius_energy(out) == pytest.approx(1.0, rel=1e-12)
 
     def test_stacking_does_not_change_energy(self):
         # normalization before or after a real/imag split is the same thing

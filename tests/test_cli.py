@@ -2,14 +2,19 @@
 
 import json
 import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uwbocc
 from uwbocc.cli import main
 from uwbocc.dataset import read_manifest, write_cir
 from uwbocc.evaluate import read_report
-from uwbocc.nn import load_checkpoint
+from uwbocc.nn import build_network, load_checkpoint, save_checkpoint
 
 SIM = ["simulate", "--count", "breathing=6", "--count", "empty=6",
        "--n-fast", "16", "--m-slow", "24", "--seed", "3"]
@@ -238,6 +243,34 @@ class TestEvaluate:
 
 
 class TestAblate:
+    def write_models(self, tmp_path, references):
+        """Random-init 1D-E and 2D-E checkpoints for SIM's 16 x 24 inputs."""
+        models = tmp_path / "models"
+        models.mkdir()
+        for name, shape, ref in zip(("1D-E", "2D-E"), ((32, 24), (2, 16, 24)), references):
+            extra = {} if ref is None else {"reference_energy": ref}
+            save_checkpoint(build_network(name, shape, seed=1), models / f"{name}.ckpt", extra)
+        return models
+
+    def test_uses_checkpoint_reference_and_flag_wins(self, dataset, tmp_path):
+        models = self.write_models(tmp_path, (None, 2.5))
+        out = tmp_path / "r.json"
+        assert run("ablate", "--data", dataset, "--models", models,
+                   "--allow-missing", "--out", out) == 0
+        assert read_report(out).config["reference_energy"] == 2.5
+        assert run("ablate", "--data", dataset, "--models", models, "--allow-missing",
+                   "--reference-energy", "7.0", "--out", out) == 0
+        assert read_report(out).config["reference_energy"] == 7.0
+
+    def test_disagreeing_checkpoint_references(self, dataset, tmp_path, capsys):
+        models = self.write_models(tmp_path, (2.5, 4.0))
+        args = ["ablate", "--data", dataset, "--models", models, "--allow-missing",
+                "--out", tmp_path / "r.json"]
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert "1D-E.ckpt" in err and "2D-E.ckpt" in err
+        assert run(*args, "--reference-energy", "3.0") == 0
+
     def test_missing_variants_without_flag(self, dataset, checkpoint, tmp_path):
         models = tmp_path / "models"
         models.mkdir()
@@ -304,3 +337,46 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert run("report", bad) == 3
+
+
+def recording(tmp_path):
+    path = tmp_path / "session.cir"
+    write_cir(path, np.ones((16, 96), dtype=complex))
+    return path
+
+
+def checkpoint_without_variant(tmp_path):
+    path = tmp_path / "novariant.ckpt"
+    save_checkpoint(build_network("1D-E", (32, 24), seed=0), path)
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + size])
+    del header["variant"]
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + size:])
+    return path
+
+
+USER_MISTAKES = {
+    "class count not an integer": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--car1-validation", "breathing=x"], 2),
+    "non-positive repetition interval": (
+        lambda data, tmp: ["import", recording(tmp), "--label", "empty",
+                           "--car", "car2", "--dt-slow", "0", "--out", tmp / "x"], 2),
+    "checkpoint header without variant": (
+        lambda data, tmp: ["evaluate", "--data", data, "--model",
+                           checkpoint_without_variant(tmp), "--out", tmp / "r.json"], 3),
+}
+
+
+@pytest.mark.parametrize("mistake", sorted(USER_MISTAKES))
+def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
+    argv, code = USER_MISTAKES[mistake]
+    env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "uwbocc.cli",
+                           *[str(a) for a in argv(dataset, tmp_path)]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -243,6 +243,20 @@ class TestMakeSplit:
         with pytest.raises(DataError, match="breathing"):
             make_split(manifest, test_per_class=150, empty_test=20)
 
+    @pytest.mark.parametrize("leaky, message", [
+        (Split.TRAIN, "car2 occupied record .* leaked into train"),
+        (Split.TEST, "non-car2 record .* leaked into test"),
+    ])
+    def test_leak_guards_raise_data_error(self, monkeypatch, leaky, message):
+        # Simulate a faulty assignment: the leaky split reports every record,
+        # the others none.  The guards must raise, so python -O keeps them.
+        from uwbocc.dataset import SplitAssignment
+
+        monkeypatch.setattr(SplitAssignment, "records",
+                            lambda self, split: list(self.assignment) if split is leaky else [])
+        with pytest.raises(DataError, match=message):
+            make_split(table_style_manifest(), 150, 20)
+
     def test_determinism(self):
         manifest = table_style_manifest()
         a = make_split(manifest, 150, 20, car1_validation=100)

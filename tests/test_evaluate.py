@@ -1,7 +1,7 @@
 """AUC computation, SNR sweeps, ablation assembly, report serialization."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -40,7 +40,36 @@ def pairwise_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def looped_auc(scores, labels):
+    """Average ranks from a Python loop over tie groups: the reference roc_auc must equal."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = scores.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
+        i = j + 1
+    rank_sum = float(ranks[pos].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 class TestRocAuc:
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 20_000])
+    def test_equals_the_tie_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for levels in (1, 2, 7, max(n // 3, 1), 10 * n):
+            scores = rng.integers(0, levels, n) * 0.37 - 1.0
+            labels = rng.integers(0, 2, n)
+            labels[:2] = (1, 0)
+            assert roc_auc(scores, labels) == looped_auc(scores, labels), levels
+
     def test_perfect_separation(self):
         assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
@@ -118,16 +147,6 @@ class TestReportTypes:
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
 
-    def test_merge_requires_same_seed(self):
-        row = EvalRow("net", "breathing", -20.0, 0.9, 100, 10, 10)
-        a = EvalReport((row,), 0, {})
-        b = EvalReport((row,), 1, {})
-        with pytest.raises(ConfigError):
-            a.merged_with(b)
-        merged = a.merged_with(EvalReport((row,), 0, {"extra": 1}))
-        assert len(merged.rows) == 2
-        assert merged.config == {"extra": 1}
-
 
 @dataclass
 class FakeSample:
@@ -198,6 +217,11 @@ class TestSnrSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             snr_sweep(SpikeScorer(), sweep_samples(), SnrReference(100.0), grid=[])
+
+    def test_non_finite_grid_rejected(self):
+        for grid in ([np.nan], [-10.0, np.inf], [-np.inf]):
+            with pytest.raises(ConfigError, match="finite"):
+                snr_sweep(SpikeScorer(), sweep_samples(), SnrReference(100.0), grid=grid)
 
     def test_deterministic_across_runs_and_threads(self):
         kwargs = dict(grid=[-5.0, -15.0], seed=3)
@@ -277,6 +301,48 @@ class TestAblation:
         sweep = snr_sweep(BaselineScorer("fft"), three_activity_samples(), SnrReference(100.0),
                           grid=[-10.0])
         assert {row.flops for row in sweep.rows} == {report.config["detectors"]["fft"]}
+
+    def test_non_finite_anchor_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            ablation({"x": named_scorer("x", 10)}, three_activity_samples(), SnrReference(100.0),
+                     anchors={ActivityLabel.BREATHING: np.nan}, require_all_variants=False)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["default", "subset"])
+    def test_rows_equal_anchor_rows_of_per_scorer_sweeps(self, threads, case):
+        from uwbocc.pipeline import BaselineScorer
+
+        samples = three_activity_samples()
+        anchors = None
+        if case == "subset":
+            # talking is anchored but absent, breathing present but not
+            # anchored (moving keeps act_idx 1), and empty adds an SNR to the grid
+            samples = [s for s in samples if s.label is not ActivityLabel.TALKING]
+            anchors = {ActivityLabel.MOVING: -10.0, ActivityLabel.EMPTY: -12.0,
+                       ActivityLabel.TALKING: -10.0}
+        ref = SnrReference(100.0)
+        for exact in (False, True):
+            def scorers():
+                return {"spike": named_scorer("spike-scorer", 7),
+                        "fft": BaselineScorer("fft"),
+                        "energy": BaselineScorer("energy", window_cols=4)}
+
+            report = ablation(scorers(), samples, ref, anchors=anchors, seed=4,
+                              require_all_variants=False, exact_scaling=exact,
+                              threads=threads)
+            # The per-scorer sweep over the anchor SNRs, filtered to each
+            # activity's own anchor, as the ablation was first written.
+            used = dict(anchors) if anchors is not None else dict(ACTIVITY_SNR_ANCHORS)
+            sub_grid = sorted({float(v) for v in used.values()})
+            wanted = {(lab.value, float(snr)) for lab, snr in used.items()}
+            expected = []
+            for name, scorer in sorted(scorers().items()):
+                sweep = snr_sweep(scorer, samples, ref, grid=sub_grid, seed=4,
+                                  exact_scaling=exact, threads=threads)
+                expected += [replace(row, name=name) for row in sweep.rows
+                             if (row.activity, row.snr_db) in wanted]
+            assert report.rows == tuple(expected)
+            assert len(report.rows) == 3 * (3 if case == "default" else 1)
 
     def test_custom_anchor_subset(self):
         scorers = {"x": named_scorer("x", 10)}

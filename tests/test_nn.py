@@ -25,6 +25,7 @@ from uwbocc.nn import (
     flop_count,
     layout_2d,
     load_checkpoint,
+    network_input,
     param_count,
     save_checkpoint,
     stack_real_imag_1d,
@@ -65,6 +66,14 @@ class TestLayouts:
         out = layout_2d(res)
         assert np.sum(out**2) == pytest.approx(np.sum(np.abs(res) ** 2), rel=1e-14)
         assert np.all(out[:, :, 1] == 0)
+
+    def test_network_input_is_channels_first(self):
+        rng = np.random.default_rng(2)
+        res = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        assert np.array_equal(network_input(res, 1), stack_real_imag_1d(res))
+        out = network_input(res, 2)
+        assert out.shape == (2, 4, 5)
+        assert np.array_equal(out[0], res.real) and np.array_equal(out[1], res.imag)
 
 
 class TestConv:

@@ -109,11 +109,14 @@ class TestScorers:
         assert scorer.name == "1D-E"
         assert scorer.flops == flop_count(net)
 
-    def test_network_scorer_chunking_equivalence(self):
+    def test_network_scorer_chunking_equivalence(self, monkeypatch):
+        from uwbocc import pipeline
+
         net = build_network("1D-E", (2 * SMALL.n_fast, SMALL.m_slow), seed=1)
         residuals = self.residuals()
         whole = NetworkScorer(net)(residuals)
-        chunked = NetworkScorer(net, chunk=2)(residuals)
+        monkeypatch.setattr(pipeline, "_INFERENCE_CHUNK", 2)
+        chunked = NetworkScorer(net)(residuals)
         # matmul summation order varies with the slice height, so last-bit
         # drift is expected; a fixed chunk size keeps real runs bit-stable
         assert np.allclose(whole, chunked, rtol=1e-12, atol=0)
@@ -148,6 +151,16 @@ def quick_settings(**overrides):
                 patience=1, max_epochs=2, learning_rate=1e-3, seed=5)
     base.update(overrides)
     return TrainSettings(**base)
+
+
+class TestTrainSettings:
+    def test_snr_bounds_validated(self):
+        with pytest.raises(ConfigError, match="exceeds"):
+            TrainSettings(snr_lo=-5.0, snr_hi=-10.0)
+        for lo, hi in ((np.nan, 0.0), (-30.0, np.inf), (-np.inf, 0.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                TrainSettings(snr_lo=lo, snr_hi=hi)
+        assert TrainSettings(snr_lo=-15.0, snr_hi=-15.0).snr_hi == -15.0
 
 
 class TestRunTraining:

@@ -11,7 +11,6 @@ from uwbocc.simulate import (
     RadarConfig,
     Scene,
     motion_path,
-    motion_trajectory,
     parse_scene,
     raised_cosine_pulse,
     raised_cosine_response,
@@ -160,13 +159,6 @@ class TestSimulateReceived:
 
 
 class TestMotionModels:
-    def test_trajectory_matches_path(self):
-        motion = MotionModel.default_for(ActivityLabel.MOVING)
-        offsets, factors = motion_path(motion, 40, CFG.dt_slow, rng=9)
-        d, a = motion_trajectory(motion, 39, CFG.dt_slow, rng=9)
-        assert d == offsets[39]
-        assert a == factors[39]
-
     def test_breathing_is_periodic_sinusoid(self):
         motion = MotionModel(kind=ActivityLabel.BREATHING, rate=0.25, delay_excursion=33e-12, jitter=0.0)
         offsets, _ = motion_path(motion, 100, 0.1, rng=0)
