@@ -2,8 +2,9 @@
 
 Every command reads a dataset directory (or its manifest.json directly),
 defaulting to the UWBOCC_DATA_DIR environment variable when --data/--out is
-omitted.  Options can also come from a JSON config file via --config; values
-given on the command line win over the file, which wins over built-in
+omitted.  Options can also come from a JSON config file via --config; its
+values go through the same parser, types and choices as flags, values given
+on the command line win over the file, and the file wins over built-in
 defaults.  All file outputs (datasets, checkpoints, reports) are
 byte-deterministic for a fixed seed and configuration, independent of
 --threads.
@@ -74,23 +75,17 @@ def _output_path(value) -> Path:
     return path
 
 
-def _parse_counts(value) -> dict:
-    """{label: N} from repeated 'label=N[,label=N]' strings or a config object."""
-    if isinstance(value, dict):
-        pairs = [(str(k), v) for k, v in value.items()]
-    else:
-        pairs = []
-        for item in value:
-            for piece in item.split(","):
-                if "=" not in piece:
-                    raise ConfigError(f"counts look like label=N, got {piece!r}")
-                label, _, number = piece.partition("=")
-                pairs.append((label.strip(), number))
+def _parse_counts(values) -> dict:
+    """{label: N} from repeated 'label=N[,label=N]' strings."""
     counts: dict = {}
-    for label, number in pairs:
+    for piece in ",".join(values).split(","):
+        label, eq, number = piece.partition("=")
+        if not eq:
+            raise ConfigError(f"counts look like label=N, got {piece!r}")
+        label = label.strip()
         try:
             counts[label] = int(number)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ConfigError(f"bad count for {label!r}: {number!r} is not an integer") from None
     return counts
 
@@ -99,8 +94,6 @@ def _parse_grid(spec) -> tuple:
     """SNR grid: comma-separated dB values, or start:stop:count (inclusive)."""
     if spec is None:
         return DEFAULT_EVAL_GRID
-    if isinstance(spec, (list, tuple)):
-        return tuple(float(v) for v in spec)
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -115,15 +108,14 @@ def _parse_grid(spec) -> tuple:
         raise ConfigError(f"bad --eval-grid {spec!r}: {exc}") from None
 
 
-def _reference(ns, records, checkpoint_extra=None) -> SnrReference:
+def _reference(ns, samples, checkpoint_extra=None) -> SnrReference:
     """Resolve the SNR reference: flag, then checkpoint, then the data itself."""
-    explicit = getattr(ns, "reference_energy", None)
-    if explicit is not None:
-        return SnrReference(float(explicit))
+    if ns.reference_energy is not None:
+        return SnrReference(ns.reference_energy)
     if checkpoint_extra and "reference_energy" in checkpoint_extra:
         return SnrReference(float(checkpoint_extra["reference_energy"]))
     try:
-        return reference_from_training(records)
+        return reference_from_training(samples)
     except DataError:
         raise DataError(
             "cannot anchor SNR: the dataset has no breathing samples and no "
@@ -219,7 +211,7 @@ def cmd_evaluate(ns) -> int:
         scorer = NetworkScorer(network)
     else:
         scorer = BaselineScorer(ns.detector, window_cols=ns.energy_window)
-    ref = _reference(ns, records, checkpoint_extra)
+    ref = _reference(ns, samples, checkpoint_extra)
     report = snr_sweep(scorer, samples, ref, grid=_parse_grid(ns.eval_grid),
                        seed=ns.seed, exact_scaling=ns.exact_snr_scaling,
                        synthetic_negatives=ns.synthetic_negatives, threads=ns.threads)
@@ -259,7 +251,7 @@ def cmd_ablate(ns) -> int:
     if ns.include_baselines:
         scorers["energy"] = BaselineScorer("energy", window_cols=ns.energy_window)
         scorers["fft"] = BaselineScorer("fft")
-    ref = _reference(ns, records, stored[1] if stored else None)
+    ref = _reference(ns, samples, stored[1] if stored else None)
     report = ablation(scorers, samples, ref, seed=ns.seed,
                       require_all_variants=not ns.allow_missing,
                       exact_scaling=ns.exact_snr_scaling, threads=ns.threads)
@@ -304,14 +296,7 @@ def cmd_report(ns) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
-    """The CLI parser; with suppress=True, defaults are omitted so the parsed
-    namespace contains only options actually present on the command line
-    (used to let explicit flags override --config values)."""
-
-    def dflt(value):
-        return argparse.SUPPRESS if suppress else value
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbocc",
         description="Ultra-wideband radar car-occupancy detection workflows.")
@@ -319,35 +304,32 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common_eval(p):
-        p.add_argument("--data", default=dflt(None),
+        p.add_argument("--data",
                        help=f"dataset directory or manifest.json (default ${DATA_DIR_ENV})")
-        p.add_argument("--seed", type=int, default=dflt(0))
-        p.add_argument("--threads", type=int, default=dflt(1),
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads for the sweep (results are identical for any value)")
-        p.add_argument("--exact-snr-scaling", action="store_true", default=dflt(False),
+        p.add_argument("--exact-snr-scaling", action="store_true",
                        help="rescale each noise draw so the per-sample SNR is exact")
-        p.add_argument("--reference-energy", type=float, default=dflt(None),
+        p.add_argument("--reference-energy", type=float,
                        help="signal energy anchoring the SNR scale "
                             "(default: checkpoint metadata, else the data's breathing median)")
-        p.add_argument("--energy-window", type=int, default=dflt(DEFAULT_ENERGY_WINDOW),
+        p.add_argument("--energy-window", type=int, default=DEFAULT_ENERGY_WINDOW,
                        help="slow-time columns per energy-detector window")
-        p.add_argument("--csv", default=dflt(None), help="also write the report as CSV here")
-        p.add_argument("--config", default=dflt(None),
-                       help="JSON file of option defaults (explicit flags win)")
+        p.add_argument("--csv", help="also write the report as CSV here")
+        p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
 
     p = sub.add_parser("simulate", help="generate a labeled synthetic dataset")
-    p.add_argument("--out", default=dflt(None),
-                   help=f"output dataset directory (default ${DATA_DIR_ENV})")
-    p.add_argument("--count", action="append", default=dflt(None), metavar="LABEL=N",
+    p.add_argument("--out", help=f"output dataset directory (default ${DATA_DIR_ENV})")
+    p.add_argument("--count", action="append", metavar="LABEL=N",
                    help="samples per class, repeatable (breathing/talking/moving/empty)")
-    p.add_argument("--scene", default=dflt(None), help="scene configuration file")
-    p.add_argument("--n-fast", type=int, default=dflt(64), help="fast-time bins per column")
-    p.add_argument("--m-slow", type=int, default=dflt(100), help="slow-time columns per sample")
-    p.add_argument("--sensor-noise", type=float, default=dflt(1e-3))
-    p.add_argument("--clutter-paths", type=int, default=dflt(4))
-    p.add_argument("--seed", type=int, default=dflt(0))
-    p.add_argument("--config", default=dflt(None),
-                   help="JSON file of option defaults (explicit flags win)")
+    p.add_argument("--scene", help="scene configuration file")
+    p.add_argument("--n-fast", type=int, default=64, help="fast-time bins per column")
+    p.add_argument("--m-slow", type=int, default=100, help="slow-time columns per sample")
+    p.add_argument("--sensor-noise", type=float, default=1e-3)
+    p.add_argument("--clutter-paths", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("import", help="segment an external recording into a dataset")
@@ -356,61 +338,58 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
                    choices=[lab.value for lab in ActivityLabel])
     p.add_argument("--car", required=True, help="acquisition car id (split logic "
                    "holds out car2 for testing)")
-    p.add_argument("--seat", default=dflt(None))
-    p.add_argument("--participant", default=dflt(None))
-    p.add_argument("--window", type=float, default=dflt(10.0),
+    p.add_argument("--seat")
+    p.add_argument("--participant")
+    p.add_argument("--window", type=float, default=10.0,
                    help="segment length in seconds (integer multiple of the repetition interval)")
-    p.add_argument("--dt-fast", type=float, default=dflt(0.5e-9),
+    p.add_argument("--dt-fast", type=float, default=0.5e-9,
                    help="fast-time sample spacing of the recording, seconds")
-    p.add_argument("--dt-slow", type=float, default=dflt(0.1),
+    p.add_argument("--dt-slow", type=float, default=0.1,
                    help="pulse repetition interval of the recording, seconds")
-    p.add_argument("--out", default=dflt(None),
-                   help=f"dataset directory (default ${DATA_DIR_ENV})")
-    p.add_argument("--append", action="store_true", default=dflt(False),
+    p.add_argument("--out", help=f"dataset directory (default ${DATA_DIR_ENV})")
+    p.add_argument("--append", action="store_true",
                    help="add to an existing dataset instead of requiring a fresh one")
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("train", help="train one network variant on a dataset")
-    p.add_argument("--data", default=dflt(None),
-                   help=f"dataset directory or manifest.json (default ${DATA_DIR_ENV})")
+    p.add_argument("--data", help=f"dataset directory or manifest.json (default ${DATA_DIR_ENV})")
     p.add_argument("--out", required=True, help="checkpoint file to write")
-    p.add_argument("--variant", default=dflt("1D-E"), choices=sorted(VARIANTS))
-    p.add_argument("--kernel", type=int, default=dflt(3))
-    p.add_argument("--snr-lo", type=float, default=dflt(-30.0),
+    p.add_argument("--variant", default="1D-E", choices=sorted(VARIANTS))
+    p.add_argument("--kernel", type=int, default=3)
+    p.add_argument("--snr-lo", type=float, default=-30.0,
                    help="lower edge of the training SNR range, dB")
-    p.add_argument("--snr-hi", type=float, default=dflt(0.0),
+    p.add_argument("--snr-hi", type=float, default=0.0,
                    help="upper edge of the training SNR range, dB")
-    p.add_argument("--exact-snr-scaling", action="store_true", default=dflt(False))
-    p.add_argument("--batch-size", type=int, default=dflt(64))
-    p.add_argument("--learning-rate", type=float, default=dflt(1e-3))
-    p.add_argument("--patience", type=int, default=dflt(10))
-    p.add_argument("--max-epochs", type=int, default=dflt(200))
-    p.add_argument("--validation-snr", type=float, default=dflt(-15.0))
-    p.add_argument("--reuse-occupied", type=int, default=dflt(200),
+    p.add_argument("--exact-snr-scaling", action="store_true")
+    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--max-epochs", type=int, default=200)
+    p.add_argument("--validation-snr", type=float, default=-15.0)
+    p.add_argument("--reuse-occupied", type=int, default=200,
                    help="noise draws per occupied training sample per epoch")
-    p.add_argument("--reuse-empty", type=int, default=dflt(3000),
+    p.add_argument("--reuse-empty", type=int, default=3000,
                    help="noise draws per empty training sample per epoch")
-    p.add_argument("--test-per-class", type=int, default=dflt(150),
+    p.add_argument("--test-per-class", type=int, default=150,
                    help="held-out car2 records per occupied class")
-    p.add_argument("--empty-test", type=int, default=dflt(20))
-    p.add_argument("--empty-train", type=int, default=dflt(None))
-    p.add_argument("--car1-validation", action="append", default=dflt(None),
-                   metavar="LABEL=N", help="move the last N car1 records per class to validation")
-    p.add_argument("--seed", type=int, default=dflt(0))
-    p.add_argument("--quiet", action="store_true", default=dflt(False))
-    p.add_argument("--config", default=dflt(None),
-                   help="JSON file of option defaults (explicit flags win)")
+    p.add_argument("--empty-test", type=int, default=20)
+    p.add_argument("--empty-train", type=int)
+    p.add_argument("--car1-validation", action="append", metavar="LABEL=N",
+                   help="move the last N car1 records per class to validation")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="AUC of one detector across an SNR grid")
     add_common_eval(p)
-    p.add_argument("--detector", default=dflt("resnet"), choices=["resnet", "energy", "fft"])
-    p.add_argument("--model", default=dflt(None), help="checkpoint for --detector resnet")
-    p.add_argument("--eval-grid", default=dflt(None), metavar="SPEC",
+    p.add_argument("--detector", default="resnet", choices=["resnet", "energy", "fft"])
+    p.add_argument("--model", help="checkpoint for --detector resnet")
+    p.add_argument("--eval-grid", metavar="SPEC",
                    help="dB values: '-10,-20,-40' or 'start:stop:count'; use the "
                         "--eval-grid=SPEC form since values start with a dash "
                         "(default -10 to -40, 31 points)")
-    p.add_argument("--synthetic-negatives", type=int, default=dflt(0),
+    p.add_argument("--synthetic-negatives", type=int, default=0,
                    help="pure-noise negatives to add (flagged in the report)")
     p.add_argument("--out", required=True, help="JSON report to write")
     p.set_defaults(func=cmd_evaluate)
@@ -419,19 +398,18 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     add_common_eval(p)
     p.add_argument("--models", required=True,
                    help="directory of trained checkpoints, one per variant")
-    p.add_argument("--allow-missing", action="store_true", default=dflt(False),
+    p.add_argument("--allow-missing", action="store_true",
                    help="run even if some of the ten standard variants lack checkpoints")
-    p.add_argument("--include-baselines", action="store_true", default=dflt(False),
+    p.add_argument("--include-baselines", action="store_true",
                    help="also score the energy and FFT detectors")
     p.add_argument("--out", required=True, help="JSON report to write")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="render or convert a stored report")
     p.add_argument("report", help="report JSON produced by evaluate or ablate")
-    p.add_argument("--format", default=dflt("text"), choices=["text", "csv", "json"])
-    p.add_argument("--out", default=dflt(None), help="output file for csv/json")
-    p.add_argument("--series", nargs="?", const="snr_db", default=dflt(None),
-                   choices=["snr_db", "flops"],
+    p.add_argument("--format", default="text", choices=["text", "csv", "json"])
+    p.add_argument("--out", help="output file for csv/json")
+    p.add_argument("--series", nargs="?", const="snr_db", choices=["snr_db", "flops"],
                    help="print per-detector x/y series as JSON instead "
                         "(axis defaults to snr_db)")
     p.set_defaults(func=cmd_report)
@@ -439,10 +417,16 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(ns: argparse.Namespace, given: argparse.Namespace) -> argparse.Namespace:
+def _config_args(ns: argparse.Namespace) -> list:
+    """The --config file's values as --option=value tokens for the same parser.
+
+    true/false make a switch present/absent, null leaves the default, and a
+    list or {label: N} object becomes one comma-joined value.  A repeatable
+    option given on the command line replaces the file's value.
+    """
     path = getattr(ns, "config", None)
     if not path:
-        return ns
+        return []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -453,21 +437,35 @@ def _apply_config(ns: argparse.Namespace, given: argparse.Namespace) -> argparse
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object of option values")
     valid = set(vars(ns)) - {"func", "command", "config"}
-    explicit = set(vars(given))
+    tokens = []
     for key in sorted(doc):
         dest = key.replace("-", "_")
         if dest not in valid:
             raise ConfigError(f"config {path}: unknown option {key!r} for this command")
-        if dest not in explicit:
-            setattr(ns, dest, doc[key])
-    return ns
+        value, given = doc[key], getattr(ns, dest)
+        if isinstance(value, bool) and not isinstance(given, bool):  # only switches hold a bool
+            raise ConfigError(f"config {path}: {key!r} takes a value, not {json.dumps(value)}")
+        if value is None or value is False or isinstance(given, list):
+            continue
+        if isinstance(value, dict):
+            value = [f"{label}={item}" for label, item in value.items()]
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        option = "--" + dest.replace("_", "-")
+        tokens.append(option if value is True else f"{option}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    ns = build_parser().parse_args(args)
+    parser = build_parser()
+    ns = parser.parse_args(args)
     try:
-        ns = _apply_config(ns, build_parser(suppress=True).parse_args(args))
+        tokens = _config_args(ns)
+        if tokens:
+            # Config values go first, so a flag on the command line wins.
+            at = args.index(ns.command) + 1
+            ns = parser.parse_args(args[:at] + tokens + args[at:])
         return ns.func(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

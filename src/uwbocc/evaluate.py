@@ -205,6 +205,8 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
     are independent of threading and iteration order.
     """
     grid = _check_grid(grid)
+    if synthetic_negatives < 0:
+        raise ConfigError(f"synthetic_negatives must be >= 0, got {synthetic_negatives}")
     activities, negatives = _test_groups(samples, synthetic_negatives)
     points = [(act_idx, activity, positives, snr_idx, snr_db)
               for act_idx, (activity, positives) in enumerate(activities)

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 
 __all__ = [
     "Param",
@@ -131,7 +131,7 @@ class _Conv(Layer):
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng=None, bias: bool = True):
         if kernel < 1 or kernel % 2 == 0:
-            raise ValueError(f"kernel size must be odd and >= 1, got {kernel}")
+            raise ConfigError(f"kernel size must be odd and >= 1, got {kernel}")
         rng = np.random.default_rng(rng)
         self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
         weight = rng.standard_normal((c_out, c_in) + (kernel,) * self.rank)

@@ -237,18 +237,6 @@ class Network:
         for p in self.params():
             p.zero_grad()
 
-    def get_weights(self) -> list[np.ndarray]:
-        return [p.value.copy() for p in self.params()]
-
-    def set_weights(self, weights):
-        params = self.params()
-        if len(weights) != len(params):
-            raise DataError(f"expected {len(params)} weight arrays, got {len(weights)}")
-        for p, w in zip(params, weights):
-            if p.value.shape != w.shape:
-                raise DataError(f"weight shape mismatch: {p.value.shape} vs {w.shape}")
-            p.value[...] = w
-
 
 def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
                   kernel: int = 3, seed: int = 0) -> Network:
@@ -384,7 +372,7 @@ def load_checkpoint(path) -> tuple[Network, dict]:
         network = build_network(variant, tuple(header["input_shape"]),
                                 kernel=header["kernel"], seed=header["seed"])
         layout = [(meta["name"], meta["shape"]) for meta in header["arrays"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: "
                         f"{type(exc).__name__} {exc}") from None
     flat = np.frombuffer(payload, dtype="<f4")

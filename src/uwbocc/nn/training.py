@@ -2,9 +2,9 @@
 
 The loss is sigmoid cross-entropy on the single output logit, written in
 log-sum-exp form so huge logits cannot overflow.  Training monitors the
-validation AUC after every epoch, keeps the best weights seen, and stops
-once the AUC has failed to improve for a configured number of consecutive
-epochs.
+validation AUC after every epoch, keeps the best network state seen
+(parameters and BatchNorm running statistics), and stops once the AUC has
+failed to improve for a configured number of consecutive epochs.
 """
 
 from __future__ import annotations
@@ -110,14 +110,15 @@ def train_network(network: Network, batches, validation_scorer,
 
     batches is a callable epoch_index -> iterable of (inputs, labels)
     minibatches; validation_scorer is a callable network -> validation AUC.
-    The network is left holding the weights of its best validation epoch.
+    The network is left holding the parameters and running statistics of
+    its best validation epoch, so it scores that epoch's validation AUC.
     Raises a divergence error when the loss turns non-finite.
     """
     opt_cfg = optimizer_config or OptimizerConfig()
     stop_cfg = stopping or EarlyStoppingConfig()
     optimizer = AdamOptimizer(network.params(), opt_cfg)
     history = TrainingHistory()
-    best_weights = network.get_weights()
+    best_state = [(arr, arr.copy()) for _, arr in network.named_state()]
     bad_epochs = 0
 
     for epoch in range(stop_cfg.max_epochs):
@@ -141,7 +142,7 @@ def train_network(network: Network, batches, validation_scorer,
         if val_auc > history.best_val_auc:
             history.best_val_auc = val_auc
             history.best_epoch = epoch
-            best_weights = network.get_weights()
+            best_state = [(arr, arr.copy()) for _, arr in network.named_state()]
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -149,5 +150,6 @@ def train_network(network: Network, batches, validation_scorer,
                 history.stopped_early = True
                 break
 
-    network.set_weights(best_weights)
+    for arr, best in best_state:
+        arr[...] = best
     return history

@@ -100,12 +100,11 @@ def assign_samples(manifest: DatasetManifest, samples, split: SplitAssignment) -
     return by_split
 
 
-def reference_from_training(train_records) -> SnrReference:
-    """The SNR anchor: median residual energy of breathing training samples."""
-    breathing = [r for r in train_records if r.label is ActivityLabel.BREATHING]
-    if not breathing:
+def reference_from_training(train_samples) -> SnrReference:
+    """The SNR anchor: median residual energy of the breathing residual samples."""
+    residuals = [s.residual for s in train_samples if s.label is ActivityLabel.BREATHING]
+    if not residuals:
         raise DataError("training split has no breathing samples to anchor the SNR reference")
-    residuals = [s.residual for s in residual_samples(breathing)]
     return compute_reference_energy(residuals)
 
 
@@ -263,9 +262,8 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
     if not train_pairs:
         raise DataError("training split is empty")
 
-    train_samples = [sample for _, sample in train_pairs]
-    ref = reference_from_training(train_samples)
-    train_residuals = residual_samples(train_samples)
+    train_residuals = residual_samples([sample for _, sample in train_pairs])
+    ref = reference_from_training(train_residuals)
     residual_by_file = {rec.file: res.residual
                         for (rec, _), res in zip(train_pairs, train_residuals)}
 

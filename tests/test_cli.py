@@ -5,16 +5,20 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwbocc
-from uwbocc.cli import main
+from uwbocc import cli
+from uwbocc.cli import _parse_counts, main
 from uwbocc.dataset import read_manifest, write_cir
 from uwbocc.evaluate import read_report
-from uwbocc.nn import build_network, load_checkpoint, save_checkpoint
+from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
 
 SIM = ["simulate", "--count", "breathing=6", "--count", "empty=6",
        "--n-fast", "16", "--m-slow", "24", "--seed", "3"]
@@ -183,6 +187,46 @@ class TestTrain:
         assert "max-epoch" in capsys.readouterr().err
 
 
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestConfigValues:
+    def test_string_seed_becomes_an_integer(self, dataset, tmp_path):
+        out = tmp_path / "r.json"
+        config = write_config(tmp_path, {"seed": "3", "eval-grid": "-10"})
+        assert run("evaluate", "--data", dataset, "--detector", "energy",
+                   "--config", config, "--out", out) == 0
+        assert json.loads(out.read_text())["seed"] == 3
+        assert read_report(out).seed == 3
+
+    def test_count_flag_replaces_config_count(self, tmp_path):
+        config = write_config(tmp_path, {"count": {"breathing": 6, "empty": 6},
+                                         "n-fast": 16, "m-slow": 24})
+        out = tmp_path / "data"
+        assert run("simulate", "--config", config, "--count", "empty=4", "--out", out) == 0
+        labels = [r.label.value for r in read_manifest(out / "manifest.json").records]
+        assert labels == ["empty"] * 4
+
+    def test_config_writes_the_same_bytes_as_flags(self, dataset, tmp_path):
+        config = write_config(tmp_path, {
+            "count": {"breathing": 6, "empty": 6}, "n_fast": 16, "m-slow": 24,
+            "seed": 3, "scene": None})
+        assert run("simulate", "--config", config, "--out", tmp_path / "cfg") == 0
+        assert tree_bytes(tmp_path / "cfg") == tree_bytes(dataset)
+
+        flags = ["evaluate", "--data", dataset, "--detector", "energy"]
+        assert run(*flags, "--eval-grid=-10,-30.5", "--energy-window", "4",
+                   "--exact-snr-scaling", "--out", tmp_path / "flags.json") == 0
+        config = write_config(tmp_path, {
+            "eval-grid": [-10, -30.5], "energy_window": 4, "exact-snr-scaling": True,
+            "reference-energy": None, "threads": 2, "detector": "fft"})
+        assert run(*flags, "--config", config, "--out", tmp_path / "cfg.json") == 0
+        assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+
+
 class TestEvaluate:
     def test_resnet_report(self, dataset, checkpoint, tmp_path):
         out = tmp_path / "report.json"
@@ -236,6 +280,20 @@ class TestEvaluate:
                    "--eval-grid", "-20", "--reference-energy", "1e6", "--out", b) == 0
         assert read_report(a).config["reference_energy"] != \
             read_report(b).config["reference_energy"]
+
+    def test_each_record_is_mean_removed_once(self, dataset, tmp_path, monkeypatch):
+        from uwbocc import pipeline
+
+        calls = []
+        mean_remove = pipeline.mean_remove
+        monkeypatch.setattr(pipeline, "mean_remove",
+                            lambda cir: calls.append(cir) or mean_remove(cir))
+        assert run("evaluate", "--data", dataset, "--detector", "energy",
+                   "--eval-grid=-10", "--out", tmp_path / "r.json") == 0
+        assert len(calls) == 12
+        calls.clear()
+        assert run("train", "--data", dataset, "--out", tmp_path / "m.ckpt", *TRAIN_FAST) == 0
+        assert len(calls) == 12
 
     def test_missing_dataset(self, tmp_path, checkpoint):
         assert run("evaluate", "--data", tmp_path / "nowhere",
@@ -345,13 +403,14 @@ def recording(tmp_path):
     return path
 
 
-def checkpoint_without_variant(tmp_path):
-    path = tmp_path / "novariant.ckpt"
+def edited_checkpoint(tmp_path, edit):
+    """A 1D-E checkpoint whose JSON header went through edit(header)."""
+    path = tmp_path / "edited.ckpt"
     save_checkpoint(build_network("1D-E", (32, 24), seed=0), path)
     blob = path.read_bytes()
     (size,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8:8 + size])
-    del header["variant"]
+    edit(header)
     new = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + size:])
     return path
@@ -366,17 +425,121 @@ USER_MISTAKES = {
                            "--car", "car2", "--dt-slow", "0", "--out", tmp / "x"], 2),
     "checkpoint header without variant": (
         lambda data, tmp: ["evaluate", "--data", data, "--model",
-                           checkpoint_without_variant(tmp), "--out", tmp / "r.json"], 3),
+                           edited_checkpoint(tmp, lambda h: h.pop("variant")),
+                           "--out", tmp / "r.json"], 3),
+    "checkpoint header with an even kernel": (
+        lambda data, tmp: ["evaluate", "--data", data, "--model",
+                           edited_checkpoint(tmp, lambda h: h.update(kernel=2)),
+                           "--out", tmp / "r.json"], 3),
+    "even kernel": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--kernel", "2", *TRAIN_FAST], 2),
+    "true for an option that takes a value": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--config", write_config(tmp, {"csv": True}),
+                           "--out", tmp / "r.json"], 2),
+    "negative synthetic negatives": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--synthetic-negatives", "-3", "--out", tmp / "r.json"], 2),
 }
+
+# Config values argparse itself rejects, as it would the same flag: exit 2
+# with its usage message naming the option.
+CONFIG_MISTAKES = {
+    "fractional seed": ("evaluate", {"seed": 1.5}, "--seed"),
+    "threads not a number": ("evaluate", {"threads": "two"}, "--threads"),
+    "switch given a string": ("train", {"quiet": "no"}, "--quiet"),
+    "unknown variant": ("train", {"variant": "9D-Z"}, "--variant"),
+}
+
+
+def run_cli(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "uwbocc.cli", *[str(a) for a in argv]],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("mistake", sorted(USER_MISTAKES))
 def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
     argv, code = USER_MISTAKES[mistake]
-    env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "uwbocc.cli",
-                           *[str(a) for a in argv(dataset, tmp_path)]],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cli(argv(dataset, tmp_path))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("mistake", sorted(CONFIG_MISTAKES))
+def test_config_values_are_checked_like_flags(mistake, dataset, tmp_path):
+    command, doc, option = CONFIG_MISTAKES[mistake]
+    rest = (["--detector", "energy", "--eval-grid=-10", "--out", tmp_path / "r.json"]
+            if command == "evaluate" else ["--out", tmp_path / "m.ckpt", *TRAIN_FAST[:-1]])
+    proc = run_cli([command, "--data", dataset, "--config", write_config(tmp_path, doc), *rest])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: ") and option in proc.stderr
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+text = st.text(alphabet="abc/._-=, ", max_size=8)
+COMMON = {"data": text, "seed": st.integers(-10, 2**40), "exact-snr-scaling": st.booleans()}
+OPTION_VALUES = {
+    "evaluate": {**COMMON,
+                 "threads": st.integers(1, 8), "reference-energy": finite | st.none(),
+                 "energy-window": st.integers(1, 64), "csv": text,
+                 "detector": st.sampled_from(["resnet", "energy", "fft"]), "model": text,
+                 "eval-grid": st.lists(finite, min_size=1, max_size=4),
+                 "synthetic-negatives": st.integers(0, 99)},
+    "train": {**COMMON,
+              "variant": st.sampled_from(sorted(VARIANTS)), "kernel": st.integers(1, 9),
+              "snr-lo": finite, "snr-hi": finite, "batch-size": st.integers(2, 512),
+              "learning-rate": finite, "patience": st.integers(0, 50),
+              "max-epochs": st.integers(1, 500), "validation-snr": finite,
+              "reuse-occupied": st.integers(0, 999), "reuse-empty": st.integers(0, 9999),
+              "test-per-class": st.integers(0, 200), "empty-test": st.integers(0, 50),
+              "empty-train": st.integers(0, 50) | st.none(), "quiet": st.booleans(),
+              "car1-validation": st.dictionaries(st.sampled_from(["breathing", "empty"]),
+                                                 st.integers(0, 9), min_size=1)},
+}
+
+
+def as_flags(values) -> list:
+    """The command-line flags a user would type for these option values."""
+    flags = []
+    for key, value in values.items():
+        if value is True:
+            flags.append(f"--{key}")
+        elif isinstance(value, dict):
+            for label, count in value.items():
+                flags += [f"--{key}", f"{label}={count}"]
+        elif isinstance(value, list):
+            flags.append(f"--{key}=" + ",".join(map(str, value)))
+        elif value is not None and value is not False:
+            flags.append(f"--{key}={value}")
+    return flags
+
+
+def parsed(argv) -> dict:
+    """The namespace a command receives, with repeated count flags merged."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for command in ("cmd_evaluate", "cmd_train"):
+            patch.setattr(cli, command, lambda ns: seen.append(ns) or 0)
+        assert main([str(a) for a in argv]) == 0
+    values = {k: v for k, v in vars(seen[0]).items() if k not in ("config", "func")}
+    if values.get("car1_validation"):
+        values["car1_validation"] = _parse_counts(values["car1_validation"])
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(OPTION_VALUES)).flatmap(
+    lambda command: st.tuples(st.just(command),
+                              st.fixed_dictionaries({}, optional=OPTION_VALUES[command]),
+                              st.booleans())))
+def test_config_file_parses_like_the_equivalent_flags(case):
+    command, values, underscores = case
+    doc = {key.replace("-", "_") if underscores else key: value for key, value in values.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        head = [command, "--out", "out.json"]
+        assert parsed([*head, "--config", config]) == parsed([*head, *as_flags(values)])

@@ -468,7 +468,7 @@ class TestTraining:
         for net in nets:
             train_network(net, lambda epoch: [(x, y)], lambda network: 0.5,
                           OptimizerConfig(), EarlyStoppingConfig(patience=2, max_epochs=5))
-        for a, b in zip(nets[0].get_weights(), nets[1].get_weights()):
+        for (_, a), (_, b) in zip(nets[0].named_state(), nets[1].named_state()):
             assert np.array_equal(a, b)
 
     def test_non_finite_input_raises_divergence(self):

@@ -13,6 +13,7 @@ from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
+    _validation_scorer,
     assign_samples,
     memory_manifest,
     reference_from_training,
@@ -79,7 +80,7 @@ class TestResidualPrep:
 class TestReference:
     def test_median_of_breathing_residual_energies(self):
         records = small_records({"breathing": 5, "empty": 3}, seed=4)
-        ref = reference_from_training(records)
+        ref = reference_from_training(residual_samples(records))
         energies = sorted(
             frobenius_energy(mean_remove(r.cir)[1])
             for r in records if r.label is ActivityLabel.BREATHING)
@@ -91,7 +92,7 @@ class TestReference:
     def test_requires_breathing_samples(self):
         records = small_records({"talking": 2, "empty": 2}, seed=5)
         with pytest.raises(DataError, match="breathing"):
-            reference_from_training(records)
+            reference_from_training(residual_samples(records))
 
 
 class TestScorers:
@@ -186,8 +187,19 @@ class TestRunTraining:
         net2, hist2, _ = run_training(manifest, records, split, quick_settings())
         assert hist1.train_loss == hist2.train_loss
         assert hist1.val_auc == hist2.val_auc
-        for a, b in zip(net1.get_weights(), net2.get_weights()):
+        for (_, a), (_, b) in zip(net1.named_state(), net2.named_state()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_early_stopped_network_scores_its_best_validation_auc(self, seed):
+        manifest, records, split = self.fixture()
+        settings = quick_settings(max_epochs=6, seed=seed)
+        net, history, ref = run_training(manifest, records, split, settings)
+        assert history.stopped_early and history.best_epoch < len(history.val_auc) - 1
+        val_pairs = assign_samples(manifest, records, split)[Split.VALIDATION]
+        score = _validation_scorer(residual_samples([s for _, s in val_pairs]), ref, settings, 1)
+        # BatchNorm running statistics are restored with the parameters.
+        assert score(net) == history.best_val_auc
 
     def test_different_seed_differs(self):
         manifest, records, split = self.fixture()
