@@ -44,7 +44,7 @@ motion = MotionModel(ActivityLabel.BREATHING, rate=0.25, delay_excursion=0.0,
 occupied = Scene(target_paths=((PathComponent(1.0, 10e-9, is_target=True), motion),),
                  clutter_paths=empty.clutter_paths)
 _, residual = mean_remove(simulate_received(occupied, cfg, rng=1))
-s = np.linalg.svd(residual.data, compute_uv=False)
+s = np.linalg.svd(residual, compute_uv=False)
 print(f"\nbreathing occupant: residual energy {frobenius_energy(residual):.4f}")
 print(f"top singular values: {s[0]:.4f}, {s[1]:.2e}  (ratio {s[1] / s[0]:.1e})")
 
@@ -55,6 +55,6 @@ realistic = MotionModel(ActivityLabel.BREATHING, phase=0.6)
 occupied = Scene(target_paths=((PathComponent(1.0, 10e-9, is_target=True), realistic),),
                  clutter_paths=empty.clutter_paths)
 _, residual = mean_remove(simulate_received(occupied, cfg, rng=1))
-s = np.linalg.svd(residual.data, compute_uv=False)
+s = np.linalg.svd(residual, compute_uv=False)
 print(f"with delay excursion {realistic.delay_excursion * 1e12:.0f} ps: "
       f"ratio {s[1] / s[0]:.3f}")

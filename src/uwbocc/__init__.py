@@ -3,11 +3,9 @@
 from .core import (
     ActivityLabel,
     CirMatrix,
-    MeanRemovedMatrix,
     SampleRecord,
     frobenius_energy,
     mean_remove,
-    residual_array,
 )
 from .augment import (
     SnrReference,

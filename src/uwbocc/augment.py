@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanRemovedMatrix, frobenius_energy, residual_array
+from .core import frobenius_energy
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -56,8 +56,8 @@ def noise_sigma(ref: SnrReference, snr_db: float, n: int, m: int) -> float:
     return ref.e_s / (2.0 * m * n * 10.0 ** (snr_db / 10.0))
 
 
-def add_noise(residual: MeanRemovedMatrix, ref: SnrReference, snr_db: float,
-              rng=None, *, exact: bool = False) -> MeanRemovedMatrix:
+def add_noise(residual: np.ndarray, ref: SnrReference, snr_db: float,
+              rng=None, *, exact: bool = False) -> np.ndarray:
     """Add circularly-symmetric white Gaussian noise at the requested SNR.
 
     The variance comes from noise_sigma, so it depends only on the reference
@@ -69,8 +69,8 @@ def add_noise(residual: MeanRemovedMatrix, ref: SnrReference, snr_db: float,
     if math.isinf(snr_db) and snr_db > 0:
         return residual
     rng = np.random.default_rng(rng)
-    sigma2 = noise_sigma(ref, snr_db, residual.n_fast, residual.m_slow)
-    shape = residual.data.shape
+    shape = residual.shape
+    sigma2 = noise_sigma(ref, snr_db, *shape)
     noise = math.sqrt(sigma2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if exact:
         target = ref.e_s * 10.0 ** (-snr_db / 10.0)
@@ -78,39 +78,31 @@ def add_noise(residual: MeanRemovedMatrix, ref: SnrReference, snr_db: float,
         if got == 0.0:
             raise DataError("drawn noise has zero energy; cannot scale exactly")
         noise *= math.sqrt(target / got)
-    return MeanRemovedMatrix(residual.data + noise, residual.dt_fast, residual.dt_slow)
+    return residual + noise
 
 
-def normalize_unit_energy(residual):
-    """Scale so the Frobenius-squared energy is 1; direction unchanged.
-
-    Accepts a MeanRemovedMatrix (returns the same type) or a bare array.
-    """
-    arr = residual_array(residual)
-    energy = frobenius_energy(arr)
+def normalize_unit_energy(residual: np.ndarray) -> np.ndarray:
+    """Scale so the Frobenius-squared energy is 1; direction unchanged."""
+    energy = frobenius_energy(residual)
     if energy <= 0.0:
         raise DataError("cannot normalize a zero-energy sample")
-    scaled = arr / math.sqrt(energy)
-    if isinstance(residual, MeanRemovedMatrix):
-        return MeanRemovedMatrix(scaled, residual.dt_fast, residual.dt_slow)
-    return scaled
+    return residual / math.sqrt(energy)
 
 
-def corrupt(residual: MeanRemovedMatrix, ref: SnrReference, snr_db: float,
-            rng=None, *, exact: bool = False) -> MeanRemovedMatrix:
+def corrupt(residual: np.ndarray, ref: SnrReference, snr_db: float,
+            rng=None, *, exact: bool = False) -> np.ndarray:
     """A detector input: add_noise at snr_db, then normalize_unit_energy."""
     return normalize_unit_energy(add_noise(residual, ref, snr_db, rng, exact=exact))
 
 
-def spectral_flatness(residual) -> float:
+def spectral_flatness(residual: np.ndarray) -> float:
     """Geometric over arithmetic mean of the pooled per-row periodograms.
 
     Computed across slow time for each fast-time row, pooled over rows.
     White noise scores e^(-gamma) ~ 0.5615 in expectation; strongly
     structured signals score near 0.
     """
-    arr = residual_array(residual)
-    power = np.abs(np.fft.fft(arr, axis=1)) ** 2
+    power = np.abs(np.fft.fft(residual, axis=1)) ** 2
     power = power[power > 0]
     if power.size == 0:
         raise DataError("flatness is undefined for an all-zero matrix")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import residual_array
 from .errors import ConfigError
 
 __all__ = ["energy_detector", "fft_detector", "DEFAULT_ENERGY_WINDOW"]
@@ -21,34 +20,30 @@ __all__ = ["energy_detector", "fft_detector", "DEFAULT_ENERGY_WINDOW"]
 DEFAULT_ENERGY_WINDOW = 20
 
 
-def energy_detector(residual, window_cols: int = DEFAULT_ENERGY_WINDOW) -> float:
+def energy_detector(residual: np.ndarray, window_cols: int = DEFAULT_ENERGY_WINDOW) -> float:
     """Largest per-column-window energy, normalized by the window length.
 
     Slides a window of window_cols consecutive slow-time columns across the
     residual and returns max(window energy)/window_cols.
     """
-    arr = residual_array(residual)
-    m = arr.shape[1]
+    m = residual.shape[1]
     if not 1 <= window_cols <= m:
         raise ConfigError(f"window of {window_cols} columns does not fit {m} slow-time columns")
-    col_energy = np.sum(arr.real**2 + arr.imag**2, axis=0)
+    col_energy = np.sum(residual.real**2 + residual.imag**2, axis=0)
     cumulative = np.concatenate([[0.0], np.cumsum(col_energy)])
     windows = cumulative[window_cols:] - cumulative[:-window_cols]
     return float(windows.max() / window_cols)
 
 
-def fft_detector(residual, exclude_dc: bool = True) -> float:
+def fft_detector(residual: np.ndarray) -> float:
     """Largest slow-time spectral magnitude across rows, normalized by sqrt(M).
 
     Periodic motion concentrates energy in a few slow-time frequency bins of
     one fast-time row; white noise spreads it evenly.  The DC bin is excluded
-    by default since mean removal already nulls it for the signal part.
+    since mean removal already nulls it for the signal part.
     """
-    arr = residual_array(residual)
-    m = arr.shape[1]
+    m = residual.shape[1]
     if m < 4:
         raise ConfigError(f"need at least 4 slow-time columns, got {m}")
-    spectrum = np.abs(np.fft.fft(arr, axis=1))
-    if exclude_dc:
-        spectrum = spectrum[:, 1:]
-    return float(spectrum.max() / np.sqrt(m))
+    spectrum = np.abs(np.fft.fft(residual, axis=1))
+    return float(spectrum[:, 1:].max() / np.sqrt(m))

@@ -16,6 +16,8 @@ corrupt data, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_args(ns: argparse.Namespace) -> list:
-    """The --config file's values as --option=value tokens for the same parser.
+    """The --config file's values as (key, --option=value token) pairs for the same parser.
 
     true/false make a switch present/absent, null leaves the default, and a
     list or {label: N} object becomes one comma-joined value.  A repeatable
@@ -452,8 +454,26 @@ def _config_args(ns: argparse.Namespace) -> list:
         if isinstance(value, list):
             value = ",".join(map(str, value))
         option = "--" + dest.replace("_", "-")
-        tokens.append(option if value is True else f"{option}={value}")
+        tokens.append((key, option if value is True else f"{option}={value}"))
     return tokens
+
+
+def _parse_with_config(parser, head: list, tail: list, path, tokens: list) -> argparse.Namespace:
+    """Parse head + the config tokens + tail, so a flag in tail wins over the file.
+
+    The command line alone has parsed already, so a token that fails next to
+    it is at fault: argparse's message then also names the file and the key.
+    """
+    for key, token in tokens:
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                parser.parse_args(head + [token] + tail)
+        except SystemExit:
+            usage, _, message = stderr.getvalue().rpartition(": error: ")
+            sys.stderr.write(f"{usage}: error: config {path}, key {key!r}: {message}")
+            raise
+    return parser.parse_args(head + [token for _, token in tokens] + tail)
 
 
 def main(argv=None) -> int:
@@ -463,9 +483,8 @@ def main(argv=None) -> int:
     try:
         tokens = _config_args(ns)
         if tokens:
-            # Config values go first, so a flag on the command line wins.
             at = args.index(ns.command) + 1
-            ns = parser.parse_args(args[:at] + tokens + args[at:])
+            ns = _parse_with_config(parser, args[:at], args[at:], ns.config, tokens)
         return ns.func(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ column per pulse repetition ("slow time") and one row per propagation-delay
 sample ("fast time").  Static reflections from the environment are identical
 in every column; subtracting the per-row slow-time mean leaves only the
 time-varying part (target motion plus noise), which is what every detector
-in this package operates on.
+in this package operates on.  That residual is a plain read-only complex
+(n_fast, m_slow) array.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import numpy as np
 __all__ = [
     "ActivityLabel",
     "CirMatrix",
-    "MeanRemovedMatrix",
     "SampleRecord",
     "frobenius_energy",
     "mean_remove",
-    "residual_array",
 ]
 
 
@@ -47,13 +46,6 @@ class ActivityLabel(enum.Enum):
             raise ValueError(f"unknown activity label {name!r} (valid: {valid})") from None
 
 
-def _as_complex_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class CirMatrix:
     """Received CIR samples, shape (n_fast, m_slow), column m = repetition m.
@@ -67,7 +59,9 @@ class CirMatrix:
     dt_slow: float
 
     def __post_init__(self):
-        arr = _as_complex_matrix(self.data)
+        arr = np.asarray(self.data, dtype=np.complex128)
+        if arr.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("CirMatrix needs at least one fast-time sample")
         if arr.shape[1] < 2:
@@ -76,33 +70,6 @@ class CirMatrix:
             )
         if not (self.dt_fast > 0 and self.dt_slow > 0):
             raise ValueError("sampling intervals must be positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n_fast(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def m_slow(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class MeanRemovedMatrix:
-    """Residual matrix after slow-time mean removal, same layout as CirMatrix.
-
-    Produced by :func:`mean_remove`; rows of a freshly produced residual sum
-    to zero up to floating-point rounding.  Noise augmentation returns the
-    same type because the data stays in the residual domain.
-    """
-
-    data: np.ndarray
-    dt_fast: float
-    dt_slow: float
-
-    def __post_init__(self):
-        arr = _as_complex_matrix(self.data)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -133,14 +100,7 @@ class SampleRecord:
             raise ValueError("empty-car samples carry no participant or seat")
 
 
-def residual_array(residual) -> np.ndarray:
-    """Coerce a MeanRemovedMatrix, CirMatrix, or bare array to complex ndarray."""
-    if isinstance(residual, (MeanRemovedMatrix, CirMatrix)):
-        return residual.data
-    return np.asarray(residual, dtype=np.complex128)
-
-
-def mean_remove(r: CirMatrix) -> tuple[np.ndarray, MeanRemovedMatrix]:
+def mean_remove(r: CirMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Split a CIR matrix into its slow-time mean profile and the residual.
 
     Returns (mean_profile, residual) where mean_profile has length n_fast and
@@ -148,7 +108,8 @@ def mean_remove(r: CirMatrix) -> tuple[np.ndarray, MeanRemovedMatrix]:
     computed against the first column as a provisional reference, which keeps
     the subtraction exact when all columns are identical (a purely static
     scene yields an exactly zero residual) and avoids cancellation when the
-    columns are clutter-dominated.
+    columns are clutter-dominated.  The residual is read-only, because every
+    noise draw made from it reuses it.
     """
     data = r.data
     if data.shape[1] < 2:
@@ -156,16 +117,17 @@ def mean_remove(r: CirMatrix) -> tuple[np.ndarray, MeanRemovedMatrix]:
     ref = data[:, :1]
     mean_profile = (ref + (data - ref).mean(axis=1, keepdims=True))[:, 0]
     residual = data - mean_profile[:, None]
-    return mean_profile, MeanRemovedMatrix(residual, r.dt_fast, r.dt_slow)
+    residual.setflags(write=False)
+    return mean_profile, residual
 
 
 def frobenius_energy(r) -> float:
     """Sum of squared magnitudes over all matrix entries.
 
-    Accepts CirMatrix, MeanRemovedMatrix, or a bare complex/real array.
-    Zero if and only if every entry is zero.
+    Accepts a CirMatrix or a bare complex/real array.  Zero if and only if
+    every entry is zero.
     """
-    arr = residual_array(r) if not isinstance(r, np.ndarray) else np.asarray(r)
+    arr = r.data if isinstance(r, CirMatrix) else np.asarray(r)
     if np.iscomplexobj(arr):
         return float(np.sum(arr.real**2) + np.sum(arr.imag**2))
     return float(np.sum(np.square(arr, dtype=np.float64)))

@@ -360,13 +360,10 @@ class EpochPlan:
 
     Each entry pairs a training record with a draw index; the index counts
     that record's reuses, so (record, draw) is unique and can seed the noise
-    generator for the draw.  Occupied records appear reuse_occupied times
-    and empty records reuse_empty times, rebalancing the class masses.
+    generator for the draw.
     """
 
     entries: tuple
-    reuse_occupied: int = 200
-    reuse_empty: int = 3000
 
     def __len__(self):
         return len(self.entries)
@@ -374,7 +371,11 @@ class EpochPlan:
 
 def build_epoch_plan(split: SplitAssignment, seed: int,
                      reuse_occupied: int = 200, reuse_empty: int = 3000) -> EpochPlan:
-    """Expand the training records into a seeded, shuffled draw schedule."""
+    """Expand the training records into a seeded, shuffled draw schedule.
+
+    Occupied records appear reuse_occupied times and empty records
+    reuse_empty times, rebalancing the class masses.
+    """
     if reuse_occupied < 1 or reuse_empty < 1:
         raise ConfigError("reuse factors must be >= 1")
     train = sorted(split.records(Split.TRAIN), key=ManifestRecord.sort_key)
@@ -386,4 +387,4 @@ def build_epoch_plan(split: SplitAssignment, seed: int,
     entries = [(rec, k) for rec in occupied for k in range(reuse_occupied)]
     entries += [(rec, k) for rec in empty for k in range(reuse_empty)]
     order = np.random.default_rng(seed).permutation(len(entries))
-    return EpochPlan(tuple(entries[i] for i in order), reuse_occupied, reuse_empty)
+    return EpochPlan(tuple(entries[i] for i in order))

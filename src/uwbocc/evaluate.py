@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import SnrReference, corrupt
-from .core import ActivityLabel, MeanRemovedMatrix
+from .core import ActivityLabel
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -136,12 +136,6 @@ def _check_grid(grid) -> tuple:
     return grid
 
 
-def _synthetic_negatives(template: MeanRemovedMatrix, count: int) -> list:
-    zero = np.zeros_like(template.data)
-    return [MeanRemovedMatrix(zero.copy(), template.dt_fast, template.dt_slow)
-            for _ in range(count)]
-
-
 def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
     """([(activity, positive residuals)], negative residuals) of a test set.
 
@@ -156,7 +150,7 @@ def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
         raise DataError("sweep needs empty-class samples as negatives")
     if synthetic_negatives:
         template = (negatives or [r for g in groups.values() for r in g])[0]
-        negatives = negatives + _synthetic_negatives(template, synthetic_negatives)
+        negatives = negatives + [np.zeros_like(template) for _ in range(synthetic_negatives)]
     activities = [(lab, groups[lab]) for lab in ActivityLabel if lab.occupied and lab in groups]
     if not activities:
         raise DataError("sweep needs at least one occupied activity in the test samples")

@@ -124,31 +124,27 @@ def _convolve(src: np.ndarray, wmat: np.ndarray, kernel: int) -> np.ndarray:
 class _Conv(Layer):
     """Stride-1 same-padded convolution over `rank` spatial axes; odd kernel size.
 
-    Pass bias=False when the convolution feeds a BatchNorm: the mean
-    subtraction cancels any per-channel constant, so a bias there is a
-    dead parameter whose true gradient is identically zero.
+    There is no bias: every convolution feeds a BatchNorm, whose mean
+    subtraction cancels any per-channel constant.
     """
 
-    def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng=None, bias: bool = True):
+    def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng=None):
         if kernel < 1 or kernel % 2 == 0:
             raise ConfigError(f"kernel size must be odd and >= 1, got {kernel}")
         rng = np.random.default_rng(rng)
         self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
         weight = rng.standard_normal((c_out, c_in) + (kernel,) * self.rank)
         self.weight = Param("weight", _he_scale(c_in * kernel ** self.rank) * weight)
-        self.bias = Param("bias", np.zeros(c_out)) if bias else None
         self._x = None
 
     def params(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
+        return [self.weight]
 
     def forward(self, x, train):
         if x.ndim != self.rank + 2 or x.shape[1] != self.c_in:
             raise DataError(f"conv{self.rank}d expects (B, {self.c_in}, {self.axes}), "
                             f"got {x.shape}")
         y = _convolve(x.swapaxes(0, 1), self.weight.value.reshape(self.c_out, -1), self.kernel)
-        if self.bias is not None:
-            y += self.bias.value.reshape((-1,) + (1,) * (self.rank + 1))
         if train:
             self._x = x
         return y.swapaxes(0, 1)
@@ -157,8 +153,6 @@ class _Conv(Layer):
         x, self._x = self._x, None
         dy_t = np.ascontiguousarray(dy.swapaxes(0, 1))
         dy_flat = dy_t.reshape(self.c_out, -1)
-        if self.bias is not None:
-            self.bias.grad += dy_flat.sum(axis=1)
         grad = sum(dy_flat[:, lo:hi] @ cols.T
                    for lo, hi, cols in _column_slices(x.swapaxes(0, 1), self.kernel))
         self.weight.grad += grad.reshape(self.weight.value.shape)

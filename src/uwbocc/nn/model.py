@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import MeanRemovedMatrix, residual_array
 from ..errors import ConfigError, DataError, DivergenceError
 from .layers import BatchNorm, Conv1d, Conv2d, Dense, GlobalAvgPool, Layer, Param, ReLU
 
@@ -93,27 +92,28 @@ def channel_plan(variant: ArchitectureVariant) -> list[int]:
     ]
 
 
-def stack_real_imag_1d(residual) -> np.ndarray:
+def stack_real_imag_1d(residual: np.ndarray) -> np.ndarray:
     """(N, M) complex -> (2N, M) real: real rows on top, imaginary below.
 
     Fast-time rows become input channels; the remaining axis is slow time.
     Energy is preserved exactly.
     """
-    arr = residual_array(residual)
-    return np.concatenate([arr.real, arr.imag], axis=0)
+    return np.concatenate([residual.real, residual.imag], axis=-2)
 
 
-def layout_2d(residual) -> np.ndarray:
-    """(N, M) complex -> (N, M, 2) real with a trailing real/imag axis."""
-    arr = residual_array(residual)
-    return np.stack([arr.real, arr.imag], axis=-1)
+def layout_2d(residual: np.ndarray) -> np.ndarray:
+    """(N, M) complex -> (2, N, M) real: a real and an imaginary channel."""
+    return np.stack([residual.real, residual.imag], axis=-3)
 
 
-def network_input(residual, dimensionality: int) -> np.ndarray:
-    """One sample's channels-first network input: (2N, M) for 1D, (2, N, M) for 2D."""
+def network_input(residual: np.ndarray, dimensionality: int) -> np.ndarray:
+    """One residual's channels-first network input: (2N, M) for 1D, (2, N, M) for 2D.
+
+    Callers lay out one sample at a time and stack the results into a batch.
+    """
     if dimensionality == 1:
         return stack_real_imag_1d(residual)
-    return layout_2d(residual).transpose(2, 0, 1)
+    return layout_2d(residual)
 
 
 class ResidualBlock(Layer):
@@ -121,16 +121,16 @@ class ResidualBlock(Layer):
 
     def __init__(self, dim: int, c_in: int, c_out: int, kernel: int, rng):
         conv = Conv1d if dim == 1 else Conv2d
-        self.conv1 = conv(c_in, c_out, kernel, rng, bias=False)
+        self.conv1 = conv(c_in, c_out, kernel, rng)
         self.bn1 = BatchNorm(c_out)
         self.relu1 = ReLU()
-        self.conv2 = conv(c_out, c_out, kernel, rng, bias=False)
+        self.conv2 = conv(c_out, c_out, kernel, rng)
         self.bn2 = BatchNorm(c_out)
         if c_in == c_out:
             self.projection = None
             self.proj_bn = None
         else:
-            self.projection = conv(c_in, c_out, 1, rng, bias=False)
+            self.projection = conv(c_in, c_out, 1, rng)
             self.proj_bn = BatchNorm(c_out)
         self.relu_out = ReLU()
 
@@ -263,7 +263,7 @@ def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
     plan = channel_plan(variant)
 
     layers: list[Layer] = [
-        conv(c_in, variant.initial_filters, kernel, seeds[0], bias=False),
+        conv(c_in, variant.initial_filters, kernel, seeds[0]),
         BatchNorm(variant.initial_filters),
         ReLU(),
     ]
@@ -375,17 +375,16 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: "
                         f"{type(exc).__name__} {exc}") from None
-    flat = np.frombuffer(payload, dtype="<f4")
-    offset = 0
+    offset = 0  # in bytes; a payload cut inside a value is truncated, not malformed
     arrays = []
     for name, shape in layout:
         size = int(np.prod(shape)) if shape else 1
-        if offset + size > flat.size:
+        if offset + 4 * size > len(payload):
             raise DataError(f"checkpoint {path} payload truncated at {name}")
-        arrays.append(flat[offset:offset + size].astype(np.float64).reshape(shape))
-        offset += size
-    if offset != flat.size:
-        raise DataError(f"checkpoint {path} payload has {flat.size - offset} trailing values")
+        arrays.append(np.frombuffer(payload, "<f4", size, offset).astype(np.float64).reshape(shape))
+        offset += 4 * size
+    if offset != len(payload):
+        raise DataError(f"checkpoint {path} payload has {len(payload) - offset} trailing bytes")
 
     entries = network.named_state()
     if len(entries) != len(arrays):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import SnrReference, compute_reference_energy, corrupt
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
-from .core import ActivityLabel, MeanRemovedMatrix, mean_remove
+from .core import ActivityLabel, mean_remove
 from .dataset import (
     DatasetManifest,
     ManifestRecord,
@@ -49,7 +49,7 @@ class ResidualSample:
     """A mean-removed sample ready for augmentation and scoring."""
 
     label: ActivityLabel
-    residual: MeanRemovedMatrix
+    residual: np.ndarray
 
 
 def residual_samples(records) -> list[ResidualSample]:
@@ -143,17 +143,13 @@ class BaselineScorer:
         self.kind = kind
         self.name = kind
         self.window_cols = window_cols
-        self.flops = 0  # estimated lazily per input shape on first call
-
-    def _estimate_flops(self, residual: MeanRemovedMatrix) -> int:
-        n, m = residual.data.shape
-        if self.kind == "energy":
-            return 4 * n * m + 2 * m
-        return int(5 * n * m * max(np.log2(m), 1.0))
+        self.flops = 0  # estimated from the input shape on the first call
 
     def __call__(self, residuals) -> np.ndarray:
         if residuals and not self.flops:
-            self.flops = self._estimate_flops(residuals[0])
+            n, m = residuals[0].shape
+            self.flops = (4 * n * m + 2 * m if self.kind == "energy"
+                          else int(5 * n * m * max(np.log2(m), 1.0)))
         if self.kind == "energy":
             return np.asarray([energy_detector(r, self.window_cols) for r in residuals])
         return np.asarray([fft_detector(r) for r in residuals])

@@ -416,6 +416,14 @@ def edited_checkpoint(tmp_path, edit):
     return path
 
 
+def truncated_checkpoint(tmp_path):
+    """A 1D-E checkpoint cut three bytes short, inside its last float32 value."""
+    path = tmp_path / "truncated.ckpt"
+    save_checkpoint(build_network("1D-E", (32, 24), seed=0), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    return path
+
+
 USER_MISTAKES = {
     "class count not an integer": (
         lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
@@ -431,6 +439,9 @@ USER_MISTAKES = {
         lambda data, tmp: ["evaluate", "--data", data, "--model",
                            edited_checkpoint(tmp, lambda h: h.update(kernel=2)),
                            "--out", tmp / "r.json"], 3),
+    "truncated checkpoint": (
+        lambda data, tmp: ["evaluate", "--data", data, "--model", truncated_checkpoint(tmp),
+                           "--out", tmp / "r.json"], 3),
     "even kernel": (
         lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
                            "--kernel", "2", *TRAIN_FAST], 2),
@@ -444,7 +455,7 @@ USER_MISTAKES = {
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2
-# with its usage message naming the option.
+# with its usage message naming the option, the config file and the key.
 CONFIG_MISTAKES = {
     "fractional seed": ("evaluate", {"seed": 1.5}, "--seed"),
     "threads not a number": ("evaluate", {"threads": "two"}, "--threads"),
@@ -473,10 +484,13 @@ def test_config_values_are_checked_like_flags(mistake, dataset, tmp_path):
     command, doc, option = CONFIG_MISTAKES[mistake]
     rest = (["--detector", "energy", "--eval-grid=-10", "--out", tmp_path / "r.json"]
             if command == "evaluate" else ["--out", tmp_path / "m.ckpt", *TRAIN_FAST[:-1]])
-    proc = run_cli([command, "--data", dataset, "--config", write_config(tmp_path, doc), *rest])
+    config = write_config(tmp_path, doc)
+    proc = run_cli([command, "--data", dataset, "--config", config, *rest])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("usage: ") and option in proc.stderr
+    (key,) = doc
+    assert proc.stderr.startswith("usage: ")
+    assert f"error: config {config}, key {key!r}: argument {option}" in proc.stderr
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -6,7 +6,6 @@ import pytest
 from uwbocc.core import (
     ActivityLabel,
     CirMatrix,
-    MeanRemovedMatrix,
     SampleRecord,
     frobenius_energy,
     mean_remove,
@@ -32,7 +31,7 @@ class TestMeanRemove:
         col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         cir = make_cir(np.tile(col[:, None], (1, 10)))
         mean_profile, residual = mean_remove(cir)
-        assert np.array_equal(residual.data, np.zeros((16, 10), dtype=np.complex128))
+        assert np.array_equal(residual, np.zeros((16, 10), dtype=np.complex128))
         assert np.array_equal(mean_profile, col)
 
     def test_single_row_two_columns(self):
@@ -40,15 +39,15 @@ class TestMeanRemove:
         mean_profile, residual = mean_remove(cir)
         assert mean_profile.shape == (1,)
         assert mean_profile[0] == pytest.approx(2.0 + 0j)
-        assert residual.data[0, 0] == pytest.approx(-1.0 + 0j)
-        assert residual.data[0, 1] == pytest.approx(1.0 + 0j)
+        assert residual[0, 0] == pytest.approx(-1.0 + 0j)
+        assert residual[0, 1] == pytest.approx(1.0 + 0j)
 
     def test_row_means_of_residual_vanish(self):
         rng = np.random.default_rng(123)
         for trial in range(20):
             cir = random_cir(rng, n=8, m=16, scale=10.0 ** rng.integers(-3, 4))
             _, residual = mean_remove(cir)
-            row_means = residual.data.mean(axis=1)
+            row_means = residual.mean(axis=1)
             scale = np.abs(cir.data).max()
             assert np.abs(row_means).max() < 1e-12 * max(scale, 1.0)
 
@@ -56,7 +55,7 @@ class TestMeanRemove:
         rng = np.random.default_rng(42)
         cir = random_cir(rng, n=12, m=25)
         mean_profile, residual = mean_remove(cir)
-        recon = residual.data + mean_profile[:, None]
+        recon = residual + mean_profile[:, None]
         err = np.abs(recon - cir.data).max()
         assert err <= 1e-12 * np.abs(cir.data).max()
 
@@ -76,9 +75,16 @@ class TestMeanRemove:
         rng = np.random.default_rng(5)
         cir = random_cir(rng)
         _, residual = mean_remove(cir)
-        second_mean, second = mean_remove(CirMatrix(residual.data.copy(), DT_FAST, DT_SLOW))
-        assert np.abs(second.data - residual.data).max() < 1e-12
+        second_mean, second = mean_remove(CirMatrix(residual.copy(), DT_FAST, DT_SLOW))
+        assert np.abs(second - residual).max() < 1e-12
         assert np.abs(second_mean).max() < 1e-12
+
+    def test_residual_is_a_read_only_complex_array(self):
+        rng = np.random.default_rng(3)
+        _, residual = mean_remove(random_cir(rng))
+        assert type(residual) is np.ndarray and residual.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            residual[0, 0] = 1.0
 
     def test_rejects_single_column(self):
         with pytest.raises(ValueError):
@@ -100,8 +106,7 @@ class TestFrobeniusEnergy:
 
     def test_accepts_bare_arrays_and_wrappers(self):
         arr = np.full((2, 3), 2.0 + 0j)
-        wrapped = MeanRemovedMatrix(arr.copy(), DT_FAST, DT_SLOW)
-        assert frobenius_energy(arr) == frobenius_energy(wrapped) == pytest.approx(24.0)
+        assert frobenius_energy(arr) == frobenius_energy(make_cir(arr)) == pytest.approx(24.0)
 
 
 class TestDataModel:

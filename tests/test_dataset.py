@@ -1,7 +1,12 @@
 """Binary container round trips, segmentation, split logic, epoch plans."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbocc.core import ActivityLabel, CirMatrix, SampleRecord
 from uwbocc.dataset import (
@@ -71,6 +76,17 @@ class TestCirFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="broken.cir"):
             read_cir(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cut_at_any_byte_raises_data_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cut.cir"
+            write_cir(path, np.arange(15).reshape(3, 5) * (1 + 2j))
+            blob = path.read_bytes()
+            path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+            with pytest.raises(DataError):
+                read_cir(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "notcir.cir"

@@ -5,10 +5,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uwbocc.augment import SnrReference
 from uwbocc.baselines import energy_detector
-from uwbocc.core import ActivityLabel, MeanRemovedMatrix
+from uwbocc.core import ActivityLabel
 from uwbocc.errors import ConfigError, DataError
 from uwbocc.evaluate import (
     ACTIVITY_SNR_ANCHORS,
@@ -95,6 +97,14 @@ class TestRocAuc:
             assert roc_auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12), f"trial {trial}"
 
+    # Few distinct values, both signed zeros among them, so most pairs tie.
+    @given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1e-300, 0.5, 3.0, -7.25, 1e300]),
+                              st.sampled_from([0, 1])), min_size=2, max_size=80)
+           .filter(lambda pairs: len({label for _, label in pairs}) == 2))
+    def test_equals_pairwise_oracle_under_heavy_ties(self, pairs):
+        scores, labels = zip(*pairs)
+        assert roc_auc(scores, labels) == pairwise_auc(scores, labels)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         scores = rng.standard_normal(80)
@@ -151,7 +161,7 @@ class TestReportTypes:
 @dataclass
 class FakeSample:
     label: ActivityLabel
-    residual: MeanRemovedMatrix
+    residual: np.ndarray
 
 
 class SpikeScorer:
@@ -170,12 +180,10 @@ def sweep_samples(n_pos=6, n_neg=6, n=16, m=24):
     for _ in range(n_pos):
         data = np.zeros((n, m), dtype=complex)
         data[int(rng.integers(n)), int(rng.integers(m))] = 10.0  # one hot column
-        samples.append(FakeSample(ActivityLabel.BREATHING,
-                                  MeanRemovedMatrix(data, 0.5e-9, 0.1)))
+        samples.append(FakeSample(ActivityLabel.BREATHING, data))
     for _ in range(n_neg):
         data = np.zeros((n, m), dtype=complex)
-        samples.append(FakeSample(ActivityLabel.EMPTY,
-                                  MeanRemovedMatrix(data, 0.5e-9, 0.1)))
+        samples.append(FakeSample(ActivityLabel.EMPTY, data))
     return samples
 
 
@@ -256,11 +264,9 @@ def three_activity_samples():
         for _ in range(3):
             data = np.zeros((12, 20), dtype=complex)
             data[int(rng.integers(12)), int(rng.integers(20))] = 5.0
-            samples.append(FakeSample(label, MeanRemovedMatrix(data, 0.5e-9, 0.1)))
+            samples.append(FakeSample(label, data))
     for _ in range(3):
-        samples.append(FakeSample(ActivityLabel.EMPTY,
-                                  MeanRemovedMatrix(np.zeros((12, 20), dtype=complex),
-                                                    0.5e-9, 0.1)))
+        samples.append(FakeSample(ActivityLabel.EMPTY, np.zeros((12, 20), dtype=complex)))
     return samples
 
 

@@ -1,7 +1,12 @@
 """Layer math, network assembly, complexity accounting, training loop."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbocc.errors import ConfigError, DataError, DivergenceError
 from uwbocc.nn import (
@@ -57,22 +62,22 @@ class TestLayouts:
 
     def test_2d_example(self):
         out = layout_2d(np.array([[1 + 2j]]))
-        assert out.shape == (1, 1, 2)
-        assert out[0, 0, 0] == 1 and out[0, 0, 1] == 2
+        assert out.shape == (2, 1, 1)
+        assert out[0, 0, 0] == 1 and out[1, 0, 0] == 2
 
     def test_2d_energy_and_real_channel(self):
         rng = np.random.default_rng(1)
         res = rng.standard_normal((4, 5)) + 0j
         out = layout_2d(res)
         assert np.sum(out**2) == pytest.approx(np.sum(np.abs(res) ** 2), rel=1e-14)
-        assert np.all(out[:, :, 1] == 0)
+        assert np.all(out[1] == 0)
 
     def test_network_input_is_channels_first(self):
         rng = np.random.default_rng(2)
         res = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         assert np.array_equal(network_input(res, 1), stack_real_imag_1d(res))
         out = network_input(res, 2)
-        assert out.shape == (2, 4, 5)
+        assert np.array_equal(out, layout_2d(res)) and out.shape == (2, 4, 5)
         assert np.array_equal(out[0], res.real) and np.array_equal(out[1], res.imag)
 
 
@@ -80,14 +85,12 @@ class TestConv:
     def test_identity_kernel(self):
         conv = Conv1d(1, 1, 3, rng=0)
         conv.weight.value[...] = np.array([[[0.0, 1.0, 0.0]]])
-        conv.bias.value[...] = 0.0
         x = np.arange(12, dtype=np.float64).reshape(1, 1, 12)
         assert np.array_equal(conv.forward(x, train=False), x)
 
     def test_ones_kernel_same_padding(self):
         conv = Conv1d(1, 1, 3, rng=0)
         conv.weight.value[...] = 1.0
-        conv.bias.value[...] = 0.0
         x = np.array([[[1.0, 2.0, 3.0]]])
         assert np.array_equal(conv.forward(x, train=False), [[[3.0, 6.0, 5.0]]])
 
@@ -95,7 +98,6 @@ class TestConv:
         rng = np.random.default_rng(2)
         conv = Conv1d(3, 4, 3, rng=3)
         x = rng.standard_normal((2, 3, 7))
-        conv.bias.value[...] = 0.0
         y1 = conv.forward(3.5 * x, train=False)
         y2 = 3.5 * conv.forward(x, train=False)
         assert np.abs(y1 - y2).max() < 1e-12
@@ -104,7 +106,6 @@ class TestConv:
         conv = Conv2d(1, 1, 3, rng=0)
         conv.weight.value[...] = 0.0
         conv.weight.value[0, 0, 1, 1] = 1.0
-        conv.bias.value[...] = 0.0
         x = np.arange(20, dtype=np.float64).reshape(1, 1, 4, 5)
         assert np.array_equal(conv.forward(x, train=False), x)
 
@@ -197,7 +198,7 @@ class TestBuildNetwork:
 class TestComplexityAccounting:
     def test_conv_param_example(self):
         conv = Conv1d(4, 8, 3, rng=0)
-        assert sum(p.value.size for p in conv.params()) == 4 * 8 * 3 + 8 == 104
+        assert sum(p.value.size for p in conv.params()) == 4 * 8 * 3 == 96
 
     def test_flops_scale_with_length(self):
         net = build_network("1D-E", (4, 100), seed=0)
@@ -298,12 +299,11 @@ def direct_conv(x, weight):
 
 
 def conv_pass(conv, x, dy):
-    """Train forward and backward; returns (y, dx, weight grad, bias grad)."""
-    for p in conv.params():
-        p.zero_grad()
+    """Train forward and backward; returns (y, dx, weight grad)."""
+    conv.weight.zero_grad()
     y = conv.forward(x, train=True)
     dx = conv.backward(dy)
-    return y, dx, conv.weight.grad.copy(), conv.bias.grad.copy()
+    return y, dx, conv.weight.grad.copy()
 
 
 class TestConvEngine:
@@ -312,13 +312,11 @@ class TestConvEngine:
     def test_matches_direct_loops(self, cls, spatial, kernel):
         rng = np.random.default_rng(kernel)
         conv = cls(3, 4, kernel, rng=0)
-        conv.bias.value[:] = rng.standard_normal(4)
         x = rng.standard_normal((2, 3) + spatial)
         dy = rng.standard_normal((2, 4) + spatial)
-        y, dx, gw, gb = conv_pass(conv, x, dy)
+        y, dx, gw = conv_pass(conv, x, dy)
         w = conv.weight.value
-        np.testing.assert_allclose(y, direct_conv(x, w) + conv.bias.value.reshape(
-            (1, 4) + (1,) * len(spatial)), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, direct_conv(x, w), rtol=1e-12, atol=1e-12)
         # The loss sum(y * dy) is linear in w and x: its gradients are probes of direct_conv.
         probe_w = np.array([np.sum(direct_conv(x, e.reshape(w.shape)) * dy)
                             for e in np.eye(w.size)]).reshape(w.shape)
@@ -326,7 +324,6 @@ class TestConvEngine:
         probe_x = np.array([np.sum(direct_conv(e.reshape(x.shape), w) * dy)
                             for e in np.eye(x.size)]).reshape(x.shape)
         np.testing.assert_allclose(dx, probe_x, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gb, dy.sum(axis=(0,) + tuple(range(2, dy.ndim))), rtol=1e-12)
 
     @pytest.mark.parametrize("cls, spatial", [(Conv1d, (11,)), (Conv2d, (4, 5))])
     def test_batch_slices_match_one_slice(self, cls, spatial, monkeypatch):
@@ -529,3 +526,17 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(DataError, match="truncat"):
             load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cut_at_any_byte_raises_data_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cut.ckpt"
+            save_checkpoint(build_network("1D-E", (2, 8), seed=0), path)
+            blob = path.read_bytes()
+            # The header is the first ~2 kB; cuts there are drawn as often as payload cuts.
+            cut = data.draw(st.integers(0, min(2048, len(blob) - 1))
+                            | st.integers(0, len(blob) - 1))
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                load_checkpoint(path)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from uwbocc.augment import compute_reference_energy
+from uwbocc.augment import compute_reference_energy, corrupt
 from uwbocc.baselines import energy_detector, fft_detector
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
 from uwbocc.dataset import Split, make_split
 from uwbocc.errors import ConfigError, DataError
-from uwbocc.nn import build_network, flop_count, stack_real_imag_1d
+from uwbocc.nn import build_network, flop_count, load_checkpoint, save_checkpoint, stack_real_imag_1d
 from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
@@ -36,7 +36,7 @@ class TestResidualPrep:
         assert [s.label for s in samples] == [r.label for r in records]
         for rec, sample in zip(records, samples):
             _, expected = mean_remove(rec.cir)
-            assert np.array_equal(sample.residual.data, expected.data)
+            assert np.array_equal(sample.residual, expected)
 
     def test_memory_manifest_mirrors_records(self):
         records = small_records({"breathing": 3, "empty": 2}, seed=1)
@@ -200,6 +200,21 @@ class TestRunTraining:
         score = _validation_scorer(residual_samples([s for _, s in val_pairs]), ref, settings, 1)
         # BatchNorm running statistics are restored with the parameters.
         assert score(net) == history.best_val_auc
+
+    def test_reloaded_checkpoint_scores_like_the_trained_network(self, tmp_path):
+        # Checkpoints store float32.  Over seeds 0-7 of this setup the reloaded
+        # logits moved by at most 1.6e-7 (|logit| up to 1.2), so 1e-6 bounds
+        # float32 rounding with margin while any real loss of state exceeds it.
+        manifest, records, split = self.fixture(seed=5)
+        net, _, ref = run_training(manifest, records, split,
+                                   quick_settings(max_epochs=3, patience=3))
+        path = tmp_path / "trained.ckpt"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        inputs = [corrupt(s.residual, ref, -10.0, np.random.SeedSequence((5, k)))
+                  for k, s in enumerate(residual_samples(records))]
+        np.testing.assert_allclose(NetworkScorer(loaded)(inputs), NetworkScorer(net)(inputs),
+                                   rtol=0, atol=1e-6)
 
     def test_different_seed_differs(self):
         manifest, records, split = self.fixture()
