@@ -9,13 +9,21 @@ one engine.  Its columns are channels-first: a (C*k**d, B*S) matrix whose
 row c*k**d + t is channel c shifted by kernel tap t, built with k**d slice
 copies, so one GEMM with the (c_out, C*k**d) weight matrix gives the output.
 Columns are built one batch slice at a time, as many samples as fit in
-_COLUMN_BUDGET_BYTES (one at least), so slices depend only on shapes.  In train
-mode a convolution keeps a reference to its input, k**d times smaller than
-the columns, and rebuilds the columns in backward, where the weight
-gradient accumulates over the slices.  This relies on nothing mutating a
-layer's input between its forward and its backward call.  The input
-gradient is a same-padded convolution of the output gradient with the
-kernel flipped spatially and transposed in its channel axes.
+_COLUMN_BUDGET_BYTES (one at least).  The budget is cache-sized: a slice's
+columns stay in cache between being filled and being read by their GEMM,
+and a buffer that small comes back from the heap on every call instead of
+being mapped and page-faulted in afresh.  It is a constant, not a property
+of the machine, so slices depend only on shapes and outputs stay
+byte-deterministic.  In train mode a convolution keeps a reference to its
+input, k**d times smaller than the columns, and rebuilds the columns in
+backward, where the weight gradient accumulates over the slices.  This
+relies on nothing mutating a layer's input between its forward and its
+backward call.  The input gradient is a same-padded convolution of the
+output gradient with the kernel flipped spatially and transposed in its
+channel axes.
+
+BatchNorm and ReLU are memory-bound, so they make as few full-size passes
+and temporaries as their formulas allow.
 """
 
 from __future__ import annotations
@@ -75,7 +83,9 @@ def _he_scale(fan_in: int) -> float:
 
 
 # Bytes of float64 columns built at once; a batch is split into slices that fit.
-_COLUMN_BUDGET_BYTES = 64 << 20
+# Cache-sized, so a slice is still in cache when its GEMM reads it, and far
+# below glibc's mmap threshold, so the buffer is reused from the heap.
+_COLUMN_BUDGET_BYTES = 8 << 20
 
 
 def _fill_columns(src: np.ndarray, kernel: int, out: np.ndarray) -> None:
@@ -175,9 +185,14 @@ class Conv2d(_Conv):
 class BatchNorm(Layer):
     """Per-channel batch normalization over batch and spatial axes.
 
-    Training uses batch statistics (biased variance, eps 1e-5) and updates
-    the running statistics with momentum (running variance kept unbiased);
-    inference standardizes with the running statistics.
+    Training uses batch statistics (eps 1e-5): the mean, then the biased
+    variance as the mean square of the centred values, two passes that stay
+    accurate under a large common offset.  It updates the running statistics
+    with momentum (running variance kept unbiased) once per train forward.
+    Inference standardizes with the running statistics and caches nothing.
+    A train forward caches the standardized input xhat and the per-channel
+    inverse standard deviation; backward releases both and returns the
+    input gradient in xhat's buffer.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -188,7 +203,8 @@ class BatchNorm(Layer):
         self.beta = Param("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._cache = None
+        self._xhat = None
+        self._inv_std = None
 
     def params(self):
         return [self.gamma, self.beta]
@@ -196,60 +212,84 @@ class BatchNorm(Layer):
     def state_arrays(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def _axes_and_shape(self, x):
-        axes = (0,) + tuple(range(2, x.ndim))
-        shape = (1, self.channels) + (1,) * (x.ndim - 2)
-        return axes, shape
+    @staticmethod
+    def _channel_sums(a, b=None):
+        """Per-channel sum of a, or of a * b, over (B, C, S) views.
+
+        einsum forms the products without a temporary and, unlike a BLAS
+        dot, sums in an order that does not depend on the BLAS threads.
+        """
+        rows = a.sum(axis=2) if b is None else np.einsum("bcs,bcs->bc", a, b)
+        return rows.sum(axis=0)
 
     def forward(self, x, train):
         if x.shape[1] != self.channels:
             raise DataError(f"batchnorm expects {self.channels} channels, got {x.shape}")
-        axes, shape = self._axes_and_shape(x)
-        if train:
-            if x.shape[0] < 2:
-                raise DataError("batch normalization needs batch size >= 2 in train mode")
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            count = x.size // self.channels
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            unbiased = var * count / (count - 1)
-            self.running_var += self.momentum * (unbiased - self.running_var)
-        else:
-            mean, var = self.running_mean, self.running_var
+        if train and x.shape[0] < 2:
+            raise DataError("batch normalization needs batch size >= 2 in train mode")
+        # Merging the spatial axes is a view for both layouts layers hand
+        # over: (B, C, *S) and the (C, B, *S) transposed by a convolution.
+        view = x.reshape(x.shape[0], self.channels, -1)
+        gamma, beta = self.gamma.value[:, None], self.beta.value[:, None]
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            out = np.subtract(view, self.running_mean[:, None])
+            out *= inv_std[:, None]
+            out *= gamma
+            out += beta
+            return out.reshape(x.shape)
+        count = view.shape[0] * view.shape[2]
+        mean = self._channel_sums(view) / count
+        xhat = np.subtract(view, mean[:, None])
+        var = self._channel_sums(xhat, xhat) / count
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        unbiased = var * count / (count - 1)
+        self.running_var += self.momentum * (unbiased - self.running_var)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        if train:
-            self._cache = (xhat, inv_std)
-        return self.gamma.value.reshape(shape) * xhat + self.beta.value.reshape(shape)
+        xhat *= inv_std[:, None]
+        self._xhat, self._inv_std = xhat, inv_std
+        out = np.multiply(xhat, gamma)
+        out += beta
+        return out.reshape(x.shape)
 
     def backward(self, dy):
-        xhat, inv_std = self._cache
-        self._cache = None
-        axes, shape = self._axes_and_shape(dy)
-        count = dy.size // self.channels
-        self.gamma.grad += np.sum(dy * xhat, axis=axes)
-        self.beta.grad += np.sum(dy, axis=axes)
-        g = self.gamma.value.reshape(shape)
-        dxhat = dy * g
-        mean_dxhat = dxhat.mean(axis=axes).reshape(shape)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes).reshape(shape)
-        return inv_std.reshape(shape) * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        xhat, inv_std = self._xhat, self._inv_std
+        self._xhat = self._inv_std = None
+        view = dy.reshape(xhat.shape)
+        count = xhat.shape[0] * xhat.shape[2]
+        d_beta = self._channel_sums(view)
+        d_gamma = self._channel_sums(view, xhat)
+        self.gamma.grad += d_gamma
+        self.beta.grad += d_beta
+        # inv_std * gamma * (dy - mean(dy) - xhat * mean(dy * xhat)), built in xhat.
+        dx = xhat
+        dx *= -d_gamma[:, None] / count
+        dx += view
+        dx -= d_beta[:, None] / count
+        dx *= (inv_std * self.gamma.value)[:, None]
+        return dx.reshape(dy.shape)
 
 
 class ReLU(Layer):
+    """Elementwise max(x, 0).
+
+    A train forward maps NaN to 0 and caches its output y, which is the next
+    layer's input anyway; backward passes dy where y > 0, exactly where
+    x > 0, and releases y.  Inference caches nothing and lets NaN through.
+    """
+
     def __init__(self):
-        self._mask = None
+        self._y = None
 
     def forward(self, x, train):
         if train:
-            self._mask = x > 0
-            return np.where(self._mask, x, 0.0)
+            self._y = np.fmax(x, 0.0)
+            return self._y
         return np.maximum(x, 0.0)
 
     def backward(self, dy):
-        dx = np.where(self._mask, dy, 0.0)
-        self._mask = None
-        return dx
+        y, self._y = self._y, None
+        return np.multiply(dy, y > 0)
 
 
 class GlobalAvgPool(Layer):

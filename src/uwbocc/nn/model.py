@@ -156,7 +156,8 @@ class ResidualBlock(Layer):
         skip = x
         if self.has_projection:
             skip = self.proj_bn.forward(self.projection.forward(x, train), train)
-        return self.relu_out.forward(main + skip, train)
+        main += skip  # bn2's output is fresh and cached by no one
+        return self.relu_out.forward(main, train)
 
     def backward(self, dy):
         d_sum = self.relu_out.backward(dy)
@@ -164,11 +165,11 @@ class ResidualBlock(Layer):
         d_main = self.conv2.backward(d_main)
         d_main = self.relu1.backward(d_main)
         d_main = self.bn1.backward(d_main)
-        dx = self.conv1.backward(d_main)
+        dx = self.conv1.backward(d_main)  # fresh, so the skip gradient adds in place
         if self.has_projection:
-            dx = dx + self.projection.backward(self.proj_bn.backward(d_sum))
+            dx += self.projection.backward(self.proj_bn.backward(d_sum))
         else:
-            dx = dx + d_sum
+            dx += d_sum
         return dx
 
 

@@ -1,5 +1,6 @@
 """Layer math, network assembly, complexity accounting, training loop."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -147,6 +148,14 @@ class TestBatchNorm:
         expected_1 = 0.5 / np.sqrt(1 + 1e-5) - 1.0
         assert out[0, 0] == pytest.approx(expected_0, rel=1e-9)
         assert out[0, 1] == pytest.approx(expected_1, rel=1e-9)
+        bn.running_mean[...] = [1e4, -2.0]
+        bn.running_var[...] = [0.25, 9.0]
+        x = np.random.default_rng(7).standard_normal((4, 2, 6)) + bn.running_mean[:, None]
+        shape = (1, 2, 1)
+        expected = (bn.gamma.value.reshape(shape) * (x - bn.running_mean.reshape(shape))
+                    / np.sqrt(bn.running_var.reshape(shape) + bn.eps)
+                    + bn.beta.value.reshape(shape))
+        np.testing.assert_allclose(bn.forward(x, train=False), expected, rtol=1e-12, atol=1e-12)
 
     def test_batch_of_one_rejected_in_train_mode(self):
         bn = BatchNorm(2)
@@ -161,6 +170,97 @@ class TestBatchNorm:
             bn.forward(5.0 + 2.0 * rng.standard_normal((64, 1, 10)), train=True)
         assert bn.running_mean[0] == pytest.approx(5.0, abs=0.1)
         assert bn.running_var[0] == pytest.approx(4.0, rel=0.1)
+
+    def test_large_offset_matches_two_pass_reference(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((16, 2, 7, 9))
+        x[:, 0] += 1e4  # a one-pass E[x**2] - E[x]**2 loses about 1e-8 of this variance
+        bn = BatchNorm(2)
+        bn.forward(x, train=True)
+        for c in range(2):
+            values = x[:, c].ravel()
+            mean = math.fsum(values) / values.size
+            var = math.fsum((values - mean) ** 2) / values.size
+            assert 1.0 / bn._inv_std[c] ** 2 - bn.eps == pytest.approx(var, rel=1e-9)
+            expected = (x[:, c] - mean) / math.sqrt(var + bn.eps)
+            np.testing.assert_allclose(bn._xhat[:, c].reshape(expected.shape), expected,
+                                       rtol=1e-9, atol=1e-9)
+
+    def test_running_stats_move_once_per_train_forward(self):
+        rng = np.random.default_rng(6)
+        x = 3.0 + 2.0 * rng.standard_normal((5, 2, 11))
+        bn = BatchNorm(2)
+        y = bn.forward(x, train=True)
+        count = 5 * 11
+        mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        np.testing.assert_allclose(bn.running_mean, 0.1 * mean, rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * var * count / (count - 1),
+                                   rtol=1e-12)
+        after_forward = [bn.running_mean.copy(), bn.running_var.copy()]
+        bn.backward(np.ones_like(y))
+        bn.forward(x, train=False)
+        for now, then in zip((bn.running_mean, bn.running_var), after_forward):
+            np.testing.assert_array_equal(now, then)
+        bn.forward(x, train=True)
+        assert not np.array_equal(bn.running_mean, after_forward[0])
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_transposed_input_matches_contiguous(self, train):
+        # Convolutions hand over (C, B, *S) arrays transposed to (B, C, *S).
+        x = np.random.default_rng(8).standard_normal((6, 3, 4, 5))
+        transposed = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+        a, b = BatchNorm(3), BatchNorm(3)
+        ya, yb = a.forward(x, train), b.forward(transposed, train)
+        np.testing.assert_allclose(yb, ya, rtol=1e-12, atol=1e-12)
+        if train:
+            # Merging the spatial axes kept the transposed layout: no copy was made.
+            assert b._xhat.swapaxes(0, 1).flags["C_CONTIGUOUS"]
+            dy = np.random.default_rng(9).standard_normal(x.shape)
+            np.testing.assert_allclose(b.backward(dy), a.backward(dy), rtol=1e-12, atol=1e-12)
+
+    def test_holds_only_its_cache(self):
+        bn = BatchNorm(2)
+        state = {id(a) for a in bn.state_arrays().values()}
+
+        def held():
+            return [v for v in vars(bn).values()
+                    if isinstance(v, np.ndarray) and id(v) not in state]
+
+        x = np.random.default_rng(9).standard_normal((3, 2, 4, 5))
+        bn.forward(x, train=False)
+        assert not held()
+        y = bn.forward(x, train=True)
+        assert bn._xhat.shape == (3, 2, 20) and bn._inv_std.shape == (2,)
+        assert {id(v) for v in held()} == {id(bn._xhat), id(bn._inv_std)}
+        bn.backward(np.ones_like(y))
+        assert not held()
+
+
+class TestReLU:
+    def test_train_maps_nan_to_zero(self):
+        x = np.array([[np.nan, -1.0, 2.0, np.nan]])
+        np.testing.assert_array_equal(ReLU().forward(x, train=True), [[0.0, 0.0, 2.0, 0.0]])
+        assert np.isnan(ReLU().forward(x, train=False)[0, 0])  # inference lets it through
+
+    def test_backward_mask_is_exactly_x_positive(self):
+        x = np.array([[-2.0, -0.0, 0.0, 1e-300, 3.0, np.nan, -np.inf, np.inf]])
+        dy = np.arange(1.0, 9.0)[None]
+        relu = ReLU()
+        relu.forward(x, train=True)
+        dx = relu.backward(dy)
+        np.testing.assert_array_equal(dx, np.where(x > 0, dy, 0.0))
+        assert dx[0, 1] == 0.0 and dx[0, 2] == 0.0  # no gradient at x == 0
+
+    def test_holds_only_its_output(self):
+        relu = ReLU()
+        x = np.random.default_rng(10).standard_normal((3, 2, 7))
+        relu.forward(x, train=False)
+        assert not [v for v in vars(relu).values() if isinstance(v, np.ndarray)]
+        y = relu.forward(x, train=True)
+        held = [v for v in vars(relu).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 1 and held[0] is y
+        relu.backward(np.ones_like(y))
+        assert not [v for v in vars(relu).values() if isinstance(v, np.ndarray)]
 
 
 class TestBuildNetwork:
