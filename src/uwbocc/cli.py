@@ -44,6 +44,7 @@ from .evaluate import (
 )
 from .nn import VARIANTS, load_checkpoint, save_checkpoint
 from .pipeline import (
+    TRAIN_DTYPE,
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
@@ -194,6 +195,7 @@ def cmd_train(ns) -> int:
         "epochs_run": len(history.val_auc),
         "reference_energy": ref.e_s,
         "stopped_early": history.stopped_early,
+        "train_dtype": np.dtype(TRAIN_DTYPE).name,
         "train_seed": settings.seed,
     }
     save_checkpoint(network, _output_path(ns.out), extra=extra)

@@ -1,8 +1,14 @@
-"""Differentiable layers on numpy arrays, channels-first, double precision.
+"""Differentiable layers on numpy arrays, channels-first.
 
 Every layer caches what its backward pass needs during forward and exposes
 its trainable parameters as Param objects.  Batch layout: (batch, channels,
 length) in 1D, (batch, channels, height, width) in 2D.
+
+Layers compute in their input's dtype: a float32 batch gives float32
+activations and input gradients, a float64 batch float64 ones.  Parameters
+are float64 masters.  Each forward and backward casts them to the input's
+dtype, and parameter gradients are added into their float64 Param.grad, so
+the optimizer and the running statistics never leave double precision.
 
 Convolutions (stride 1, same padding, odd kernel k, d spatial axes) share
 one engine.  Its columns are channels-first: a (C*k**d, B*S) matrix whose
@@ -13,14 +19,20 @@ _COLUMN_BUDGET_BYTES (one at least).  The budget is cache-sized: a slice's
 columns stay in cache between being filled and being read by their GEMM,
 and a buffer that small comes back from the heap on every call instead of
 being mapped and page-faulted in afresh.  It is a constant, not a property
-of the machine, so slices depend only on shapes and outputs stay
+of the machine, so slices depend only on shapes and dtype and outputs stay
 byte-deterministic.  In train mode a convolution keeps a reference to its
 input, k**d times smaller than the columns, and rebuilds the columns in
-backward, where the weight gradient accumulates over the slices.  This
-relies on nothing mutating a layer's input between its forward and its
-backward call.  The input gradient is a same-padded convolution of the
-output gradient with the kernel flipped spatially and transposed in its
-channel axes.
+backward.  This relies on nothing mutating a layer's input between its
+forward and its backward call.  The input gradient is a same-padded
+convolution of the output gradient with the kernel flipped spatially and
+transposed in its channel axes.
+
+The weight gradient is reduced per sample: one batched GEMM per slice
+gives each sample's (c_out, C*k**d) product, and these are summed over the
+samples, then over the slices, in a fixed order.  A single GEMM over a
+slice's B*S columns gives bits that change with OPENBLAS_NUM_THREADS (seen
+in float32 for 1D-E at B=64), and so would every trained checkpoint; the
+per-sample products give the same bits for 1 and 2 threads.
 
 BatchNorm and ReLU are memory-bound, so they make as few full-size passes
 and temporaries as their formulas allow.
@@ -82,7 +94,7 @@ def _he_scale(fan_in: int) -> float:
     return np.sqrt(2.0 / fan_in)
 
 
-# Bytes of float64 columns built at once; a batch is split into slices that fit.
+# Bytes of columns built at once; a batch is split into slices that fit.
 # Cache-sized, so a slice is still in cache when its GEMM reads it, and far
 # below glibc's mmap threshold, so the buffer is reused from the heap.
 _COLUMN_BUDGET_BYTES = 8 << 20
@@ -112,8 +124,8 @@ def _column_slices(src: np.ndarray, kernel: int):
     """
     channels, batch, spatial = src.shape[0], src.shape[1], src.shape[2:]
     rows, size = channels * kernel ** len(spatial), math.prod(spatial)
-    step = max(1, min(batch, _COLUMN_BUDGET_BYTES // (8 * rows * size)))
-    buffer = np.empty(rows * step * size)
+    step = max(1, min(batch, _COLUMN_BUDGET_BYTES // (src.itemsize * rows * size)))
+    buffer = np.empty(rows * step * size, dtype=src.dtype)
     for start in range(0, batch, step):
         stop = min(start + step, batch)
         cols = buffer[:rows * (stop - start) * size]
@@ -123,8 +135,9 @@ def _column_slices(src: np.ndarray, kernel: int):
 
 
 def _convolve(src: np.ndarray, wmat: np.ndarray, kernel: int) -> np.ndarray:
-    """Convolve src (C, B, *S) with wmat (c_out, C*k**d); returns (c_out, B, *S)."""
-    out = np.empty((wmat.shape[0],) + src.shape[1:])
+    """Convolve src (C, B, *S) with wmat (c_out, C*k**d); returns (c_out, B, *S), src's dtype."""
+    wmat = wmat.astype(src.dtype, copy=False)
+    out = np.empty((wmat.shape[0],) + src.shape[1:], dtype=src.dtype)
     flat = out.reshape(wmat.shape[0], -1)
     for lo, hi, cols in _column_slices(src, kernel):
         np.matmul(wmat, cols, out=flat[:, lo:hi])
@@ -160,14 +173,27 @@ class _Conv(Layer):
         return y.swapaxes(0, 1)
 
     def backward(self, dy):
+        dy_t = self._weight_backward(dy)
+        flipped = np.flip(self.weight.value, tuple(range(2, self.rank + 2))).swapaxes(0, 1)
+        return _convolve(dy_t, flipped.reshape(self.c_in, -1), self.kernel).swapaxes(0, 1)
+
+    def _weight_backward(self, dy):
+        """Add the weight gradient for dy and release the input; returns dy as (c_out, B, *S).
+
+        A network's first convolution calls only this: nothing reads the
+        gradient of the input batch.
+        """
         x, self._x = self._x, None
         dy_t = np.ascontiguousarray(dy.swapaxes(0, 1))
         dy_flat = dy_t.reshape(self.c_out, -1)
-        grad = sum(dy_flat[:, lo:hi] @ cols.T
-                   for lo, hi, cols in _column_slices(x.swapaxes(0, 1), self.kernel))
-        self.weight.grad += grad.reshape(self.weight.value.shape)
-        flipped = np.flip(self.weight.value, tuple(range(2, self.rank + 2))).swapaxes(0, 1)
-        return _convolve(dy_t, flipped.reshape(self.c_in, -1), self.kernel).swapaxes(0, 1)
+        size = math.prod(x.shape[2:])
+        grad = self.weight.grad.reshape(self.c_out, -1)
+        for lo, hi, cols in _column_slices(x.swapaxes(0, 1), self.kernel):
+            # (n, c_out, S) @ (n, S, C*k**d): one product per sample.
+            per_sample = np.matmul(dy_flat[:, lo:hi].reshape(self.c_out, -1, size).swapaxes(0, 1),
+                                   cols.reshape(len(cols), -1, size).transpose(1, 2, 0))
+            grad += per_sample.sum(axis=0)
+        return dy_t
 
 
 class Conv1d(_Conv):
@@ -230,10 +256,13 @@ class BatchNorm(Layer):
         # Merging the spatial axes is a view for both layouts layers hand
         # over: (B, C, *S) and the (C, B, *S) transposed by a convolution.
         view = x.reshape(x.shape[0], self.channels, -1)
-        gamma, beta = self.gamma.value[:, None], self.beta.value[:, None]
+        gamma, beta = (p.value.astype(x.dtype, copy=False)[:, None]
+                       for p in (self.gamma, self.beta))
         if not train:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            out = np.subtract(view, self.running_mean[:, None])
+            mean, var = (a.astype(x.dtype, copy=False)
+                         for a in (self.running_mean, self.running_var))
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            out = np.subtract(view, mean[:, None])
             out *= inv_std[:, None]
             out *= gamma
             out += beta
@@ -266,7 +295,7 @@ class BatchNorm(Layer):
         dx *= -d_gamma[:, None] / count
         dx += view
         dx -= d_beta[:, None] / count
-        dx *= (inv_std * self.gamma.value)[:, None]
+        dx *= (inv_std * self.gamma.value.astype(dx.dtype, copy=False))[:, None]
         return dx.reshape(dy.shape)
 
 
@@ -327,10 +356,11 @@ class Dense(Layer):
             raise DataError(f"dense expects (B, {self.c_in}), got {x.shape}")
         if train:
             self._x = x
-        return x @ self.weight.value.T + self.bias.value
+        weight, bias = (p.value.astype(x.dtype, copy=False) for p in (self.weight, self.bias))
+        return x @ weight.T + bias
 
     def backward(self, dy):
         self.weight.grad += dy.T @ self._x
         self.bias.grad += dy.sum(axis=0)
         self._x = None
-        return dy @ self.weight.value
+        return dy @ self.weight.value.astype(dy.dtype, copy=False)

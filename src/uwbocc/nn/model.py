@@ -184,6 +184,7 @@ class Network:
         self.layers = layers
         self.blocks = blocks
         self.seed = seed
+        self._train_dtype = None
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -210,8 +211,14 @@ class Network:
             yield "", layer
 
     def forward(self, batch: np.ndarray, train: bool = False) -> np.ndarray:
-        """Batch of stacked inputs -> one real logit per sample."""
-        x = np.asarray(batch, dtype=np.float64)
+        """Batch of stacked inputs -> one real logit per sample.
+
+        A float32 or float64 batch is computed in its own dtype; any other
+        is converted to float64.
+        """
+        x = np.asarray(batch)
+        if x.dtype not in (np.float32, np.float64):
+            x = x.astype(np.float64)
         expected = (self.input_shape[0],)
         if x.shape[1:2] != expected or x.ndim != len(self.input_shape) + 1:
             raise DataError(
@@ -221,6 +228,8 @@ class Network:
         # caught at the door rather than at the logits.
         if not np.all(np.isfinite(x)):
             raise DivergenceError("non-finite values in the input batch")
+        if train:
+            self._train_dtype = x.dtype
         for layer in self.layers:
             x = layer.forward(x, train)
         logits = x[:, 0]
@@ -228,11 +237,17 @@ class Network:
             raise DivergenceError("network produced non-finite logits")
         return logits
 
-    def backward(self, dlogits: np.ndarray):
-        dy = np.asarray(dlogits, dtype=np.float64)[:, None]
-        for layer in reversed(self.layers):
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Add the parameter gradients of the last train forward for dlogits.
+
+        The gradient of the input batch is not computed: the stem
+        convolution adds only its weight gradient.
+        """
+        dy = np.asarray(dlogits, dtype=self._train_dtype)[:, None]
+        stem, *rest = self.layers
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
+        stem._weight_backward(dy)
 
     def zero_grads(self):
         for p in self.params():

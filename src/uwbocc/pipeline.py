@@ -40,6 +40,7 @@ __all__ = [
     "NetworkScorer",
     "BaselineScorer",
     "TrainSettings",
+    "TRAIN_DTYPE",
     "run_training",
 ]
 
@@ -189,13 +190,21 @@ class TrainSettings:
         return EarlyStoppingConfig(patience=self.patience, max_epochs=self.max_epochs)
 
 
+# Dtype of training batches.  Layers compute in their input's dtype, so
+# training runs in float32 on the network's float64 master weights, while
+# validation and NetworkScorer batches stay float64 and score in float64.
+TRAIN_DTYPE = np.float32
+
+
 def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     """Yield (inputs, labels) minibatches for one epoch, deterministically.
 
-    Each draw's SNR and noise come from a SeedSequence keyed by (seed,
-    epoch, draw position), so the stream is reproducible under any worker
-    arrangement.  A trailing partial batch below 2 samples is dropped
-    because batch statistics are undefined for it.
+    Inputs are stacked in TRAIN_DTYPE (float32), so the train forward and
+    backward passes run in float32; inference stays float64.  Each draw's
+    SNR and noise come from a SeedSequence keyed by (seed, epoch, draw
+    position), so the stream is reproducible under any worker arrangement.
+    A trailing partial batch below 2 samples is dropped because batch
+    statistics are undefined for it.
     """
     batch_inputs, batch_labels = [], []
     for position, (record, _draw) in enumerate(plan_records):
@@ -208,10 +217,10 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
             corrupt(residual, ref, snr_db, rng, exact=settings.exact_scaling), dim))
         batch_labels.append(1.0 if record.label.occupied else 0.0)
         if len(batch_inputs) == settings.batch_size:
-            yield np.stack(batch_inputs), np.asarray(batch_labels)
+            yield np.stack(batch_inputs, dtype=TRAIN_DTYPE), np.asarray(batch_labels)
             batch_inputs, batch_labels = [], []
     if len(batch_inputs) >= 2:
-        yield np.stack(batch_inputs), np.asarray(batch_labels)
+        yield np.stack(batch_inputs, dtype=TRAIN_DTYPE), np.asarray(batch_labels)
 
 
 # Stream tags keeping validation-corruption seeds disjoint from the

@@ -144,12 +144,31 @@ class TestTrain:
         assert extra["reference_energy"] > 0
         assert 0.0 <= extra["best_val_auc"] <= 1.0
         assert extra["epochs_run"] <= 2
+        assert extra["train_dtype"] == "float32"
 
     def test_byte_identical_reruns(self, dataset, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         assert run("train", "--data", dataset, "--out", a, *TRAIN_FAST) == 0
         assert run("train", "--data", dataset, "--out", b, *TRAIN_FAST) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        # 1D-E at B=64 on 64x100 inputs: shapes where one GEMM over a whole
+        # column slice gives float32 weight gradients whose bits change with
+        # the OpenBLAS thread count.
+        data = tmp_path / "data"
+        assert run("simulate", "--out", data, "--count", "breathing=8", "--count", "empty=8",
+                   "--n-fast", "64", "--m-slow", "100", "--seed", "5") == 0
+        checkpoints = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-{threads}.ckpt"
+            proc = run_cli(["train", "--data", data, "--out", out, "--variant", "1D-E",
+                            "--test-per-class", "0", "--empty-test", "0", "--batch-size", "64",
+                            "--reuse-occupied", "8", "--reuse-empty", "8", "--max-epochs", "1",
+                            "--quiet"], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            checkpoints.append(out.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_creates_missing_output_directory(self, dataset, tmp_path):
         out = tmp_path / "models" / "nested" / "m.ckpt"
@@ -464,8 +483,8 @@ CONFIG_MISTAKES = {
 }
 
 
-def run_cli(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]))
+def run_cli(argv, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]), **env_vars)
     return subprocess.run([sys.executable, "-m", "uwbocc.cli", *[str(a) for a in argv]],
                           capture_output=True, text=True, env=env, timeout=120)
 

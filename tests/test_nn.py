@@ -589,6 +589,65 @@ class TestTraining:
         assert abs(p.value[0]) < 1e-2
 
 
+def leaf_layers(network):
+    return [sub for layer in network.layers
+            for sub in (layer.sublayers() if isinstance(layer, ResidualBlock) else [layer])]
+
+
+def spy(layer, method, seen):
+    """Record the dtype of every array the layer's method returns."""
+    bound = getattr(layer, method)
+
+    def wrapper(*args):
+        out = bound(*args)
+        seen.append((type(layer).__name__, method, out.dtype))
+        return out
+
+    setattr(layer, method, wrapper)
+
+
+def small_batch(name, dtype):
+    shape = (8, 12) if VARIANTS[name].dimensionality == 1 else (2, 6, 8)
+    batch = np.random.default_rng(30).standard_normal((6,) + shape)
+    return shape, batch.astype(dtype), (np.arange(6) % 2).astype(float)
+
+
+class TestComputeDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_activations_follow_the_batch_and_state_stays_float64(self, name, dtype):
+        shape, batch, labels = small_batch(name, dtype)
+        net = build_network(name, shape, seed=0)
+        seen = []
+        for layer in leaf_layers(net):
+            spy(layer, "forward", seen)
+            spy(layer, "backward", seen)
+        optimizer = AdamOptimizer(net.params(), OptimizerConfig())
+        logits = net.forward(batch, train=True)
+        assert net.backward(bce_with_logits(logits, labels)[1]) is None
+        optimizer.step()
+        # Every leaf's forward, and every leaf's backward but the stem
+        # convolution's: nothing reads the gradient of the input batch.
+        assert len(seen) == 2 * len(leaf_layers(net)) - 1
+        assert net.layers[0]._x is None
+        assert logits.dtype == dtype
+        assert {d for *_, d in seen} == {np.dtype(dtype)}, seen
+        held = ([p.grad for p in net.params()] + optimizer._m + optimizer._v
+                + [arr for _, arr in net.named_state()])
+        assert {a.dtype for a in held} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_float32_gradients_match_float64(self, name):
+        grads = []
+        for dtype in (np.float32, np.float64):
+            shape, batch, labels = small_batch(name, dtype)
+            net = build_network(name, shape, seed=0)
+            net.backward(bce_with_logits(net.forward(batch, train=True), labels)[1])
+            grads.append([p.grad for p in net.params()])
+        for g32, g64 in zip(*grads):
+            assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)
+
+
 class TestCheckpoints:
     def test_round_trip_preserves_inference(self, tmp_path):
         net = build_network("1D-E", (4, 12), seed=2)
