@@ -41,7 +41,7 @@ print(f"superposition deviation: {np.abs(both - parts).max():.2e}")
 # of the same fast-time template, hence (numerically) rank one.
 motion = MotionModel(ActivityLabel.BREATHING, rate=0.25, delay_excursion=0.0,
                      amp_excursion=0.1, jitter=0.0, phase=0.6)
-occupied = Scene(target_paths=((PathComponent(1.0, 10e-9, is_target=True), motion),),
+occupied = Scene(target_paths=((PathComponent(1.0, 10e-9), motion),),
                  clutter_paths=empty.clutter_paths)
 _, residual = mean_remove(simulate_received(occupied, cfg, rng=1))
 s = np.linalg.svd(residual, compute_uv=False)
@@ -52,7 +52,7 @@ print(f"top singular values: {s[0]:.4f}, {s[1]:.2e}  (ratio {s[1] / s[0]:.1e})")
 # spreads energy into a second component; detection still only needs the
 # residual to stand out against noise, not to be exactly rank one.
 realistic = MotionModel(ActivityLabel.BREATHING, phase=0.6)
-occupied = Scene(target_paths=((PathComponent(1.0, 10e-9, is_target=True), realistic),),
+occupied = Scene(target_paths=((PathComponent(1.0, 10e-9), realistic),),
                  clutter_paths=empty.clutter_paths)
 _, residual = mean_remove(simulate_received(occupied, cfg, rng=1))
 s = np.linalg.svd(residual, compute_uv=False)

@@ -14,12 +14,10 @@ from .augment import (
     corrupt,
     noise_sigma,
     normalize_unit_energy,
-    spectral_flatness,
 )
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
 from .dataset import (
     DatasetManifest,
-    EpochPlan,
     ManifestRecord,
     Split,
     SplitAssignment,
@@ -40,7 +38,6 @@ from .evaluate import (
     EvalRow,
     ablation,
     emit_report,
-    mann_whitney_null_std,
     plot_series,
     read_report,
     roc_auc,

@@ -26,7 +26,6 @@ __all__ = [
     "add_noise",
     "normalize_unit_energy",
     "corrupt",
-    "spectral_flatness",
 ]
 
 
@@ -94,16 +93,3 @@ def corrupt(residual: np.ndarray, ref: SnrReference, snr_db: float,
     """A detector input: add_noise at snr_db, then normalize_unit_energy."""
     return normalize_unit_energy(add_noise(residual, ref, snr_db, rng, exact=exact))
 
-
-def spectral_flatness(residual: np.ndarray) -> float:
-    """Geometric over arithmetic mean of the pooled per-row periodograms.
-
-    Computed across slow time for each fast-time row, pooled over rows.
-    White noise scores e^(-gamma) ~ 0.5615 in expectation; strongly
-    structured signals score near 0.
-    """
-    power = np.abs(np.fft.fft(residual, axis=1)) ** 2
-    power = power[power > 0]
-    if power.size == 0:
-        raise DataError("flatness is undefined for an all-zero matrix")
-    return float(np.exp(np.mean(np.log(power))) / np.mean(power))

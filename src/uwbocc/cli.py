@@ -436,7 +436,7 @@ def _config_args(ns: argparse.Namespace) -> list:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object of option values")

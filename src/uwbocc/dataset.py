@@ -13,7 +13,7 @@ import enum
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "ManifestRecord",
     "DatasetManifest",
     "SplitAssignment",
-    "EpochPlan",
     "write_cir",
     "read_cir",
     "write_dataset",
@@ -122,17 +121,6 @@ def read_cir(path) -> np.ndarray:
     return flat.reshape((n, m), order="F").astype(np.complex128)
 
 
-def _record_to_json(rec: ManifestRecord) -> dict:
-    return {
-        "file": rec.file,
-        "label": rec.label.value,
-        "car": rec.car,
-        "seat": rec.seat,
-        "participant": rec.participant,
-        "segment_index": rec.segment_index,
-    }
-
-
 def _record_from_json(obj: dict, where: str) -> ManifestRecord:
     try:
         label = ActivityLabel.from_string(obj["label"])
@@ -177,16 +165,8 @@ def write_dataset(records, manifest_path, radar: RadarConfig | None = None) -> D
     doc = {
         "format": "uwbocc-dataset",
         "version": _FORMAT_VERSION,
-        "radar": {
-            "center_freq": radar.center_freq,
-            "bandwidth": radar.bandwidth,
-            "rolloff": radar.rolloff,
-            "dt_fast": radar.dt_fast,
-            "dt_slow": radar.dt_slow,
-            "n_fast": radar.n_fast,
-            "m_slow": radar.m_slow,
-        },
-        "records": [_record_to_json(r) for r in manifest.records],
+        "radar": asdict(radar),
+        "records": [{**asdict(r), "label": r.label.value} for r in manifest.records],
     }
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
@@ -201,7 +181,7 @@ def read_manifest(manifest_path) -> DatasetManifest:
             doc = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from None
     if doc.get("format") != "uwbocc-dataset":
         raise DataError(f"{manifest_path}: not a dataset manifest (format field missing or wrong)")
@@ -268,14 +248,6 @@ class SplitAssignment:
     def records(self, split: Split) -> list[ManifestRecord]:
         return [rec for rec, s in self.assignment.items() if s is split]
 
-    def counts(self) -> dict[str, dict[str, int]]:
-        """Per-class, per-split record counts (string keyed, for reports)."""
-        table: dict[str, dict[str, int]] = {}
-        for rec, split in self.assignment.items():
-            row = table.setdefault(rec.label.value, {s.value: 0 for s in Split})
-            row[split.value] += 1
-        return table
-
 
 # Empty-class train/validation proportion of the non-test remainder, taken
 # from the published per-split counts (66 train / 100 validation).
@@ -300,8 +272,8 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
 
     Deterministic: equal inputs give equal assignments.
     """
-    if test_per_class < 0 or empty_test < 0:
-        raise ConfigError("test counts must be >= 0")
+    if test_per_class < 0 or empty_test < 0 or (empty_train or 0) < 0:
+        raise ConfigError("test and train counts must be >= 0")
     assignment: dict[ManifestRecord, Split] = {}
     deficits = []
 
@@ -332,9 +304,9 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
         if car1_validation is not None:
             n_val1 = car1_validation if isinstance(car1_validation, int) else int(
                 car1_validation.get(label, car1_validation.get(label.value, 0)))
-            if n_val1 > len(car1):
-                raise ConfigError(
-                    f"car1_validation asks for {n_val1} {label.value} records, car1 has {len(car1)}")
+            if not 0 <= n_val1 <= len(car1):
+                raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
+                                  f"car1 has {len(car1)}")
         for i, rec in enumerate(car1):
             assignment[rec] = Split.VALIDATION if i >= len(car1) - n_val1 else Split.TRAIN
         cut = max(len(car2) - test_per_class, 0)
@@ -354,27 +326,13 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     return split
 
 
-@dataclass(frozen=True)
-class EpochPlan:
-    """Ordered draw schedule for one training epoch.
-
-    Each entry pairs a training record with a draw index; the index counts
-    that record's reuses, so (record, draw) is unique and can seed the noise
-    generator for the draw.
-    """
-
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def build_epoch_plan(split: SplitAssignment, seed: int,
-                     reuse_occupied: int = 200, reuse_empty: int = 3000) -> EpochPlan:
+                     reuse_occupied: int = 200, reuse_empty: int = 3000) -> tuple:
     """Expand the training records into a seeded, shuffled draw schedule.
 
-    Occupied records appear reuse_occupied times and empty records
-    reuse_empty times, rebalancing the class masses.
+    Returns the epoch's training records in draw order.  Occupied records
+    appear reuse_occupied times and empty records reuse_empty times,
+    rebalancing the class masses.
     """
     if reuse_occupied < 1 or reuse_empty < 1:
         raise ConfigError("reuse factors must be >= 1")
@@ -384,7 +342,7 @@ def build_epoch_plan(split: SplitAssignment, seed: int,
     if not occupied or not empty:
         raise DataError(
             f"epoch plan needs both classes in train: {len(occupied)} occupied, {len(empty)} empty")
-    entries = [(rec, k) for rec in occupied for k in range(reuse_occupied)]
-    entries += [(rec, k) for rec in empty for k in range(reuse_empty)]
+    entries = [rec for rec in occupied for _ in range(reuse_occupied)]
+    entries += [rec for rec in empty for _ in range(reuse_empty)]
     order = np.random.default_rng(seed).permutation(len(entries))
-    return EpochPlan(tuple(entries[i] for i in order))
+    return tuple(entries[i] for i in order)

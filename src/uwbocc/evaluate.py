@@ -15,12 +15,11 @@ constants so report footers can show them next to fresh results.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "REFERENCE_MESSAGE_PASSING_AUC",
     "REFERENCE_OPERATING_POINT",
     "roc_auc",
-    "mann_whitney_null_std",
     "EvalRow",
     "EvalReport",
     "snr_sweep",
@@ -88,11 +86,6 @@ def roc_auc(scores, labels) -> float:
     average = last - 0.5 * (counts - 1)  # exact half-integers
     rank_sum = float(average[group[pos]].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def mann_whitney_null_std(n_pos: int, n_neg: int) -> float:
-    """Standard deviation of AUC under the no-skill null (no ties)."""
-    return float(np.sqrt((n_pos + n_neg + 1) / (12.0 * n_pos * n_neg)))
 
 
 @dataclass(frozen=True)
@@ -172,6 +165,9 @@ def _score_points(scorers, points, negatives, ref, seed, exact, threads) -> list
     (seed, act_idx, snr_idx, k), and that one batch goes to every scorer,
     so results depend neither on threads nor on which scorers share a run.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+
     def run(point):
         act_idx, _, positives, snr_idx, snr_db = point
         inputs = [corrupt(residual, ref, snr_db,
@@ -274,15 +270,9 @@ def ablation(scorers: dict, samples, ref: SnrReference,
 _CSV_COLUMNS = ("name", "activity", "snr_db", "auc", "flops", "n_pos", "n_neg", "seed")
 
 
-class ReportFormat(enum.Enum):
-    CSV = "csv"
-    JSON = "json"
-
-
-def emit_report(report: EvalReport, fmt: ReportFormat | str, path) -> None:
-    """Write a report deterministically; equal reports give equal bytes."""
-    fmt = ReportFormat(fmt) if not isinstance(fmt, ReportFormat) else fmt
-    if fmt is ReportFormat.CSV:
+def emit_report(report: EvalReport, fmt: str, path) -> None:
+    """Write a report as fmt "csv" or "json"; equal reports give equal bytes."""
+    if fmt == "csv":
         lines = [",".join(_CSV_COLUMNS)]
         for row in report.rows:
             lines.append(",".join([
@@ -290,20 +280,16 @@ def emit_report(report: EvalReport, fmt: ReportFormat | str, path) -> None:
                 str(row.flops), str(row.n_pos), str(row.n_neg), str(report.seed),
             ]))
         text = "\n".join(lines) + "\n"
-    else:
+    elif fmt == "json":
         doc = {
             "config": report.config,
             "config_hash": report.config_hash,
             "seed": report.seed,
-            "rows": [
-                {
-                    "name": r.name, "activity": r.activity, "snr_db": r.snr_db,
-                    "auc": r.auc, "flops": r.flops, "n_pos": r.n_pos, "n_neg": r.n_neg,
-                }
-                for r in report.rows
-            ],
+            "rows": [asdict(r) for r in report.rows],
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        raise ConfigError(f"report format must be 'csv' or 'json', got {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
@@ -315,7 +301,7 @@ def read_report(path) -> EvalReport:
             doc = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read report {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"report {path} is not valid JSON: {exc}") from None
     try:
         rows = tuple(

@@ -1,6 +1,6 @@
 """From-scratch differentiable network engine (numpy only)."""
 
-from .gradcheck import check_layer_gradients, check_network_gradient, relative_error
+from .gradcheck import check_layer_gradients, check_network_gradient
 from .layers import BatchNorm, Conv1d, Conv2d, Dense, GlobalAvgPool, Layer, Param, ReLU
 from .model import (
     VARIANTS,

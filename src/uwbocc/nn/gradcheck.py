@@ -17,7 +17,7 @@ from .layers import Layer
 from .model import Network
 from .training import bce_with_logits
 
-__all__ = ["relative_error", "check_layer_gradients", "check_network_gradient"]
+__all__ = ["check_layer_gradients", "check_network_gradient"]
 
 
 def relative_error(analytic: float, numeric: float) -> float:

@@ -19,8 +19,9 @@ affine pairs; running statistics are state, not parameters.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,25 +62,21 @@ class ArchitectureVariant:
             raise ConfigError("initial_filters, n_double, n_total must all be >= 1")
 
 
-def _v(name, dim, filters, double, total):
-    return ArchitectureVariant(name, dim, filters, double, total)
-
-
 # The ten published rows: five 1D and five 2D variants ordered largest to
 # smallest within each family.
 VARIANTS: dict[str, ArchitectureVariant] = {
     v.name: v
     for v in (
-        _v("1D-A", 1, 32, 3, 12),
-        _v("1D-B", 1, 16, 3, 9),
-        _v("1D-C", 1, 16, 2, 6),
-        _v("1D-D", 1, 16, 1, 3),
-        _v("1D-E", 1, 8, 1, 3),
-        _v("2D-A", 2, 16, 3, 9),
-        _v("2D-B", 2, 16, 2, 6),
-        _v("2D-C", 2, 8, 2, 6),
-        _v("2D-D", 2, 8, 2, 4),
-        _v("2D-E", 2, 4, 2, 4),
+        ArchitectureVariant("1D-A", 1, 32, 3, 12),
+        ArchitectureVariant("1D-B", 1, 16, 3, 9),
+        ArchitectureVariant("1D-C", 1, 16, 2, 6),
+        ArchitectureVariant("1D-D", 1, 16, 1, 3),
+        ArchitectureVariant("1D-E", 1, 8, 1, 3),
+        ArchitectureVariant("2D-A", 2, 16, 3, 9),
+        ArchitectureVariant("2D-B", 2, 16, 2, 6),
+        ArchitectureVariant("2D-C", 2, 8, 2, 6),
+        ArchitectureVariant("2D-D", 2, 8, 2, 4),
+        ArchitectureVariant("2D-E", 2, 4, 2, 4),
     )
 }
 
@@ -177,12 +174,11 @@ class Network:
     """A built detector network; scores batches and exposes its parameters."""
 
     def __init__(self, variant: ArchitectureVariant, input_shape: tuple,
-                 kernel: int, layers: list[Layer], blocks: list[ResidualBlock], seed: int):
+                 kernel: int, layers: list[Layer], seed: int):
         self.variant = variant
         self.input_shape = tuple(input_shape)
         self.kernel = kernel
         self.layers = layers
-        self.blocks = blocks
         self.seed = seed
         self._train_dtype = None
 
@@ -219,8 +215,7 @@ class Network:
         x = np.asarray(batch)
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)
-        expected = (self.input_shape[0],)
-        if x.shape[1:2] != expected or x.ndim != len(self.input_shape) + 1:
+        if x.shape[1:] != self.input_shape:
             raise DataError(
                 f"network expects batches shaped (B, {', '.join(map(str, self.input_shape))}), "
                 f"got {x.shape}")
@@ -283,16 +278,13 @@ def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
         BatchNorm(variant.initial_filters),
         ReLU(),
     ]
-    blocks: list[ResidualBlock] = []
     channels = variant.initial_filters
     for b, c_out in enumerate(plan):
-        block = ResidualBlock(variant.dimensionality, channels, c_out, kernel, seeds[b + 1])
-        blocks.append(block)
-        layers.append(block)
+        layers.append(ResidualBlock(variant.dimensionality, channels, c_out, kernel, seeds[b + 1]))
         channels = c_out
     layers.append(GlobalAvgPool())
     layers.append(Dense(channels, 1, seeds[-1]))
-    return Network(variant, input_shape, kernel, layers, blocks, seed)
+    return Network(variant, input_shape, kernel, layers, seed)
 
 
 def param_count(network: Network) -> int:
@@ -303,9 +295,9 @@ def _conv_flops(c_in, c_out, kernel_elems, spatial) -> int:
     return 2 * c_in * c_out * kernel_elems * spatial
 
 
-def flop_count(network: Network, input_shape: tuple | None = None) -> int:
-    """Forward-pass operation count under the documented convention."""
-    shape = tuple(input_shape) if input_shape is not None else network.input_shape
+def flop_count(network: Network) -> int:
+    """Forward-pass operation count of one sample under the documented convention."""
+    shape = network.input_shape
     variant = network.variant
     spatial = int(np.prod(shape[1:]))
     kernel_elems = network.kernel ** variant.dimensionality
@@ -344,13 +336,7 @@ def save_checkpoint(network: Network, path, extra: dict | None = None) -> None:
     entries = network.named_state()
     header = {
         "magic": "UWBN",
-        "variant": {
-            "name": network.variant.name,
-            "dimensionality": network.variant.dimensionality,
-            "initial_filters": network.variant.initial_filters,
-            "n_double": network.variant.n_double,
-            "n_total": network.variant.n_total,
-        },
+        "variant": asdict(network.variant),
         "input_shape": list(network.input_shape),
         "kernel": network.kernel,
         "seed": network.seed,
@@ -366,41 +352,76 @@ def save_checkpoint(network: Network, path, extra: dict | None = None) -> None:
             handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _state_size(variant: ArchitectureVariant, c_in: int, kernel: int, limit: int) -> int:
+    """Values in the named_state of a network built from this spec, counted without building it.
+
+    A convolution holds c_in * c_out * kernel**d weights, a BatchNorm four
+    values per channel (gamma, beta, running mean and variance), the dense
+    layer one weight per channel and a bias.  Block widths follow
+    channel_plan.  Counting stops once the total passes limit, so an absurd
+    depth or width costs nothing.
+    """
+    taps = kernel ** variant.dimensionality
+    channels = variant.initial_filters
+    total = c_in * channels * taps + 4 * channels  # stem
+    for b in range(variant.n_total):
+        if not total <= limit:
+            return total
+        c_out = variant.initial_filters * 2 ** (b // variant.n_double)
+        total += (channels + c_out) * c_out * taps + 8 * c_out  # conv1, bn1, conv2, bn2
+        if c_out != channels:
+            total += channels * c_out + 4 * c_out  # 1x1 projection and its BatchNorm
+        channels = c_out
+    return total + channels + 1
+
+
 def load_checkpoint(path) -> tuple[Network, dict]:
-    """Rebuild a network from a checkpoint; returns (network, extra metadata)."""
+    """Rebuild a network from a checkpoint; returns (network, extra metadata).
+
+    The header's array shapes must tile the payload, and the network its
+    variant, input channels and kernel describe must hold exactly the
+    payload's values.  Both are checked before the network is built, so a
+    garbled header cannot make the load allocate more than the file holds.
+    """
     try:
         with open(path, "rb") as handle:
             magic = handle.read(4)
             if magic != _CKPT_MAGIC:
                 raise DataError(f"{path}: not a checkpoint file (magic {magic!r})")
             (header_len,) = struct.unpack("<I", handle.read(4))
-            header = json.loads(handle.read(header_len).decode("utf-8"))
-            payload = handle.read()
+            rest = handle.read()  # a garbled header_len must not size a read of its own
+        header = json.loads(rest[:header_len].decode("utf-8"))
+        payload = rest[header_len:]
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     except (ValueError, struct.error) as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from None
 
     try:
-        spec = header["variant"]
-        variant = ArchitectureVariant(spec["name"], spec["dimensionality"],
-                                      spec["initial_filters"], spec["n_double"], spec["n_total"])
+        variant = ArchitectureVariant(**header["variant"])
+        layout = [(meta["name"], meta["shape"]) for meta in header["arrays"]]
+        if not all(isinstance(d, int) and d >= 0 for _, shape in layout for d in shape):
+            raise ValueError("array shapes must list non-negative integers")
+        offset = 0  # in bytes; a payload cut inside a value is truncated, not malformed
+        arrays = []
+        for name, shape in layout:
+            size = math.prod(shape)
+            if offset + 4 * size > len(payload):
+                raise DataError(f"checkpoint {path} payload truncated at {name}")
+            arrays.append(np.frombuffer(payload, "<f4", size, offset)
+                          .astype(np.float64).reshape(shape))
+            offset += 4 * size
+        if offset != len(payload):
+            raise DataError(f"checkpoint {path} payload has {len(payload) - offset} trailing bytes")
+        n_values = offset // 4
+        if _state_size(variant, header["input_shape"][0], header["kernel"], n_values) != n_values:
+            raise DataError(f"checkpoint {path}: the {variant.name} network its header describes "
+                            f"does not hold the {n_values} values of its payload")
         network = build_network(variant, tuple(header["input_shape"]),
                                 kernel=header["kernel"], seed=header["seed"])
-        layout = [(meta["name"], meta["shape"]) for meta in header["arrays"]]
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: "
                         f"{type(exc).__name__} {exc}") from None
-    offset = 0  # in bytes; a payload cut inside a value is truncated, not malformed
-    arrays = []
-    for name, shape in layout:
-        size = int(np.prod(shape)) if shape else 1
-        if offset + 4 * size > len(payload):
-            raise DataError(f"checkpoint {path} payload truncated at {name}")
-        arrays.append(np.frombuffer(payload, "<f4", size, offset).astype(np.float64).reshape(shape))
-        offset += 4 * size
-    if offset != len(payload):
-        raise DataError(f"checkpoint {path} payload has {len(payload) - offset} trailing bytes")
 
     entries = network.named_state()
     if len(entries) != len(arrays):

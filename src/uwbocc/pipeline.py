@@ -182,6 +182,9 @@ class TrainSettings:
             raise ConfigError("training SNR bounds must be finite")
         if self.snr_lo > self.snr_hi:
             raise ConfigError(f"snr_lo {self.snr_lo} exceeds snr_hi {self.snr_hi}")
+        if not (math.isfinite(self.validation_snr) or self.validation_snr == math.inf):
+            raise ConfigError(
+                f"validation SNR must be finite or +inf (noise-free), got {self.validation_snr}")
 
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
@@ -207,7 +210,7 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     statistics are undefined for it.
     """
     batch_inputs, batch_labels = [], []
-    for position, (record, _draw) in enumerate(plan_records):
+    for position, record in enumerate(plan_records):
         residual = residual_by_file[record.file]
         rng = np.random.default_rng(np.random.SeedSequence((settings.seed, epoch, position)))
         snr_db = float(rng.uniform(settings.snr_lo, settings.snr_hi))
@@ -284,7 +287,7 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
         plan = build_epoch_plan(split, seed=int(np.random.SeedSequence(
             (settings.seed, epoch)).generate_state(1)[0]),
             reuse_occupied=settings.reuse_occupied, reuse_empty=settings.reuse_empty)
-        return _epoch_batches(plan.entries, residual_by_file, ref, settings,
+        return _epoch_batches(plan, residual_by_file, ref, settings,
                               variant.dimensionality, epoch)
 
     history = train_network(network, batches, scorer,

@@ -113,7 +113,6 @@ class PathComponent:
 
     amplitude: complex
     delay: float
-    is_target: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.amplitude):
@@ -218,8 +217,8 @@ class Scene:
         object.__setattr__(self, "clutter_paths", tuple(self.clutter_paths))
         if len(self.target_paths) + len(self.clutter_paths) < 1:
             raise ConfigError("a scene needs at least one propagation path")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _check_delay_window(delays, cfg: RadarConfig):
@@ -300,7 +299,7 @@ def _random_target(rng, cfg: RadarConfig, kind: ActivityLabel,
         jitter=float(base["jitter"]),
         phase=float(rng.uniform(0.0, 2.0 * np.pi)),
     )
-    return PathComponent(complex(amp), float(delay), is_target=True), motion
+    return PathComponent(complex(amp), float(delay)), motion
 
 
 def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
@@ -411,7 +410,7 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
             )
             if section:
                 raise ConfigError(f"{where}: unknown target keys {sorted(section)}")
-            targets.append((PathComponent(amplitude, delay, is_target=True), motion))
+            targets.append((PathComponent(amplitude, delay), motion))
         section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -451,6 +450,6 @@ def load_scene(path) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scene file {path}: {exc}") from None
     return parse_scene(text, source=str(path))

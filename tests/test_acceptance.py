@@ -173,7 +173,7 @@ def test_criterion_4_signal_model_invariants():
 
     motion = MotionModel(ActivityLabel.BREATHING, rate=0.25, delay_excursion=0.0,
                          amp_excursion=0.1, jitter=0.0, phase=0.6)
-    scene = Scene(target_paths=((PathComponent(1.0, 10e-9, is_target=True), motion),),
+    scene = Scene(target_paths=((PathComponent(1.0, 10e-9), motion),),
                   clutter_paths=(PathComponent(0.5, 4e-9),))
     _, residual = mean_remove(simulate_received(scene, cfg, rng=1))
     singulars = np.linalg.svd(residual, compute_uv=False)

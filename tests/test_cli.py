@@ -443,6 +443,27 @@ def truncated_checkpoint(tmp_path):
     return path
 
 
+def models_dir(tmp_path):
+    """A directory holding one random-init 1D-E checkpoint for SIM's 16 x 24 inputs."""
+    models = tmp_path / "models"
+    models.mkdir()
+    save_checkpoint(build_network("1D-E", (32, 24), seed=0), models / "1D-E.ckpt")
+    return models
+
+
+def non_utf8(path, text):
+    """Write text with one 0xff byte, which no UTF-8 text holds, replacing its second byte."""
+    blob = text.encode("utf-8")
+    path.write_bytes(blob[:1] + b"\xff" + blob[2:])
+    return path
+
+
+def garbled_manifest(data):
+    """The dataset at data, its manifest.json now holding a 0xff byte."""
+    non_utf8(data / "manifest.json", (data / "manifest.json").read_text())
+    return data
+
+
 USER_MISTAKES = {
     "class count not an integer": (
         lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
@@ -471,6 +492,54 @@ USER_MISTAKES = {
     "negative synthetic negatives": (
         lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
                            "--synthetic-negatives", "-3", "--out", tmp / "r.json"], 2),
+    # A header that asks for far more weights than the payload holds is
+    # rejected before the network is built (n_total 93 would allocate GBs).
+    "checkpoint header deeper than its payload": (
+        lambda data, tmp: ["evaluate", "--data", data, "--model",
+                           edited_checkpoint(tmp, lambda h: h["variant"].update(n_total=93)),
+                           "--out", tmp / "r.json"], 3),
+    "checkpoint array shape with a negative size": (
+        lambda data, tmp: ["evaluate", "--data", data, "--model",
+                           edited_checkpoint(tmp, lambda h: h["arrays"][0].update(
+                               shape=[8, -32, 3])),
+                           "--out", tmp / "r.json"], 3),
+    "checkpoint shape differs from the dataset": (
+        lambda data, tmp: ["evaluate", "--data", data, "--model",
+                           edited_checkpoint(tmp, lambda h: h.update(input_shape=[32, 20])),
+                           "--out", tmp / "r.json"], 3),
+    "report not UTF-8": (
+        lambda data, tmp: ["report", non_utf8(tmp / "bad.json", '{"rows": []}')], 3),
+    "manifest not UTF-8": (
+        lambda data, tmp: ["evaluate", "--data", garbled_manifest(data), "--detector", "energy",
+                           "--out", tmp / "r.json"], 3),
+    "config not UTF-8": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--config", non_utf8(tmp / "bad.json", '{"seed": 1}'),
+                           "--out", tmp / "r.json"], 2),
+    "scene file not UTF-8": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--scene", non_utf8(tmp / "bad.txt", "noise_sigma = 0\n")], 2),
+    "validation SNR -inf": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--validation-snr=-inf", *TRAIN_FAST], 2),
+    "validation SNR nan": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--validation-snr", "nan", *TRAIN_FAST], 2),
+    "negative empty-train": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--empty-train=-5", *TRAIN_FAST], 2),
+    "negative car1-validation": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--car1-validation", "breathing=-2", *TRAIN_FAST], 2),
+    "zero threads": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10", "--threads", "0", "--out", tmp / "r.json"], 2),
+    "negative threads": (
+        lambda data, tmp: ["ablate", "--data", data, "--models", models_dir(tmp),
+                           "--allow-missing", "--threads=-2", "--out", tmp / "r.json"], 2),
+    "NaN sensor noise": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--sensor-noise", "nan"], 2),
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2

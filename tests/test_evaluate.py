@@ -1,11 +1,13 @@
 """AUC computation, SNR sweeps, ablation assembly, report serialization."""
 
 import json
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbocc.augment import SnrReference
@@ -19,7 +21,6 @@ from uwbocc.evaluate import (
     EvalRow,
     ablation,
     emit_report,
-    mann_whitney_null_std,
     plot_series,
     read_report,
     roc_auc,
@@ -131,15 +132,10 @@ class TestRocAuc:
         rng = np.random.default_rng(2)
         n_pos, n_neg = 60, 140
         labels = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
-        sigma = mann_whitney_null_std(n_pos, n_neg)
+        sigma = np.sqrt((n_pos + n_neg + 1) / (12.0 * n_pos * n_neg))  # no-skill null, no ties
         aucs = [roc_auc(rng.standard_normal(n_pos + n_neg), labels) for _ in range(200)]
         assert abs(np.mean(aucs) - 0.5) < 4 * sigma / np.sqrt(200)
         assert np.std(aucs) == pytest.approx(sigma, rel=0.25)
-
-    def test_null_std_formula(self):
-        assert mann_whitney_null_std(1, 1) == pytest.approx(0.5)
-        assert mann_whitney_null_std(100, 100) == pytest.approx(
-            np.sqrt(201 / 120000), rel=1e-12)
 
 
 class TestReportTypes:
@@ -359,6 +355,17 @@ class TestAblation:
         assert report.rows[0].snr_db == -18.0
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+ROWS = st.builds(EvalRow, name=st.text(max_size=8), activity=st.text(max_size=8), snr_db=finite,
+                 auc=st.floats(0.0, 1.0), flops=st.integers(0, 2**64), n_pos=st.integers(1, 10**9),
+                 n_neg=st.integers(1, 10**9))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
 class TestReportIo:
     def make_report(self):
         rows = (
@@ -409,6 +416,34 @@ class TestReportIo:
         malformed.write_text('{"rows": [{"name": "x"}], "seed": 0, "config": {}}')
         with pytest.raises(DataError, match="malformed"):
             read_report(malformed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(ROWS, max_size=4), seed=st.integers(-2**63, 2**63),
+           config=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
+    def test_json_round_trip_of_generated_reports(self, rows, seed, config):
+        report = EvalReport(rows, seed, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            emit_report(report, "json", path)
+            assert read_report(path) == report
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_replaced_byte_loads_or_raises_data_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            emit_report(self.make_report(), "json", path)
+            blob = path.read_bytes()
+            at = data.draw(st.integers(0, len(blob) - 1))
+            path.write_bytes(blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:])
+            try:
+                read_report(path)
+            except DataError:
+                pass
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="csv"):
+            emit_report(self.make_report(), "xml", tmp_path / "report.xml")
 
     def test_plot_series_sorted_by_x(self):
         series = plot_series(self.make_report())

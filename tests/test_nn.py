@@ -263,6 +263,10 @@ class TestReLU:
         assert not [v for v in vars(relu).values() if isinstance(v, np.ndarray)]
 
 
+def residual_blocks(net):
+    return [layer for layer in net.layers if isinstance(layer, ResidualBlock)]
+
+
 class TestBuildNetwork:
     def test_small_variant_plan(self):
         assert channel_plan(VARIANTS["1D-E"]) == [8, 16, 32]
@@ -274,15 +278,15 @@ class TestBuildNetwork:
         variant = ArchitectureVariant("custom", 1, 6, 1, 1)
         net = build_network(variant, (2, 10))
         assert channel_plan(variant) == [6]
-        assert len(net.blocks) == 1
-        assert not net.blocks[0].has_projection
+        (block,) = residual_blocks(net)
+        assert not block.has_projection
 
     def test_projections_exactly_at_channel_changes(self):
         for name, variant in VARIANTS.items():
             net = build_network(variant, (4, 6) if variant.dimensionality == 1 else (2, 5, 5))
             plan = channel_plan(variant)
             previous = variant.initial_filters
-            for block, c_out in zip(net.blocks, plan):
+            for block, c_out in zip(residual_blocks(net), plan, strict=True):
                 assert block.has_projection == (previous != c_out), name
                 previous = c_out
 
@@ -301,10 +305,9 @@ class TestComplexityAccounting:
         assert sum(p.value.size for p in conv.params()) == 4 * 8 * 3 == 96
 
     def test_flops_scale_with_length(self):
-        net = build_network("1D-E", (4, 100), seed=0)
         channels = channel_plan(VARIANTS["1D-E"])[-1]
-        f100 = flop_count(net, (4, 100))
-        f200 = flop_count(net, (4, 200))
+        f100 = flop_count(build_network("1D-E", (4, 100), seed=0))
+        f200 = flop_count(build_network("1D-E", (4, 200), seed=0))
         # every term is linear in spatial size except the final dense layer
         assert f200 - 2 * channels == 2 * (f100 - 2 * channels)
 
@@ -685,6 +688,45 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(DataError, match="truncat"):
             load_checkpoint(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(list(VARIANTS.values()))
+           | st.builds(ArchitectureVariant, st.just("custom"), st.sampled_from([1, 2]),
+                       st.integers(1, 4), st.integers(1, 2), st.integers(1, 3)),
+           kernel=st.sampled_from([1, 3]), c_in=st.integers(1, 3), seed=st.integers(0, 2**32),
+           extra=st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6),
+                                 max_size=3))
+    def test_round_trip_of_generated_networks(self, variant, kernel, c_in, seed, extra):
+        net = build_network(variant, (c_in,) + (5,) * variant.dimensionality,
+                            kernel=kernel, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _, arr in net.named_state():  # running statistics included
+            arr[...] = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-3, 4)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(net, Path(tmp) / "net.ckpt", extra=extra)
+            loaded, loaded_extra = load_checkpoint(Path(tmp) / "net.ckpt")
+        assert (loaded.variant, loaded.input_shape, loaded.kernel, loaded.seed) == (
+            variant, net.input_shape, kernel, seed)
+        assert loaded_extra == extra
+        assert [name for name, _ in loaded.named_state()] == [name for name, _ in net.named_state()]
+        for (_, back), (_, original) in zip(loaded.named_state(), net.named_state()):
+            assert np.array_equal(back, original.astype(np.float32).astype(np.float64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_replaced_header_byte_loads_or_raises_data_error(self, data):
+        # A garbled header must be rejected before it sizes any allocation.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flipped.ckpt"
+            save_checkpoint(build_network("1D-E", (2, 8), seed=1), path,
+                            extra={"reference_energy": 0.5})
+            blob = path.read_bytes()
+            at = data.draw(st.integers(0, 8 + int.from_bytes(blob[4:8], "little") - 1))
+            path.write_bytes(blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:])
+            try:
+                load_checkpoint(path)
+            except DataError:
+                pass
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
 from uwbocc.errors import ConfigError
@@ -95,7 +97,7 @@ class TestSimulateReceived:
 
     def test_target_motion_breaks_column_equality(self):
         motion = MotionModel.default_for(ActivityLabel.BREATHING)
-        scene = Scene(target_paths=((PathComponent(1.0, 10e-9, is_target=True), motion),))
+        scene = Scene(target_paths=((PathComponent(1.0, 10e-9), motion),))
         cir = simulate_received(scene, CFG, rng=3)
         _, residual = mean_remove(cir)
         assert frobenius_energy(residual) > 0.0
@@ -104,7 +106,7 @@ class TestSimulateReceived:
         # breathing delay excursions are tiny against the pulse width, so the
         # residual comes almost entirely from carrier phase rotation; killing
         # the excursion must kill most of the residual energy
-        path = PathComponent(1.0, 10e-9, is_target=True)
+        path = PathComponent(1.0, 10e-9)
         motion = MotionModel.default_for(ActivityLabel.BREATHING)
         still = MotionModel.default_for(ActivityLabel.BREATHING, delay_excursion=0.0)
         lively = simulate_received(Scene(target_paths=((path, motion),)), CFG, rng=11)
@@ -115,7 +117,7 @@ class TestSimulateReceived:
         assert frobenius_energy(res_lively) > 10.0 * frobenius_energy(res_frozen)
 
     def test_residual_energy_ordering_across_activities(self):
-        path = PathComponent(1.0, 12e-9, is_target=True)
+        path = PathComponent(1.0, 12e-9)
         energies = {}
         for label in (ActivityLabel.BREATHING, ActivityLabel.TALKING, ActivityLabel.MOVING):
             total = 0.0
@@ -149,7 +151,7 @@ class TestSimulateReceived:
     def test_determinism(self):
         motion = MotionModel.default_for(ActivityLabel.TALKING)
         scene = Scene(
-            target_paths=((PathComponent(1.0, 10e-9, is_target=True), motion),),
+            target_paths=((PathComponent(1.0, 10e-9), motion),),
             clutter_paths=(PathComponent(0.5, 3e-9),),
             noise_sigma=0.01,
         )
@@ -216,7 +218,41 @@ class TestSynthDataset:
             synth_dataset({"empty": -1}, CFG, rng=0)
 
 
+def format_scene(scene) -> str:
+    """The scene in parse_scene's text format, every float written with repr."""
+    def path_lines(section, path):
+        return [f"[{section}]", f"amplitude = {path.amplitude.real!r} {path.amplitude.imag!r}",
+                f"delay = {path.delay!r}"]
+
+    lines = [f"noise_sigma = {scene.noise_sigma!r}"]
+    for path in scene.clutter_paths:
+        lines += path_lines("clutter", path)
+    for path, motion in scene.target_paths:
+        lines += path_lines("target", path) + [f"activity = {motion.kind.value}"]
+        lines += [f"{key} = {getattr(motion, key)!r}"
+                  for key in ("rate", "delay_excursion", "amp_excursion", "jitter", "phase")]
+    return "\n".join(lines) + "\n"
+
+
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+PATHS = st.builds(PathComponent, st.complex_numbers(allow_nan=False, allow_infinity=False),
+                  non_negative)
+MOTIONS = st.builds(
+    MotionModel, st.sampled_from([lab for lab in ActivityLabel if lab.occupied]),
+    rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    delay_excursion=non_negative, amp_excursion=non_negative, jitter=non_negative,
+    phase=st.floats(allow_nan=False, allow_infinity=False))
+SCENES = st.tuples(st.lists(st.tuples(PATHS, MOTIONS), max_size=3),
+                   st.lists(PATHS, max_size=3), non_negative).filter(
+    lambda parts: parts[0] or parts[1]).map(lambda parts: Scene(*parts))
+
+
 class TestSceneParsing:
+    @settings(max_examples=100, deadline=None)
+    @given(SCENES)
+    def test_reads_back_a_formatted_scene(self, scene):
+        assert parse_scene(format_scene(scene)) == scene
+
     def test_round_trip_small_scene(self):
         text = """
         # two static reflectors and one breathing target
@@ -243,7 +279,6 @@ class TestSceneParsing:
         assert scene.clutter_paths[1].delay == 12e-9
         assert len(scene.target_paths) == 1
         path, motion = scene.target_paths[0]
-        assert path.is_target
         assert motion.kind is ActivityLabel.BREATHING
         assert motion.rate == 0.3
 

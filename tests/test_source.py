@@ -1,0 +1,30 @@
+"""Static checks over the library source."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import uwbocc
+
+PACKAGE = Path(uwbocc.__file__).parent
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_no_assert_statements_and_every_export_resolves():
+    # python -O strips assert statements, so a check written as one is
+    # gone exactly where nobody looks; and a name left in __all__ after
+    # its definition was deleted breaks `from ... import *`.
+    asserts, stale = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        asserts += [f"{module_name(path)}:{node.lineno}"
+                    for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        module = importlib.import_module(module_name(path))
+        stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert not asserts, f"assert statements in the library: {asserts}"
+    assert not stale, f"__all__ entries that do not resolve: {stale}"
