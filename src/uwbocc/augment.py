@@ -63,21 +63,26 @@ def add_noise(residual: np.ndarray, ref: SnrReference, snr_db: float,
     energy and matrix size, never on the sample being corrupted.  With
     exact=True the drawn noise is rescaled so e_s/||V||^2 equals
     10^(snr_db/10) exactly.  snr_db = +inf is a noise-free passthrough.
-    Deterministic per seed.
+    Deterministic per seed.  The noise is built in place in one complex
+    buffer: the real half is drawn first, then the imaginary half.
     """
     if math.isinf(snr_db) and snr_db > 0:
         return residual
     rng = np.random.default_rng(rng)
     shape = residual.shape
     sigma2 = noise_sigma(ref, snr_db, *shape)
-    noise = math.sqrt(sigma2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= math.sqrt(sigma2)
     if exact:
         target = ref.e_s * 10.0 ** (-snr_db / 10.0)
         got = frobenius_energy(noise)
         if got == 0.0:
             raise DataError("drawn noise has zero energy; cannot scale exactly")
         noise *= math.sqrt(target / got)
-    return residual + noise
+    noise += residual
+    return noise
 
 
 def normalize_unit_energy(residual: np.ndarray) -> np.ndarray:

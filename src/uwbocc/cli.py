@@ -205,8 +205,8 @@ def cmd_train(ns) -> int:
 
 
 def cmd_evaluate(ns) -> int:
-    manifest, records = read_dataset(_manifest_path(_resolve_data_dir(ns.data)))
-    samples = residual_samples(records)
+    # Keep only the residuals: holding the records too would double the data in memory.
+    samples = residual_samples(read_dataset(_manifest_path(_resolve_data_dir(ns.data)))[1])
     checkpoint_extra = None
     if ns.detector == "resnet":
         if not ns.model:
@@ -227,8 +227,8 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
-    manifest, records = read_dataset(_manifest_path(_resolve_data_dir(ns.data)))
-    samples = residual_samples(records)
+    # Keep only the residuals: holding the records too would double the data in memory.
+    samples = residual_samples(read_dataset(_manifest_path(_resolve_data_dir(ns.data)))[1])
     models_dir = Path(ns.models)
     if not models_dir.is_dir():
         raise DataError(f"{models_dir} is not a directory of checkpoints")

@@ -274,6 +274,14 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     """
     if test_per_class < 0 or empty_test < 0 or (empty_train or 0) < 0:
         raise ConfigError("test and train counts must be >= 0")
+    requested: dict = {}
+    if isinstance(car1_validation, dict):
+        for key, value in car1_validation.items():
+            try:
+                label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
+            except ValueError as exc:
+                raise ConfigError(f"car1_validation: {exc}") from None
+            requested[label] = int(value)
     assignment: dict[ManifestRecord, Split] = {}
     deficits = []
 
@@ -302,8 +310,8 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
             deficits.append(f"{label.value}: {len(car2)} car2 records < {test_per_class} test")
         n_val1 = 0
         if car1_validation is not None:
-            n_val1 = car1_validation if isinstance(car1_validation, int) else int(
-                car1_validation.get(label, car1_validation.get(label.value, 0)))
+            n_val1 = (car1_validation if isinstance(car1_validation, int)
+                      else requested.pop(label, 0))
             if not 0 <= n_val1 <= len(car1):
                 raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
                                   f"car1 has {len(car1)}")
@@ -312,6 +320,13 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
         cut = max(len(car2) - test_per_class, 0)
         for i, rec in enumerate(car2):
             assignment[rec] = Split.TEST if i >= cut else Split.VALIDATION
+
+    # Requests the loop above did not take: labels with no occupied records.
+    for label, n_val1 in requested.items():
+        if n_val1 != 0:
+            where = ("the empty class is not split by car" if label is ActivityLabel.EMPTY
+                     else "car1 has 0")
+            raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, {where}")
 
     if deficits:
         raise DataError("insufficient samples for the requested split: " + "; ".join(sorted(deficits)))

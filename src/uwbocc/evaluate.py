@@ -150,36 +150,77 @@ def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
     return activities, negatives
 
 
-def _score_grid_point(scorer, positives, negatives) -> tuple[float, int, int]:
-    """(auc, n_pos, n_neg) of one scorer on already corrupted inputs."""
-    scores = np.asarray(scorer(positives + negatives), dtype=np.float64)
-    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
-    return roc_auc(scores, labels), len(positives), len(negatives)
+def _score_grid_point(scorer, positives, negatives) -> list:
+    """[(auc, n_pos, n_neg)] per positive group, from one scorer call.
+
+    positives holds one list of corrupted inputs per activity; the scorer
+    sees every group and the negatives as one batch, and each group is
+    ranked against the same negative scores.
+    """
+    batch = [x for group in positives for x in group] + negatives
+    scores = np.asarray(scorer(batch), dtype=np.float64)
+    if scores.shape != (len(batch),):
+        raise ConfigError(f"scorer returned {scores.shape} scores for {len(batch)} inputs")
+    negative_scores = scores[len(batch) - len(negatives):]
+    results, start = [], 0
+    for group in positives:
+        stop = start + len(group)
+        labels = np.concatenate([np.ones(len(group)), np.zeros(len(negatives))])
+        auc = roc_auc(np.concatenate([scores[start:stop], negative_scores]), labels)
+        results.append((auc, len(group), len(negatives)))
+        start = stop
+    return results
+
+
+# Version of the corruption seed scheme, written into every report config.
+# 2: negatives drawn once per grid SNR; reports without the field drew them
+# once per activity.
+_REPORT_SCHEMA = 2
+
+# Seed tag of the negatives' draws, in place of an act_idx: act_idx counts
+# occupied activities, so it never reaches this value.
+_NEGATIVE_STREAM = 2**16
 
 
 def _score_points(scorers, points, negatives, ref, seed, exact, threads) -> list:
     """Per point, one (auc, n_pos, n_neg) per scorer, in scorer order.
 
-    A point is (act_idx, activity, positives, snr_idx, snr_db).  Its
-    positives and the negatives are corrupted once, draw k seeded by
-    (seed, act_idx, snr_idx, k), and that one batch goes to every scorer,
-    so results depend neither on threads nor on which scorers share a run.
+    A point is (act_idx, activity, positives, snr_idx, snr_db).  Points are
+    scored by grid SNR: at each distinct snr_idx the negatives are corrupted
+    once, draw k seeded by (seed, _NEGATIVE_STREAM, snr_idx, k), and each
+    point's positives with (seed, act_idx, snr_idx, k).  Every scorer sees
+    that grid point's whole batch in one call, so results depend neither on
+    threads nor on which scorers share a run.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    by_snr: dict = {}
+    for i, (_, _, _, snr_idx, _) in enumerate(points):
+        by_snr.setdefault(snr_idx, []).append(i)
 
-    def run(point):
-        act_idx, _, positives, snr_idx, snr_db = point
-        inputs = [corrupt(residual, ref, snr_db,
-                          np.random.SeedSequence((seed, act_idx, snr_idx, k)), exact=exact)
-                  for k, residual in enumerate(positives + negatives)]
-        corrupted_pos, corrupted_neg = inputs[:len(positives)], inputs[len(positives):]
+    def run(indices):
+        _, _, _, snr_idx, snr_db = points[indices[0]]
+
+        def draws(stream, residuals):
+            return [corrupt(residual, ref, snr_db,
+                            np.random.SeedSequence((seed, stream, snr_idx, k)), exact=exact)
+                    for k, residual in enumerate(residuals)]
+
+        corrupted_neg = draws(_NEGATIVE_STREAM, negatives)
+        corrupted_pos = [draws(points[i][0], points[i][2]) for i in indices]
         return [_score_grid_point(scorer, corrupted_pos, corrupted_neg) for scorer in scorers]
 
+    groups = list(by_snr.values())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, points))
-    return [run(point) for point in points]
+            scored = list(pool.map(run, groups))
+    else:
+        scored = [run(indices) for indices in groups]
+    results: list = [None] * len(points)
+    for indices, by_scorer in zip(groups, scored):
+        for j, i in enumerate(indices):
+            results[i] = [per_group[j] for per_group in by_scorer]
+    return results
 
 
 def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
@@ -191,8 +232,9 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
     .residual attributes, see pipeline.residual_samples); the empty class
     provides negatives at every grid point, optionally topped up with
     synthetic_negatives pure-noise samples (flagged in the report config).
-    Each (sample, grid point) pair gets its own derived seed, so results
-    are independent of threading and iteration order.
+    Every (sample, grid SNR) draw has its own derived seed, so results
+    are independent of threading and iteration order; the negatives are
+    drawn once per grid SNR and shared by every activity.
     """
     grid = _check_grid(grid)
     if synthetic_negatives < 0:
@@ -209,6 +251,7 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
             for (_, activity, _, _, snr_db), [(auc, n_pos, n_neg)] in zip(points, results)]
 
     config = {
+        "schema": _REPORT_SCHEMA,
         "kind": "snr_sweep",
         "detector": name,
         "grid": list(grid),
@@ -229,7 +272,8 @@ def ablation(scorers: dict, samples, ref: SnrReference,
     require_all_variants is set, all ten standard variant names must be
     present (a missing trained checkpoint is an error, not a silent gap).
     Seeds match snr_sweep over the sorted distinct anchor SNRs, so each row
-    equals that sweep's row at the activity's anchor.
+    equals that sweep's row at the activity's anchor for any scorer that
+    scores each input independently of the others in its batch.
     """
     from .nn.model import VARIANTS
 
@@ -258,6 +302,7 @@ def ablation(scorers: dict, samples, ref: SnrReference,
                                 n_pos, n_neg))
 
     config = {
+        "schema": _REPORT_SCHEMA,
         "kind": "ablation",
         "anchors": {lab.value: snr for lab, snr in anchors.items()},
         "detectors": config_detectors,

@@ -9,6 +9,7 @@ failed to improve for a configured number of consecutive epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class OptimizerConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("moment decays must lie in [0, 1)")
         if self.batch_size < 2:

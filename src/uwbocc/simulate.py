@@ -318,6 +318,8 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     are assigned to car2 only, mirroring the acquisition protocol the split
     logic expects.
     """
+    if clutter_paths < 0:
+        raise ConfigError(f"clutter_paths must be >= 0, got {clutter_paths}")
     cfg = cfg or RadarConfig()
     rng = np.random.default_rng(rng)
     wanted: dict[ActivityLabel, int] = {}

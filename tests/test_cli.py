@@ -531,6 +531,22 @@ USER_MISTAKES = {
     "negative car1-validation": (
         lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
                            "--car1-validation", "breathing=-2", *TRAIN_FAST], 2),
+    "misspelled car1-validation label": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--car1-validation", "breething=3", *TRAIN_FAST], 2),
+    "car1-validation for a class the dataset lacks": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--car1-validation", "moving=1", *TRAIN_FAST], 2),
+    "learning rate nan": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--learning-rate", "nan", *TRAIN_FAST], 2),
+    "learning rate inf": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--learning-rate", "inf", *TRAIN_FAST], 2),
+    # Occupied samples have a target path, so no clutter at all is a valid scene.
+    "negative clutter paths": (
+        lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x",
+                           "--clutter-paths=-1"], 2),
     "zero threads": (
         lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
                            "--eval-grid=-10", "--threads", "0", "--out", tmp / "r.json"], 2),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uwbocc.core import ActivityLabel, CirMatrix, SampleRecord
 from uwbocc.dataset import (
@@ -39,6 +40,12 @@ def random_records(rng, label, count, n=4, m=6, car="car1"):
         else:
             out.append(SampleRecord(cir, label, "car2", None, None, i))
     return out
+
+
+# Any finite matrix that single precision represents exactly, small shapes.
+CIR_MATRICES = arrays(np.complex64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                      elements=st.complex_numbers(width=64, allow_nan=False,
+                                                  allow_infinity=False))
 
 
 class TestCirFormat:
@@ -77,15 +84,39 @@ class TestCirFormat:
             read_cir(path)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_cut_at_any_byte_raises_data_error(self, data):
+    @given(CIR_MATRICES)
+    def test_any_single_precision_matrix_round_trips_bit_exact(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.cir"
+            write_cir(path, data)
+            back = read_cir(path)
+        assert back.dtype == np.complex128 and back.shape == data.shape
+        assert back.tobytes() == data.astype(np.complex128).tobytes()  # signed zeros too
+
+    @settings(max_examples=100, deadline=None)
+    @given(CIR_MATRICES, st.data())
+    def test_cut_at_any_byte_raises_data_error(self, matrix, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cut.cir"
-            write_cir(path, np.arange(15).reshape(3, 5) * (1 + 2j))
+            write_cir(path, matrix)
             blob = path.read_bytes()
             path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
             with pytest.raises(DataError):
                 read_cir(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CIR_MATRICES, st.data())
+    def test_any_replaced_byte_loads_or_raises_data_error(self, matrix, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "garbled.cir"
+            write_cir(path, matrix)
+            blob = path.read_bytes()
+            at = data.draw(st.integers(0, len(blob) - 1))
+            path.write_bytes(blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:])
+            try:
+                read_cir(path)
+            except DataError:
+                pass
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "notcir.cir"

@@ -246,6 +246,50 @@ class TestSnrSweep:
         assert DEFAULT_EVAL_GRID[0] == -10.0 and DEFAULT_EVAL_GRID[-1] == -40.0
 
 
+class CountingScorer(SpikeScorer):
+    """SpikeScorer that records the size of every batch it is called on."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, batch):
+        self.batches.append(len(batch))
+        return super().__call__(batch)
+
+
+class TestDrawsPerGridPoint:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_empty,synthetic", [(5, 0), (5, 2), (0, 4)])
+    def test_negatives_drawn_once_per_grid_snr(self, monkeypatch, threads, n_empty, synthetic):
+        import uwbocc.augment as augment
+
+        drawn = []
+        add_noise = augment.add_noise
+
+        def counted(residual, *args, **kwargs):
+            drawn.append(id(residual))
+            return add_noise(residual, *args, **kwargs)
+
+        monkeypatch.setattr(augment, "add_noise", counted)
+        samples = [s for s in three_activity_samples()
+                   if s.label in (ActivityLabel.BREATHING, ActivityLabel.TALKING)]
+        samples += [FakeSample(ActivityLabel.EMPTY, np.zeros((12, 20), dtype=complex))
+                    for _ in range(n_empty)]
+        grid = [-5.0, -10.0, -15.0]
+        scorer = CountingScorer()
+        report = snr_sweep(scorer, samples, SnrReference(100.0), grid=grid, seed=2,
+                           synthetic_negatives=synthetic, threads=threads)
+
+        n_pos, n_neg = 3 + 3, n_empty + synthetic
+        assert len(report.rows) == 2 * len(grid)
+        assert {(r.n_pos, r.n_neg) for r in report.rows} == {(3, n_neg)}
+        assert len(drawn) == len(grid) * (n_pos + n_neg)
+        # Every sample, the synthetic negatives included, is drawn once per grid SNR.
+        assert len(set(drawn)) == n_pos + n_neg
+        assert all(drawn.count(key) == len(grid) for key in set(drawn))
+        assert scorer.batches == [n_pos + n_neg] * len(grid)
+
+
 def named_scorer(name, flops):
     scorer = SpikeScorer()
     scorer.name = name
