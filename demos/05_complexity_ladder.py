@@ -40,6 +40,7 @@ cfg = RadarConfig(n_fast=32, m_slow=50)  # smaller matrices keep this quick
 train_records = synth_dataset({"breathing": 60, "empty": 60}, cfg, rng=31)
 test_records = synth_dataset({"breathing": 40, "empty": 40}, cfg, rng=32)
 manifest = memory_manifest(train_records)
+train_samples = residual_samples(train_records)
 split = make_split(manifest, test_per_class=0, empty_test=0)
 
 scorers = {}
@@ -49,7 +50,7 @@ for name in ("1D-E", "1D-D", "2D-E"):
                              batch_size=32, patience=4, max_epochs=12,
                              learning_rate=2e-3, seed=17)
     print(f"\ntraining {name}...", end=" ", flush=True)
-    network, history, ref = run_training(manifest, train_records, split, settings)
+    network, history, ref = run_training(manifest, train_samples, split, settings)
     print(f"best validation AUC {history.best_val_auc:.4f}")
     scorers[name] = NetworkScorer(network)
 

@@ -97,18 +97,27 @@ def _parse_grid(spec) -> tuple:
     """SNR grid: comma-separated dB values, or start:stop:count (inclusive)."""
     if spec is None:
         return DEFAULT_EVAL_GRID
+    parts = spec.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"bad --eval-grid {spec!r}: expected start:stop:count")
     try:
-        if ":" in spec:
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise ValueError("expected start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            return tuple(float(v) for v in np.linspace(start, stop, count))
-        return tuple(float(v) for v in spec.split(","))
+        if len(parts) == 1:
+            return tuple(float(v) for v in spec.split(","))
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad --eval-grid {spec!r}: {exc}") from None
+    if count < 1:
+        raise ConfigError(f"bad --eval-grid {spec!r}: count must be >= 1")
+    return tuple(float(v) for v in np.linspace(start, stop, count))
+
+
+def _residual_dataset(data) -> tuple:
+    """The dataset at --data as (manifest, residual samples aligned with its records).
+
+    The records go out of scope on return, so a command holds the data once.
+    """
+    manifest, records = read_dataset(_manifest_path(_resolve_data_dir(data)))
+    return manifest, residual_samples(records)
 
 
 def _reference(ns, samples, checkpoint_extra=None) -> SnrReference:
@@ -149,7 +158,10 @@ def cmd_import(ns) -> int:
     if not (ns.dt_fast > 0 and ns.dt_slow > 0):
         raise ConfigError(f"--dt-fast {ns.dt_fast} and --dt-slow {ns.dt_slow} must be positive")
     label = ActivityLabel.from_string(ns.label)
-    stream = CirMatrix(read_cir(ns.recording), ns.dt_fast, ns.dt_slow)
+    try:
+        stream = CirMatrix(read_cir(ns.recording), ns.dt_fast, ns.dt_slow)
+    except ConfigError as exc:
+        raise DataError(f"{ns.recording}: unusable recording: {exc}") from None
     segments = segment_recording(stream, ns.window, label, car=ns.car,
                                  seat=ns.seat, participant=ns.participant)
     if not segments:
@@ -177,7 +189,7 @@ def cmd_import(ns) -> int:
 
 
 def cmd_train(ns) -> int:
-    manifest, records = read_dataset(_manifest_path(_resolve_data_dir(ns.data)))
+    manifest, samples = _residual_dataset(ns.data)
     car1_validation = None if ns.car1_validation is None else _parse_counts(ns.car1_validation)
     split = make_split(manifest, ns.test_per_class, ns.empty_test,
                        empty_train=ns.empty_train, car1_validation=car1_validation)
@@ -188,7 +200,7 @@ def cmd_train(ns) -> int:
         learning_rate=ns.learning_rate, patience=ns.patience,
         max_epochs=ns.max_epochs, validation_snr=ns.validation_snr, seed=ns.seed)
     log = None if ns.quiet else print
-    network, history, ref = run_training(manifest, records, split, settings, log=log)
+    network, history, ref = run_training(manifest, samples, split, settings, log=log)
     extra = {
         "best_epoch": history.best_epoch,
         "best_val_auc": history.best_val_auc,
@@ -205,8 +217,7 @@ def cmd_train(ns) -> int:
 
 
 def cmd_evaluate(ns) -> int:
-    # Keep only the residuals: holding the records too would double the data in memory.
-    samples = residual_samples(read_dataset(_manifest_path(_resolve_data_dir(ns.data)))[1])
+    _, samples = _residual_dataset(ns.data)
     checkpoint_extra = None
     if ns.detector == "resnet":
         if not ns.model:
@@ -227,8 +238,7 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
-    # Keep only the residuals: holding the records too would double the data in memory.
-    samples = residual_samples(read_dataset(_manifest_path(_resolve_data_dir(ns.data)))[1])
+    _, samples = _residual_dataset(ns.data)
     models_dir = Path(ns.models)
     if not models_dir.is_dir():
         raise DataError(f"{models_dir} is not a directory of checkpoints")

@@ -6,7 +6,7 @@ sample ("fast time").  Static reflections from the environment are identical
 in every column; subtracting the per-row slow-time mean leaves only the
 time-varying part (target motion plus noise), which is what every detector
 in this package operates on.  That residual is a plain read-only complex
-(n_fast, m_slow) array.
+(n_fast, m_slow) array.  Values that break these rules raise ConfigError.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "ActivityLabel",
     "CirMatrix",
     "SampleRecord",
+    "check_provenance",
     "frobenius_energy",
     "mean_remove",
 ]
@@ -43,7 +46,7 @@ class ActivityLabel(enum.Enum):
             return cls(name.strip().lower())
         except ValueError:
             valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown activity label {name!r} (valid: {valid})") from None
+            raise ConfigError(f"unknown activity label {name!r} (valid: {valid})") from None
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,15 @@ class CirMatrix:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
         if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
+            raise ConfigError(f"expected a 2-d matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
-            raise ValueError("CirMatrix needs at least one fast-time sample")
+            raise ConfigError("CirMatrix needs at least one fast-time sample")
         if arr.shape[1] < 2:
-            raise ValueError(
+            raise ConfigError(
                 f"CirMatrix needs at least 2 slow-time columns for mean removal, got {arr.shape[1]}"
             )
         if not (self.dt_fast > 0 and self.dt_slow > 0):
-            raise ValueError("sampling intervals must be positive")
+            raise ConfigError("sampling intervals must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -94,10 +97,15 @@ class SampleRecord:
     segment_index: int = 0
 
     def __post_init__(self):
-        if self.segment_index < 0:
-            raise ValueError("segment_index must be >= 0")
-        if self.label is ActivityLabel.EMPTY and (self.seat or self.participant):
-            raise ValueError("empty-car samples carry no participant or seat")
+        check_provenance(self.label, self.seat, self.participant, self.segment_index)
+
+
+def check_provenance(label: ActivityLabel, seat, participant, segment_index: int) -> None:
+    """The metadata rules every sample record and manifest record keeps."""
+    if segment_index < 0:
+        raise ConfigError(f"segment_index must be >= 0, got {segment_index}")
+    if label is ActivityLabel.EMPTY and (seat or participant):
+        raise ConfigError("empty-car samples carry no participant or seat")
 
 
 def mean_remove(r: CirMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +121,7 @@ def mean_remove(r: CirMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     data = r.data
     if data.shape[1] < 2:
-        raise ValueError("mean removal needs at least 2 slow-time columns")
+        raise ConfigError("mean removal needs at least 2 slow-time columns")
     ref = data[:, :1]
     mean_profile = (ref + (data - ref).mean(axis=1, keepdims=True))[:, 0]
     residual = data - mean_profile[:, None]

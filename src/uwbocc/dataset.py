@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ActivityLabel, CirMatrix, SampleRecord
+from .core import ActivityLabel, CirMatrix, SampleRecord, check_provenance
 from .errors import ConfigError, DataError
 from .simulate import RadarConfig
 
@@ -57,6 +57,9 @@ class ManifestRecord:
     seat: str | None = None
     participant: str | None = None
     segment_index: int = 0
+
+    def __post_init__(self):
+        check_provenance(self.label, self.seat, self.participant, self.segment_index)
 
     def sort_key(self):
         """Deterministic recording order: participant, seat, segment, file."""
@@ -121,18 +124,23 @@ def read_cir(path) -> np.ndarray:
     return flat.reshape((n, m), order="F").astype(np.complex128)
 
 
-def _record_from_json(obj: dict, where: str) -> ManifestRecord:
+def _record_from_json(obj, where: str) -> ManifestRecord:
+    """One manifest record, its JSON types checked before ManifestRecord's own rules."""
     try:
-        label = ActivityLabel.from_string(obj["label"])
-        return ManifestRecord(
-            file=obj["file"],
-            label=label,
-            car=obj["car"],
-            seat=obj.get("seat"),
-            participant=obj.get("participant"),
-            segment_index=int(obj.get("segment_index", 0)),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"expected an object, got {json.dumps(obj)}")
+        for key, optional in (("file", False), ("label", False), ("car", False),
+                              ("seat", True), ("participant", True)):
+            value = obj.get(key)
+            if not (isinstance(value, str) or (optional and value is None)):
+                kind = "a string or null" if optional else "a string"
+                raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
+        segment_index = obj.get("segment_index", 0)
+        if type(segment_index) is not int:
+            raise ConfigError(f"segment_index must be an integer, got {json.dumps(segment_index)}")
+        return ManifestRecord(obj["file"], ActivityLabel.from_string(obj["label"]), obj["car"],
+                              obj.get("seat"), obj.get("participant"), segment_index)
+    except ConfigError as exc:
         raise DataError(f"bad manifest record in {where}: {exc}") from None
 
 
@@ -183,13 +191,16 @@ def read_manifest(manifest_path) -> DatasetManifest:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from None
-    if doc.get("format") != "uwbocc-dataset":
+    if not isinstance(doc, dict) or doc.get("format") != "uwbocc-dataset":
         raise DataError(f"{manifest_path}: not a dataset manifest (format field missing or wrong)")
     try:
         radar = RadarConfig(**doc["radar"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{manifest_path}: bad radar section: {exc}") from None
-    records = tuple(_record_from_json(obj, manifest_path) for obj in doc.get("records", []))
+    entries = doc.get("records", [])
+    if not isinstance(entries, list):
+        raise DataError(f"{manifest_path}: records must be a list")
+    records = tuple(_record_from_json(obj, manifest_path) for obj in entries)
     return DatasetManifest(records, radar)
 
 
@@ -256,15 +267,15 @@ _EMPTY_TRAIN_FRACTION = 66 / 166
 
 def make_split(manifest: DatasetManifest, test_per_class: int = 150,
                empty_test: int = 20, *, empty_train: int | None = None,
-               car1_validation: dict | int | None = None) -> SplitAssignment:
+               car1_validation: dict | None = None) -> SplitAssignment:
     """Assign every record to train, validation, or test, car-disjointly.
 
     Occupied classes: every record not from car2 goes to Train; car2 records
     are ordered deterministically (participant, seat, segment, file) and the
-    last test_per_class go to Test, the rest to Validation.  Optionally the
-    last car1_validation records of car1 per class (an int, or a mapping
-    from class to int) move from Train to Validation; the published split
-    does this, holding out part of the car1 data to steer early stopping.
+    last test_per_class go to Test, the rest to Validation.  Optionally
+    car1_validation maps classes to counts: the last that many car1 records
+    of each class move from Train to Validation; the published split does
+    this, holding out part of the car1 data to steer early stopping.
 
     Empty class (car2 only): first empty_train records to Train, last
     empty_test to Test, the middle to Validation.  empty_train defaults to
@@ -275,13 +286,12 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     if test_per_class < 0 or empty_test < 0 or (empty_train or 0) < 0:
         raise ConfigError("test and train counts must be >= 0")
     requested: dict = {}
-    if isinstance(car1_validation, dict):
-        for key, value in car1_validation.items():
-            try:
-                label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
-            except ValueError as exc:
-                raise ConfigError(f"car1_validation: {exc}") from None
-            requested[label] = int(value)
+    for key, value in (car1_validation or {}).items():
+        try:
+            label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
+        except ConfigError as exc:
+            raise ConfigError(f"car1_validation: {exc}") from None
+        requested[label] = int(value)
     assignment: dict[ManifestRecord, Split] = {}
     deficits = []
 
@@ -308,13 +318,10 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
         car1 = [r for r in recs if r.car != "car2"]
         if len(car2) < test_per_class:
             deficits.append(f"{label.value}: {len(car2)} car2 records < {test_per_class} test")
-        n_val1 = 0
-        if car1_validation is not None:
-            n_val1 = (car1_validation if isinstance(car1_validation, int)
-                      else requested.pop(label, 0))
-            if not 0 <= n_val1 <= len(car1):
-                raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
-                                  f"car1 has {len(car1)}")
+        n_val1 = requested.pop(label, 0)
+        if not 0 <= n_val1 <= len(car1):
+            raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
+                              f"car1 has {len(car1)}")
         for i, rec in enumerate(car1):
             assignment[rec] = Split.VALIDATION if i >= len(car1) - n_val1 else Split.TRAIN
         cut = max(len(car2) - test_per_class, 0)

@@ -208,23 +208,27 @@ class Conv2d(_Conv):
     rank, axes = 2, "H, W"
 
 
+# BatchNorm's variance floor and running-statistics momentum.
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
+
+
 class BatchNorm(Layer):
     """Per-channel batch normalization over batch and spatial axes.
 
-    Training uses batch statistics (eps 1e-5): the mean, then the biased
+    Training uses batch statistics (eps _BN_EPS): the mean, then the biased
     variance as the mean square of the centred values, two passes that stay
     accurate under a large common offset.  It updates the running statistics
-    with momentum (running variance kept unbiased) once per train forward.
+    with momentum _BN_MOMENTUM (running variance kept unbiased) once per
+    train forward.
     Inference standardizes with the running statistics and caches nothing.
     A train forward caches the standardized input xhat and the per-channel
     inverse standard deviation; backward releases both and returns the
     input gradient in xhat's buffer.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param("gamma", np.ones(channels))
         self.beta = Param("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -261,7 +265,7 @@ class BatchNorm(Layer):
         if not train:
             mean, var = (a.astype(x.dtype, copy=False)
                          for a in (self.running_mean, self.running_var))
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
             out = np.subtract(view, mean[:, None])
             out *= inv_std[:, None]
             out *= gamma
@@ -271,10 +275,10 @@ class BatchNorm(Layer):
         mean = self._channel_sums(view) / count
         xhat = np.subtract(view, mean[:, None])
         var = self._channel_sums(xhat, xhat) / count
-        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_mean += _BN_MOMENTUM * (mean - self.running_mean)
         unbiased = var * count / (count - 1)
-        self.running_var += self.momentum * (unbiased - self.running_var)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_var += _BN_MOMENTUM * (unbiased - self.running_var)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         xhat *= inv_std[:, None]
         self._xhat, self._inv_std = xhat, inv_std
         out = np.multiply(xhat, gamma)

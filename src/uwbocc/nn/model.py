@@ -81,12 +81,22 @@ VARIANTS: dict[str, ArchitectureVariant] = {
 }
 
 
+def _blocks(variant: ArchitectureVariant):
+    """Yield each residual block's (input, output) channels, lazily.
+
+    The stem gives initial_filters channels, and the width doubles every
+    n_double blocks.
+    """
+    c_in = variant.initial_filters
+    for b in range(variant.n_total):
+        c_out = variant.initial_filters * 2 ** (b // variant.n_double)
+        yield c_in, c_out
+        c_in = c_out
+
+
 def channel_plan(variant: ArchitectureVariant) -> list[int]:
     """Output channels of each block: width doubles every n_double blocks."""
-    return [
-        variant.initial_filters * 2 ** ((b - 1) // variant.n_double)
-        for b in range(1, variant.n_total + 1)
-    ]
+    return [c_out for _, c_out in _blocks(variant)]
 
 
 def stack_real_imag_1d(residual: np.ndarray) -> np.ndarray:
@@ -270,18 +280,15 @@ def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
 
     seeds = np.random.SeedSequence(seed).spawn(variant.n_total + 2)
     conv = Conv1d if variant.dimensionality == 1 else Conv2d
-    c_in = input_shape[0]
-    plan = channel_plan(variant)
 
     layers: list[Layer] = [
-        conv(c_in, variant.initial_filters, kernel, seeds[0]),
+        conv(input_shape[0], variant.initial_filters, kernel, seeds[0]),
         BatchNorm(variant.initial_filters),
         ReLU(),
     ]
     channels = variant.initial_filters
-    for b, c_out in enumerate(plan):
-        layers.append(ResidualBlock(variant.dimensionality, channels, c_out, kernel, seeds[b + 1]))
-        channels = c_out
+    for b, (c_in, channels) in enumerate(_blocks(variant)):
+        layers.append(ResidualBlock(variant.dimensionality, c_in, channels, kernel, seeds[b + 1]))
     layers.append(GlobalAvgPool())
     layers.append(Dense(channels, 1, seeds[-1]))
     return Network(variant, input_shape, kernel, layers, seed)
@@ -311,17 +318,16 @@ def flop_count(network: Network) -> int:
     total += bn_relu(variant.initial_filters)
 
     channels = variant.initial_filters
-    for c_out in channel_plan(variant):
-        total += _conv_flops(channels, c_out, kernel_elems, spatial)  # conv1
-        total += 2 * c_out * spatial + 2 * c_out * spatial  # bn1 + relu1
-        total += _conv_flops(c_out, c_out, kernel_elems, spatial)  # conv2
-        total += 2 * c_out * spatial  # bn2
-        if channels != c_out:
-            total += _conv_flops(channels, c_out, 1, spatial)  # 1x1 projection
-            total += 2 * c_out * spatial  # projection bn
-        total += c_out * spatial  # branch sum
-        total += 2 * c_out * spatial  # output relu
-        channels = c_out
+    for c_in, channels in _blocks(variant):
+        total += _conv_flops(c_in, channels, kernel_elems, spatial)  # conv1
+        total += 2 * channels * spatial + 2 * channels * spatial  # bn1 + relu1
+        total += _conv_flops(channels, channels, kernel_elems, spatial)  # conv2
+        total += 2 * channels * spatial  # bn2
+        if c_in != channels:
+            total += _conv_flops(c_in, channels, 1, spatial)  # 1x1 projection
+            total += 2 * channels * spatial  # projection bn
+        total += channels * spatial  # branch sum
+        total += 2 * channels * spatial  # output relu
 
     total += channels * spatial  # global average pool
     total += 2 * channels  # dense layer on pooled features
@@ -357,21 +363,19 @@ def _state_size(variant: ArchitectureVariant, c_in: int, kernel: int, limit: int
 
     A convolution holds c_in * c_out * kernel**d weights, a BatchNorm four
     values per channel (gamma, beta, running mean and variance), the dense
-    layer one weight per channel and a bias.  Block widths follow
-    channel_plan.  Counting stops once the total passes limit, so an absurd
+    layer one weight per channel and a bias.  Block widths come from
+    _blocks.  Counting stops once the total passes limit, so an absurd
     depth or width costs nothing.
     """
     taps = kernel ** variant.dimensionality
     channels = variant.initial_filters
     total = c_in * channels * taps + 4 * channels  # stem
-    for b in range(variant.n_total):
+    for block_in, channels in _blocks(variant):
         if not total <= limit:
             return total
-        c_out = variant.initial_filters * 2 ** (b // variant.n_double)
-        total += (channels + c_out) * c_out * taps + 8 * c_out  # conv1, bn1, conv2, bn2
-        if c_out != channels:
-            total += channels * c_out + 4 * c_out  # 1x1 projection and its BatchNorm
-        channels = c_out
+        total += (block_in + channels) * channels * taps + 8 * channels  # conv1, bn1, conv2, bn2
+        if block_in != channels:
+            total += block_in * channels + 4 * channels  # 1x1 projection and its BatchNorm
     return total + channels + 1
 
 
@@ -401,7 +405,8 @@ def load_checkpoint(path) -> tuple[Network, dict]:
         variant = ArchitectureVariant(**header["variant"])
         layout = [(meta["name"], meta["shape"]) for meta in header["arrays"]]
         if not all(isinstance(d, int) and d >= 0 for _, shape in layout for d in shape):
-            raise ValueError("array shapes must list non-negative integers")
+            raise DataError(f"checkpoint {path} has a malformed header: "
+                            "array shapes must list non-negative integers")
         offset = 0  # in bytes; a payload cut inside a value is truncated, not malformed
         arrays = []
         for name, shape in layout:

@@ -30,16 +30,11 @@ __all__ = [
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 64
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning rate must be finite and positive, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("moment decays must lie in [0, 1)")
         if self.batch_size < 2:
             raise ConfigError("batch size must be >= 2 (batch statistics)")
 
@@ -66,6 +61,11 @@ class TrainingHistory:
 class AdamOptimizer:
     """Adaptive-moment gradient descent over a fixed parameter list."""
 
+    # Moment decays and the denominator floor of Kingma and Ba's defaults.
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
     def __init__(self, params, config: OptimizerConfig):
         self.params = list(params)
         self.config = config
@@ -74,15 +74,14 @@ class AdamOptimizer:
         self._v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
-        cfg = self.config
         self.step_count += 1
-        b1t = 1.0 - cfg.beta1 ** self.step_count
-        b2t = 1.0 - cfg.beta2 ** self.step_count
+        b1t = 1.0 - self.BETA1 ** self.step_count
+        b2t = 1.0 - self.BETA2 ** self.step_count
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m += (1.0 - cfg.beta1) * (g - m)
-            v += (1.0 - cfg.beta2) * (g * g - v)
-            p.value -= cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
+            m += (1.0 - self.BETA1) * (g - m)
+            v += (1.0 - self.BETA2) * (g * g - v)
+            p.value -= self.config.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
 
 
 def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -123,9 +123,9 @@ def _logits(network: Network, batch: np.ndarray) -> np.ndarray:
 class NetworkScorer:
     """Scores residual batches with a trained network (inference mode)."""
 
-    def __init__(self, network: Network, name: str | None = None):
+    def __init__(self, network: Network):
         self.network = network
-        self.name = name or network.variant.name
+        self.name = network.variant.name
         self.flops = flop_count(network)
 
     def __call__(self, residuals) -> np.ndarray:
@@ -259,9 +259,11 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
                  ) -> tuple[Network, TrainingHistory, SnrReference]:
     """Train one variant on a split dataset; returns (network, history, ref).
 
-    The SNR reference comes from the breathing training residuals; training
-    minibatches follow a fresh seeded epoch plan every epoch; early stopping
-    monitors AUC on the fixed-corruption validation set.
+    samples are the residual samples aligned with manifest.records, as
+    residual_samples returns them.  The SNR reference comes from the
+    breathing training residuals; training minibatches follow a fresh seeded
+    epoch plan every epoch; early stopping monitors AUC on the
+    fixed-corruption validation set.
     """
     settings = settings or TrainSettings()
     variant = VARIANTS[settings.variant]
@@ -270,17 +272,15 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
     if not train_pairs:
         raise DataError("training split is empty")
 
-    train_residuals = residual_samples([sample for _, sample in train_pairs])
-    ref = reference_from_training(train_residuals)
-    residual_by_file = {rec.file: res.residual
-                        for (rec, _), res in zip(train_pairs, train_residuals)}
+    ref = reference_from_training([sample for _, sample in train_pairs])
+    residual_by_file = {rec.file: sample.residual for rec, sample in train_pairs}
 
-    val_samples = residual_samples([sample for _, sample in by_split[Split.VALIDATION]])
+    val_samples = [sample for _, sample in by_split[Split.VALIDATION]]
     if not val_samples:
         raise DataError("validation split is empty")
     scorer = _validation_scorer(val_samples, ref, settings, variant.dimensionality)
 
-    input_shape = network_input(train_residuals[0].residual, variant.dimensionality).shape
+    input_shape = network_input(train_pairs[0][1].residual, variant.dimensionality).shape
     network = build_network(variant, input_shape, kernel=settings.kernel, seed=settings.seed)
 
     def batches(epoch: int):

@@ -56,17 +56,11 @@ class RadarConfig:
     def __post_init__(self):
         if not 0.0 <= self.rolloff <= 1.0:
             raise ConfigError(f"rolloff must be in [0, 1], got {self.rolloff}")
-        if min(self.center_freq, self.bandwidth, self.dt_fast, self.dt_slow) <= 0:
-            raise ConfigError("frequencies and sampling intervals must be positive")
+        if not all(0 < v < np.inf for v in (self.center_freq, self.bandwidth,
+                                             self.dt_fast, self.dt_slow)):
+            raise ConfigError("frequencies and sampling intervals must be positive and finite")
         if self.n_fast < 1 or self.m_slow < 2:
             raise ConfigError("need n_fast >= 1 and m_slow >= 2")
-        # occupied band must sit below the fast-time Nyquist frequency
-        if (1.0 + self.rolloff) * self.bandwidth / 2.0 >= 0.5 / self.dt_fast:
-            raise ConfigError(
-                "pulse band edge (1+rolloff)*bandwidth/2 = "
-                f"{(1 + self.rolloff) * self.bandwidth / 2:.3e} Hz exceeds the "
-                f"Nyquist frequency {0.5 / self.dt_fast:.3e} Hz"
-            )
 
     @property
     def fast_time_window(self) -> float:
@@ -92,6 +86,18 @@ def raised_cosine_response(freq_offsets, bandwidth: float, rolloff: float) -> np
 
 
 def _pulse_spectrum(cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fast-time DFT frequencies and the pulse's response at them.
+
+    The simulated pulse's band must sit below the fast-time Nyquist
+    frequency.  Recorded data is not held to this: its radar section only
+    describes how it was sampled.
+    """
+    if (1.0 + cfg.rolloff) * cfg.bandwidth / 2.0 >= 0.5 / cfg.dt_fast:
+        raise ConfigError(
+            "pulse band edge (1+rolloff)*bandwidth/2 = "
+            f"{(1 + cfg.rolloff) * cfg.bandwidth / 2:.3e} Hz exceeds the "
+            f"Nyquist frequency {0.5 / cfg.dt_fast:.3e} Hz"
+        )
     freqs = np.fft.fftfreq(cfg.n_fast, d=cfg.dt_fast)
     return freqs, raised_cosine_response(freqs, cfg.bandwidth, cfg.rolloff)
 
@@ -154,6 +160,9 @@ class MotionModel:
     def __post_init__(self):
         if self.kind is ActivityLabel.EMPTY:
             raise ConfigError("an empty car has no target motion")
+        if not np.all(np.isfinite([self.rate, self.delay_excursion, self.amp_excursion,
+                                   self.jitter, self.phase])):
+            raise ConfigError("motion parameters must be finite")
         if self.rate <= 0:
             raise ConfigError("motion rate must be positive")
         if self.delay_excursion < 0 or self.amp_excursion < 0 or self.jitter < 0:
@@ -312,7 +321,8 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     randomized target path with the motion family of their class.  When a
     scene is given, its clutter, noise level, and any matching target
     templates are used instead of randomized ones (target phase is still
-    re-randomized per sample).  Deterministic given the seed.
+    re-randomized per sample); a scene may hold one target per activity.
+    Deterministic given the seed.
 
     Occupied samples are spread over two cars (3:2 pattern) and empty samples
     are assigned to car2 only, mirroring the acquisition protocol the split
@@ -333,6 +343,9 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     templates: dict[ActivityLabel, tuple[PathComponent, MotionModel]] = {}
     if scene is not None:
         for path, motion in scene.target_paths:
+            if motion.kind in templates:
+                raise ConfigError(f"the scene has two {motion.kind.value} targets; "
+                                  "synth_dataset takes one template per activity")
             templates[motion.kind] = (path, motion)
 
     records: list[SampleRecord] = []
@@ -357,7 +370,7 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     return records
 
 
-def _parse_complex_pair(value: str, where: str) -> complex:
+def _parse_complex_pair(value: str) -> complex:
     parts = value.split()
     try:
         if len(parts) == 1:
@@ -366,7 +379,21 @@ def _parse_complex_pair(value: str, where: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise ConfigError(f"{where}: expected 're' or 're im', got {value!r}")
+    raise ConfigError(f"expected 're' or 're im', got {value!r}")
+
+
+def _parse_number(value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {value!r}") from None
+
+
+def _parse_target_activity(value: str) -> ActivityLabel:
+    kind = ActivityLabel.from_string(value)
+    if not kind.occupied:
+        raise ConfigError(f"a target moves, so its activity cannot be {kind.value!r}")
+    return kind
 
 
 def parse_scene(text: str, source: str = "<scene>") -> Scene:
@@ -376,43 +403,51 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
     `[target]` sections, each a block of `key = value` lines.  Clutter keys:
     amplitude (one or two floats: re [im]), delay (seconds).  Target keys add
     activity, rate, delay_excursion, amp_excursion, jitter, phase.  `#`
-    starts a comment.  See docs/formats.md for the full schema.
+    starts a comment.  Every malformed value is a ConfigError naming
+    source:line.  See docs/formats.md for the full schema.
     """
     noise_sigma = 0.0
     clutter: list[PathComponent] = []
     targets: list[tuple[PathComponent, MotionModel]] = []
-    section: dict[str, str] | None = None
+    section: dict[str, tuple[str, int]] | None = None  # key -> (value, line number)
     section_kind = ""
     section_line = 0
+    top_level: set[str] = set()  # keys given outside any section
+
+    def pop_value(key, parse, default=None):
+        """The section's value for key through parse, or default when the key is absent."""
+        if key not in section:
+            if default is None:
+                raise ConfigError(
+                    f"{source}:{section_line}: [{section_kind}] section missing key {key!r}")
+            return default
+        value, lineno = section.pop(key)
+        try:
+            return parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
 
     def close_section():
         nonlocal section
         if section is None:
             return
-        where = f"{source}:{section_line}"
-        try:
-            amplitude = _parse_complex_pair(section.pop("amplitude"), where)
-            delay = float(section.pop("delay"))
-        except KeyError as missing:
-            raise ConfigError(f"{where}: [{section_kind}] section missing key {missing}") from None
-        if section_kind == "clutter":
-            if section:
-                raise ConfigError(f"{where}: unknown clutter keys {sorted(section)}")
-            clutter.append(PathComponent(amplitude, delay))
-        else:
-            kind = ActivityLabel.from_string(section.pop("activity", "breathing"))
+        amplitude = pop_value("amplitude", _parse_complex_pair)
+        delay = pop_value("delay", _parse_number)
+        if section_kind == "target":
+            kind = pop_value("activity", _parse_target_activity, ActivityLabel.BREATHING)
             defaults = MotionModel.default_for(kind)
-            motion = MotionModel(
-                kind=kind,
-                rate=float(section.pop("rate", defaults.rate)),
-                delay_excursion=float(section.pop("delay_excursion", defaults.delay_excursion)),
-                amp_excursion=float(section.pop("amp_excursion", defaults.amp_excursion)),
-                jitter=float(section.pop("jitter", defaults.jitter)),
-                phase=float(section.pop("phase", 0.0)),
-            )
+            motion = {key: pop_value(key, _parse_number, getattr(defaults, key))
+                      for key in ("rate", "delay_excursion", "amp_excursion", "jitter", "phase")}
+        try:
             if section:
-                raise ConfigError(f"{where}: unknown target keys {sorted(section)}")
-            targets.append((PathComponent(amplitude, delay), motion))
+                raise ConfigError(f"unknown {section_kind} keys {sorted(section)}")
+            path = PathComponent(amplitude, delay)
+            if section_kind == "clutter":
+                clutter.append(path)
+            else:
+                targets.append((path, MotionModel(kind=kind, **motion)))
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{section_line}: {exc}") from None
         section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -430,9 +465,12 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
+        if key in (section if section is not None else top_level):
+            raise ConfigError(f"{source}:{lineno}: {key} given twice")
         if section is not None:
-            section[key] = value
+            section[key] = (value, lineno)
         elif key == "noise_sigma":
+            top_level.add(key)
             try:
                 noise_sigma = float(value)
             except ValueError:

@@ -225,7 +225,8 @@ def test_criterion_6_end_to_end_synthetic():
     settings = TrainSettings(variant="1D-E", reuse_occupied=6, reuse_empty=9,
                              batch_size=64, patience=8, max_epochs=50,
                              learning_rate=2e-3, seed=3)
-    network, history, ref = run_training(manifest, train_records, split, settings)
+    network, history, ref = run_training(manifest, residual_samples(train_records), split,
+                                         settings)
 
     samples = residual_samples(test_records)
     grid = (-10.0, -20.0, -40.0)
@@ -267,13 +268,14 @@ def test_criterion_7_recorded_data_reproduction():
     manifest_path = location if location.endswith(".json") else os.path.join(
         location, "manifest.json")
     manifest, records = read_dataset(manifest_path)
+    samples = residual_samples(records)
+    del records
     split = make_split(manifest, test_per_class=150, empty_test=20,
                        car1_validation={"breathing": 144, "talking": 145, "moving": 161})
-    network, _, ref = run_training(manifest, records, split, TrainSettings(variant="2D-A"))
+    network, _, ref = run_training(manifest, samples, split, TrainSettings(variant="2D-A"))
 
-    test_pairs = assign_samples(manifest, records, split)[Split.TEST]
-    samples = residual_samples([rec for _, rec in test_pairs])
-    report = snr_sweep(NetworkScorer(network), samples, ref, grid=(-20.0,), seed=0)
+    test_samples = [sample for _, sample in assign_samples(manifest, samples, split)[Split.TEST]]
+    report = snr_sweep(NetworkScorer(network), test_samples, ref, grid=(-20.0,), seed=0)
     breathing = [r.auc for r in report.rows if r.activity == "breathing"]
     if not breathing:
         raise DataError("recorded test split has no breathing samples")

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import uwbocc
 from uwbocc import cli
 from uwbocc.cli import _parse_counts, main
-from uwbocc.dataset import read_manifest, write_cir
+from uwbocc.dataset import read_dataset, read_manifest, write_cir
 from uwbocc.evaluate import read_report
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
+from uwbocc.simulate import Scene, load_scene, simulate_received
 
 SIM = ["simulate", "--count", "breathing=6", "--count", "empty=6",
        "--n-fast", "16", "--m-slow", "24", "--seed", "3"]
@@ -68,6 +69,22 @@ class TestSimulate:
         assert run(*SIM[:-1], "1", "--out", a) == 0
         assert run(*SIM[:-1], "2", "--out", b) == 0
         assert tree_bytes(a) != tree_bytes(b)
+
+    def test_scene_from_the_format_docs(self, tmp_path):
+        docs = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        scene = tmp_path / "cabin.txt"
+        scene.write_text(docs.split("```ini\n", 1)[1].split("```", 1)[0])
+        out = tmp_path / "d"
+        assert run("simulate", "--count", "breathing=2", "--count", "empty=2",
+                   "--m-slow", "20", "--scene", scene, "--out", out) == 0
+        manifest, records = read_dataset(out / "manifest.json")
+        # The empty samples are the scene's two reflectors plus its noise level.
+        clutter = Scene(clutter_paths=load_scene(scene).clutter_paths)
+        static = simulate_received(clutter, manifest.radar).data
+        noise = np.stack([r.cir.data - static for r in records if not r.label.occupied])
+        assert np.std(noise.real) == pytest.approx(0.01, rel=0.1)
+        breathing = [r for r in records if r.label.occupied]
+        assert len(breathing) == 2 and not np.array_equal(breathing[0].cir.data, static)
 
     def test_requires_counts(self, tmp_path, capsys):
         assert run("simulate", "--out", tmp_path / "x") == 2
@@ -124,6 +141,17 @@ class TestImport:
         assert run("import", rec, "--label", "empty", "--car", "car2",
                    "--window", "4.8", "--out", out, "--append") == 3
         assert "do not match" in capsys.readouterr().err
+
+    def test_coarse_fast_time_sampling_imports(self, tmp_path):
+        # 2 ns sampling puts the simulator's pulse band above Nyquist; a
+        # recording's radar section only describes it, so it imports and reads.
+        rec = self.make_recording(tmp_path)
+        out = tmp_path / "imported"
+        assert run("import", rec, "--label", "empty", "--car", "car2", "--dt-fast", "2e-9",
+                   "--window", "2.4", "--out", out) == 0
+        manifest, records = read_dataset(out / "manifest.json")
+        assert manifest.radar.dt_fast == 2e-9 and len(records) == 4
+        assert all(r.cir.dt_fast == 2e-9 for r in records)
 
     def test_fractional_window_rejected(self, tmp_path):
         rec = self.make_recording(tmp_path)
@@ -416,9 +444,9 @@ class TestReport:
         assert run("report", bad) == 3
 
 
-def recording(tmp_path):
+def recording(tmp_path, shape=(16, 96)):
     path = tmp_path / "session.cir"
-    write_cir(path, np.ones((16, 96), dtype=complex))
+    write_cir(path, np.ones(shape, dtype=complex))
     return path
 
 
@@ -455,6 +483,27 @@ def non_utf8(path, text):
     """Write text with one 0xff byte, which no UTF-8 text holds, replacing its second byte."""
     blob = text.encode("utf-8")
     path.write_bytes(blob[:1] + b"\xff" + blob[2:])
+    return path
+
+
+def edited_manifest(data, edit):
+    """The dataset at data, its manifest's JSON document gone through edit(doc)."""
+    doc = json.loads((data / "manifest.json").read_text())
+    edit(doc)
+    (data / "manifest.json").write_text(json.dumps(doc))
+    return data
+
+
+def first_of(kind, **fields):
+    """A manifest edit setting fields on the first record labelled kind."""
+    def edit(doc):
+        next(r for r in doc["records"] if r["label"] == kind).update(fields)
+    return edit
+
+
+def scene_file(tmp_path, text):
+    path = tmp_path / "scene.txt"
+    path.write_text("[clutter]\namplitude = 1\ndelay = 4e-9\n" + text)
     return path
 
 
@@ -556,6 +605,63 @@ USER_MISTAKES = {
     "NaN sensor noise": (
         lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
                            "--sensor-noise", "nan"], 2),
+    "misspelled simulate count label": (
+        lambda data, tmp: ["simulate", "--count", "breething=3", "--out", tmp / "x"], 2),
+    "empty-cabin import with a seat": (
+        lambda data, tmp: ["import", recording(tmp), "--label", "empty", "--car", "car2",
+                           "--seat", "front", "--window", "2.4", "--out", tmp / "x"], 2),
+    "recording with one slow-time column": (
+        lambda data, tmp: ["import", recording(tmp, (16, 1)), "--label", "empty",
+                           "--car", "car2", "--out", tmp / "x"], 3),
+    "recording with zero rows": (
+        lambda data, tmp: ["import", recording(tmp, (0, 96)), "--label", "empty",
+                           "--car", "car2", "--out", tmp / "x"], 3),
+    "manifest label not a string": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(data, first_of(
+            "breathing", label=5)), "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "manifest file not a string": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(data, first_of(
+            "breathing", file=5)), "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "manifest empty record with a seat": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(data, first_of(
+            "empty", seat="front")), "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "manifest negative segment index": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(data, first_of(
+            "breathing", segment_index=-1)), "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "manifest car null": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(data, first_of(
+            "breathing", car=None)), "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "manifest fast-time interval NaN": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(
+            data, lambda doc: doc["radar"].update(dt_fast=float("nan"))),
+            "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "scene key given twice": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[clutter]\namplitude = 1\ndelay = 4e-9\n"
+                                           "delay = 8e-9\n")], 2),
+    "scene activity unknown": (
+        lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[target]\namplitude = 1\ndelay = 9e-9\n"
+                                           "activity = sleeping\n")], 2),
+    "scene target activity empty": (
+        lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[target]\namplitude = 1\ndelay = 9e-9\n"
+                                           "activity = empty\n")], 2),
+    "scene rate not a number": (
+        lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[target]\namplitude = 1\ndelay = 9e-9\n"
+                                           "rate = fast\n")], 2),
+    "scene rate nan": (
+        lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[target]\namplitude = 1\ndelay = 9e-9\n"
+                                           "rate = nan\n")], 2),
+    "scene delay not a number": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[clutter]\namplitude = 1\ndelay = soon\n")], 2),
+    "scene with two targets of one activity": (
+        lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x", "--scene",
+                           scene_file(tmp, "[target]\namplitude = 1\ndelay = 9e-9\n"
+                                           "[target]\namplitude = 0.5\ndelay = 20e-9\n")], 2),
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2

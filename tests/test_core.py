@@ -10,6 +10,7 @@ from uwbocc.core import (
     frobenius_energy,
     mean_remove,
 )
+from uwbocc.errors import ConfigError
 
 DT_FAST = 0.5e-9
 DT_SLOW = 0.1
@@ -87,7 +88,7 @@ class TestMeanRemove:
             residual[0, 0] = 1.0
 
     def test_rejects_single_column(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             mean_remove(make_cir([[1.0], [2.0]]))
 
 
@@ -111,11 +112,11 @@ class TestFrobeniusEnergy:
 
 class TestDataModel:
     def test_cir_requires_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CirMatrix(np.zeros(4, dtype=np.complex128), DT_FAST, DT_SLOW)
 
     def test_cir_requires_two_columns(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CirMatrix(np.zeros((4, 1), dtype=np.complex128), DT_FAST, DT_SLOW)
 
     def test_cir_data_is_read_only(self):
@@ -132,13 +133,18 @@ class TestDataModel:
     def test_label_round_trip(self):
         for label in ActivityLabel:
             assert ActivityLabel.from_string(label.value) is label
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ActivityLabel.from_string("sleeping")
 
     def test_empty_sample_cannot_have_participant(self):
         cir = make_cir(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SampleRecord(cir, ActivityLabel.EMPTY, "car2", participant="p000")
+
+    def test_negative_segment_index_rejected(self):
+        with pytest.raises(ConfigError, match="segment_index"):
+            SampleRecord(make_cir(np.zeros((2, 2))), ActivityLabel.BREATHING, "car1",
+                         segment_index=-1)
 
     def test_sample_defaults(self):
         cir = make_cir(np.zeros((2, 2)))

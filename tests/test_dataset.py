@@ -1,5 +1,6 @@
 """Binary container round trips, segmentation, split logic, epoch plans."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -41,6 +42,13 @@ def random_records(rng, label, count, n=4, m=6, car="car1"):
             out.append(SampleRecord(cir, label, "car2", None, None, i))
     return out
 
+
+# Any JSON value, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
 
 # Any finite matrix that single precision represents exactly, small shapes.
 CIR_MATRICES = arrays(np.complex64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -176,6 +184,43 @@ class TestDatasetRoundTrip:
                 read_manifest(path)
             except DataError:
                 pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_replaced_record_field_loads_or_raises_data_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.json"
+            records = random_records(np.random.default_rng(1), B, 2) + random_records(
+                np.random.default_rng(2), E, 1, car="car2")
+            write_dataset(records, path, RadarConfig(n_fast=4, m_slow=6))
+            doc = json.loads(path.read_text())
+            record = data.draw(st.sampled_from(doc["records"]))
+            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(JSON_VALUES)
+            path.write_text(json.dumps(doc))
+            try:
+                read_dataset(path)
+            except DataError:
+                pass
+
+    @pytest.mark.parametrize("index, field, value, message", [
+        (0, "label", 5, "label must be a string"),
+        (0, "file", None, "file must be a string"),
+        (0, "car", None, "car must be a string"),
+        (0, "seat", 3, "seat must be a string or null"),
+        (0, "segment_index", "2", "segment_index must be an integer"),
+        (0, "segment_index", -1, "segment_index must be >= 0"),
+        (1, "participant", "p1", "empty-car samples carry no participant"),
+    ])
+    def test_bad_record_field_names_the_manifest(self, tmp_path, index, field, value, message):
+        path = tmp_path / "manifest.json"
+        records = random_records(np.random.default_rng(1), B, 1) + random_records(
+            np.random.default_rng(2), E, 1)
+        write_dataset(records, path, RadarConfig(n_fast=4, m_slow=6))
+        doc = json.loads(path.read_text())
+        doc["records"][index][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"{path}: {message}"):
+            read_manifest(path)
 
     def test_duplicate_paths_rejected(self):
         rec = ManifestRecord("a.cir", E, "car2")
@@ -330,8 +375,9 @@ class TestMakeSplit:
 
     def test_determinism(self):
         manifest = table_style_manifest()
-        a = make_split(manifest, 150, 20, car1_validation=100)
-        b = make_split(manifest, 150, 20, car1_validation=100)
+        per_class = {B: 100, T: 100, M: 100}
+        a = make_split(manifest, 150, 20, car1_validation=per_class)
+        b = make_split(manifest, 150, 20, car1_validation=per_class)
         assert a.assignment == b.assignment
 
 

@@ -153,7 +153,7 @@ class TestBatchNorm:
         x = np.random.default_rng(7).standard_normal((4, 2, 6)) + bn.running_mean[:, None]
         shape = (1, 2, 1)
         expected = (bn.gamma.value.reshape(shape) * (x - bn.running_mean.reshape(shape))
-                    / np.sqrt(bn.running_var.reshape(shape) + bn.eps)
+                    / np.sqrt(bn.running_var.reshape(shape) + layers._BN_EPS)
                     + bn.beta.value.reshape(shape))
         np.testing.assert_allclose(bn.forward(x, train=False), expected, rtol=1e-12, atol=1e-12)
 
@@ -181,8 +181,8 @@ class TestBatchNorm:
             values = x[:, c].ravel()
             mean = math.fsum(values) / values.size
             var = math.fsum((values - mean) ** 2) / values.size
-            assert 1.0 / bn._inv_std[c] ** 2 - bn.eps == pytest.approx(var, rel=1e-9)
-            expected = (x[:, c] - mean) / math.sqrt(var + bn.eps)
+            assert 1.0 / bn._inv_std[c] ** 2 - layers._BN_EPS == pytest.approx(var, rel=1e-9)
+            expected = (x[:, c] - mean) / math.sqrt(var + layers._BN_EPS)
             np.testing.assert_allclose(bn._xhat[:, c].reshape(expected.shape), expected,
                                        rtol=1e-9, atol=1e-9)
 

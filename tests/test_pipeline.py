@@ -169,11 +169,11 @@ class TestRunTraining:
         records = small_records({"breathing": 12, "empty": 12}, seed=seed)
         manifest = memory_manifest(records)
         split = make_split(manifest, test_per_class=0, empty_test=0)
-        return manifest, records, split
+        return manifest, residual_samples(records), split
 
     def test_smoke(self):
-        manifest, records, split = self.fixture()
-        net, history, ref = run_training(manifest, records, split, quick_settings())
+        manifest, samples, split = self.fixture()
+        net, history, ref = run_training(manifest, samples, split, quick_settings())
         assert net.variant.name == "1D-E"
         assert 1 <= len(history.val_auc) <= 2
         assert len(history.train_loss) == len(history.val_auc)
@@ -182,9 +182,9 @@ class TestRunTraining:
         assert 0.0 <= history.best_val_auc <= 1.0
 
     def test_same_seed_reproduces_weights_and_history(self):
-        manifest, records, split = self.fixture()
-        net1, hist1, _ = run_training(manifest, records, split, quick_settings())
-        net2, hist2, _ = run_training(manifest, records, split, quick_settings())
+        manifest, samples, split = self.fixture()
+        net1, hist1, _ = run_training(manifest, samples, split, quick_settings())
+        net2, hist2, _ = run_training(manifest, samples, split, quick_settings())
         assert hist1.train_loss == hist2.train_loss
         assert hist1.val_auc == hist2.val_auc
         for (_, a), (_, b) in zip(net1.named_state(), net2.named_state()):
@@ -192,12 +192,12 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_early_stopped_network_scores_its_best_validation_auc(self, seed):
-        manifest, records, split = self.fixture()
+        manifest, samples, split = self.fixture()
         settings = quick_settings(max_epochs=6, seed=seed)
-        net, history, ref = run_training(manifest, records, split, settings)
+        net, history, ref = run_training(manifest, samples, split, settings)
         assert history.stopped_early and history.best_epoch < len(history.val_auc) - 1
-        val_pairs = assign_samples(manifest, records, split)[Split.VALIDATION]
-        score = _validation_scorer(residual_samples([s for _, s in val_pairs]), ref, settings, 1)
+        val_pairs = assign_samples(manifest, samples, split)[Split.VALIDATION]
+        score = _validation_scorer([s for _, s in val_pairs], ref, settings, 1)
         # BatchNorm running statistics are restored with the parameters.
         assert score(net) == history.best_val_auc
 
@@ -205,31 +205,31 @@ class TestRunTraining:
         # Checkpoints store float32.  Over seeds 0-7 of this setup the reloaded
         # logits moved by at most 1.6e-7 (|logit| up to 1.2), so 1e-6 bounds
         # float32 rounding with margin while any real loss of state exceeds it.
-        manifest, records, split = self.fixture(seed=5)
-        net, _, ref = run_training(manifest, records, split,
+        manifest, samples, split = self.fixture(seed=5)
+        net, _, ref = run_training(manifest, samples, split,
                                    quick_settings(max_epochs=3, patience=3))
         path = tmp_path / "trained.ckpt"
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)
         inputs = [corrupt(s.residual, ref, -10.0, np.random.SeedSequence((5, k)))
-                  for k, s in enumerate(residual_samples(records))]
+                  for k, s in enumerate(samples)]
         np.testing.assert_allclose(NetworkScorer(loaded)(inputs), NetworkScorer(net)(inputs),
                                    rtol=0, atol=1e-6)
 
     def test_different_seed_differs(self):
-        manifest, records, split = self.fixture()
-        _, hist1, _ = run_training(manifest, records, split, quick_settings(seed=5))
-        _, hist2, _ = run_training(manifest, records, split, quick_settings(seed=6))
+        manifest, samples, split = self.fixture()
+        _, hist1, _ = run_training(manifest, samples, split, quick_settings(seed=5))
+        _, hist2, _ = run_training(manifest, samples, split, quick_settings(seed=6))
         assert hist1.train_loss != hist2.train_loss
 
     def test_unknown_variant(self):
-        manifest, records, split = self.fixture()
+        manifest, samples, split = self.fixture()
         with pytest.raises(ConfigError, match="unknown variant"):
-            run_training(manifest, records, split, quick_settings(variant="9D-Z"))
+            run_training(manifest, samples, split, quick_settings(variant="9D-Z"))
 
     def test_no_breathing_anchor_fails(self):
         records = small_records({"talking": 12, "empty": 12}, seed=8)
         manifest = memory_manifest(records)
         split = make_split(manifest, test_per_class=0, empty_test=0)
         with pytest.raises(DataError, match="breathing"):
-            run_training(manifest, records, split, quick_settings())
+            run_training(manifest, residual_samples(records), split, quick_settings())

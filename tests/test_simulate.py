@@ -1,5 +1,7 @@
 """Pulse shaping, multipath synthesis, motion models, scene parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,9 +62,20 @@ class TestRaisedCosine:
         h = raised_cosine_response(freqs, CFG.bandwidth, CFG.rolloff)
         assert np.sum(np.abs(pulse) ** 2) == pytest.approx(np.sum(h**2) / CFG.n_fast, rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["center_freq", "bandwidth", "dt_fast", "dt_slow"])
+    def test_non_finite_or_non_positive_timing_rejected(self, field):
+        for value in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                RadarConfig(**{field: value})
+
     def test_nyquist_guard(self):
-        with pytest.raises(ConfigError):
-            RadarConfig(bandwidth=1.5e9)  # (1+0.5)*1.5e9/2 > 1e9
+        # Only the simulator's pulse is held to the fast-time Nyquist limit;
+        # a radar section that merely describes recorded data is not.
+        cfg = RadarConfig(bandwidth=1.5e9)  # (1+0.5)*1.5e9/2 > 1e9
+        with pytest.raises(ConfigError, match="Nyquist"):
+            raised_cosine_pulse(cfg)
+        with pytest.raises(ConfigError, match="Nyquist"):
+            synth_dataset({"empty": 1}, cfg, rng=0)
 
 
 class TestSimulateReceived:
@@ -174,6 +187,13 @@ class TestMotionModels:
             offsets, factors = motion_path(motion, 200, 0.1, rng=21)
             assert np.abs(offsets).max() <= motion.delay_excursion * (1 + 1e-9)
             assert np.abs(np.abs(factors) - 1.0).max() <= motion.amp_excursion * (1 + 1e-9)
+
+    @pytest.mark.parametrize("field", ["rate", "delay_excursion", "amp_excursion", "jitter",
+                                       "phase"])
+    def test_non_finite_motion_rejected(self, field):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                MotionModel(ActivityLabel.BREATHING, **{field: value})
 
     def test_empty_has_no_motion_model(self):
         with pytest.raises(ConfigError):
@@ -303,3 +323,92 @@ class TestSceneParsing:
     def test_garbage_line_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_scene("what is this\n")
+
+
+    @pytest.mark.parametrize("line, key", [
+        ("activity = sleeping", "activity"),
+        ("activity = empty", "activity"),
+        ("rate = fast", "rate"),
+        ("jitter = lots", "jitter"),
+        ("amplitude = big", "amplitude"),
+    ])
+    def test_malformed_target_value_names_its_line(self, line, key):
+        other = "phase = 0" if key == "amplitude" else "amplitude = 1"
+        text = f"noise_sigma = 0\n[target]\ndelay = 9e-9\n{other}\n{line}\n"
+        with pytest.raises(ConfigError, match=f"^cabin.txt:5: {key}: "):
+            parse_scene(text, source="cabin.txt")
+
+    def test_malformed_clutter_delay_names_its_line(self):
+        with pytest.raises(ConfigError, match="^cabin.txt:3: delay: expected a number"):
+            parse_scene("[clutter]\namplitude = 1\ndelay = soon\n", source="cabin.txt")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("[clutter]\namplitude = 1\ndelay = 4e-9\ndelay = 8e-9\n", 4, "delay"),
+        ("noise_sigma = 0\nnoise_sigma = 1\n[clutter]\namplitude = 1\ndelay = 4e-9\n", 2,
+         "noise_sigma"),
+    ])
+    def test_key_given_twice_rejected(self, text, line, key):
+        with pytest.raises(ConfigError, match=f"^cabin.txt:{line}: {key} given twice"):
+            parse_scene(text, source="cabin.txt")
+
+    def test_invalid_motion_names_its_section(self):
+        text = "[clutter]\namplitude = 1\ndelay = 4e-9\n[target]\namplitude = 1\ndelay = 9e-9\n" \
+               "rate = -1\n"
+        with pytest.raises(ConfigError, match="^cabin.txt:4: motion rate"):
+            parse_scene(text, source="cabin.txt")
+
+
+class TestSceneDatasets:
+    """synth_dataset(scene=...): the scene's clutter, noise and target templates."""
+
+    CFG = RadarConfig(n_fast=32, m_slow=40)
+    CLUTTER = (PathComponent(1.0 + 0.5j, 5e-9), PathComponent(-0.3, 12e-9))
+    PATH = PathComponent(0.8, 10e-9)
+
+    def test_empty_samples_are_the_scene_clutter_plus_its_noise(self):
+        quiet = Scene(clutter_paths=self.CLUTTER)
+        static = simulate_received(quiet, self.CFG).data
+        for rec in synth_dataset({"empty": 2}, self.CFG, rng=0, scene=quiet):
+            assert np.array_equal(rec.cir.data, static)
+        # The scene's noise level replaces sensor_noise.
+        noisy = replace(quiet, noise_sigma=0.05)
+        records = synth_dataset({"empty": 20}, self.CFG, rng=1, scene=noisy, sensor_noise=1.0)
+        noise = np.stack([rec.cir.data - static for rec in records])
+        assert np.std(noise.real) == pytest.approx(0.05, rel=0.03)
+        assert np.std(noise.imag) == pytest.approx(0.05, rel=0.03)
+
+    def test_occupied_samples_use_the_scene_template(self):
+        # With no excursion the re-randomized motion phase cannot show, so
+        # every breathing sample is exactly the template scene.
+        still = MotionModel(ActivityLabel.BREATHING, delay_excursion=0.0, amp_excursion=0.0)
+        scene = Scene(target_paths=((self.PATH, still),), clutter_paths=self.CLUTTER)
+        expected = simulate_received(scene, self.CFG).data
+        records = synth_dataset({"breathing": 3, "talking": 1}, self.CFG, rng=2, scene=scene)
+        breathing = [rec for rec in records if rec.label is ActivityLabel.BREATHING]
+        assert len(breathing) == 3
+        for rec in breathing:
+            assert np.array_equal(rec.cir.data, expected)
+        # A class without a template still gets a randomized moving target.
+        (talking,) = [rec for rec in records if rec.label is ActivityLabel.TALKING]
+        assert frobenius_energy(mean_remove(talking.cir)[1]) > 0
+
+    def test_breathing_template_with_jitter(self):
+        calm = MotionModel(ActivityLabel.BREATHING, rate=0.25, jitter=0.0)
+        jittery = replace(calm, jitter=2.0)
+        (a,) = synth_dataset({"breathing": 1}, self.CFG, rng=4,
+                             scene=Scene(target_paths=((self.PATH, calm),)))
+        (b,) = synth_dataset({"breathing": 1}, self.CFG, rng=4,
+                             scene=Scene(target_paths=((self.PATH, jittery),)))
+        assert not np.array_equal(a.cir.data, b.cir.data)
+        # The sample is the template at a fresh phase, its jitter drawn next
+        # from the same stream.
+        rng = np.random.default_rng(4)
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        fresh = Scene(target_paths=((self.PATH, replace(jittery, phase=phase)),))
+        assert np.array_equal(b.cir.data, simulate_received(fresh, self.CFG, rng).data)
+
+    def test_two_targets_of_one_activity_rejected(self):
+        calm = MotionModel(ActivityLabel.BREATHING)
+        scene = Scene(target_paths=((self.PATH, calm), (PathComponent(0.5, 20e-9), calm)))
+        with pytest.raises(ConfigError, match="two breathing targets"):
+            synth_dataset({"breathing": 1}, self.CFG, rng=0, scene=scene)

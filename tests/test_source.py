@@ -28,3 +28,21 @@ def test_no_assert_statements_and_every_export_resolves():
                   if not hasattr(module, name)]
     assert not asserts, f"assert statements in the library: {asserts}"
     assert not stale, f"__all__ entries that do not resolve: {stale}"
+
+
+def test_library_raises_its_own_errors():
+    # The CLI maps ConfigError, DataError and DivergenceError onto exit codes
+    # 2, 3 and 4; a bare ValueError ends in a traceback with exit 1.
+    offenders = [f"{module_name(path)}:{lineno}"
+                 for path in sorted(PACKAGE.rglob("*.py"))
+                 for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if "raise ValueError(" in line]
+    assert not offenders, f"raise ValueError( in the library: {offenders}"
+
+
+def test_package_holds_only_its_docstring_and_version():
+    # Every name is imported from the module that defines it: re-exports here
+    # would be a second way in, and would load every module on any import.
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert [type(node).__name__ for node in body] == ["Expr", "Assign"]
+    assert [target.id for target in body[1].targets] == ["__version__"]
