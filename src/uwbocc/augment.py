@@ -7,6 +7,12 @@ keeps the noise level identical across activity classes, so classes with
 stronger motion stay easier to detect at the same nominal SNR.  The
 processing order is fixed: remove the slow-time mean, add noise, normalize
 to unit energy, then hand the result to a detector.
+
+Two paths follow that order.  add_noise, normalize_unit_energy and corrupt
+work on one complex float64 sample with numpy's Gaussian sampler; scoring
+and validation use them.  corrupt_batch corrupts a whole training batch in
+float32 with Box-Muller normals, written straight into the channels-first
+(B, 2, N, M) real/imaginary planes the networks take.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "add_noise",
     "normalize_unit_energy",
     "corrupt",
+    "corrupt_batch",
 ]
 
 
@@ -98,3 +105,80 @@ def corrupt(residual: np.ndarray, ref: SnrReference, snr_db: float,
     """A detector input: add_noise at snr_db, then normalize_unit_energy."""
     return normalize_unit_energy(add_noise(residual, ref, snr_db, rng, exact=exact))
 
+
+def _sample_energies(planes: np.ndarray) -> np.ndarray:
+    """Float64 energy of each sample of a (B, ...) batch.
+
+    einsum reduces without BLAS, one sample at a time, so each sum depends
+    only on its own sample: not on the batch around it or the thread count.
+    """
+    flat = planes.reshape(len(planes), -1)
+    return np.einsum("ij,ij->i", flat, flat, dtype=np.float64)
+
+
+def _box_muller(planes: np.ndarray) -> None:
+    """Turn (..., 2, N, M) float32 uniforms in [0, 1) into standard normals, in place.
+
+    Plane 0 supplies the radius sqrt(-2 log(1 - u)), plane 1 the angle
+    2 pi u; they become the real (r cos) and imaginary (r sin) parts of a
+    unit-variance-per-component circular Gaussian.  log1p(-u) stays finite
+    at u = 0.  Float32 uniforms are multiples of 2**-24, so 1 - u >= 2**-24
+    and the radius never exceeds sqrt(-2 ln 2**-24) ~ 5.77.
+    """
+    radius, angle = planes[..., 0, :, :], planes[..., 1, :, :]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= np.float32(2.0 * math.pi)
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cos
+
+
+def _noise_planes(shape, ref: SnrReference, snrs, rngs, exact: bool) -> np.ndarray:
+    """Float32 (B, 2, N, M) noise: add_noise's calibration with Box-Muller normals.
+
+    Each generator fills its own draw's uniforms.  Each draw is scaled by
+    sqrt(noise_sigma), or with exact=True so that its energy is
+    e_s * 10^(-snr/10) up to float32 rounding.
+    """
+    n, m = shape
+    planes = np.empty((len(rngs), 2, n, m), dtype=np.float32)
+    for draw, rng in zip(planes, rngs):
+        rng.random(dtype=np.float32, out=draw)
+    _box_muller(planes)
+    sigma2 = noise_sigma(ref, np.asarray(snrs, dtype=np.float64), n, m)
+    if exact:
+        drawn = _sample_energies(planes)
+        if np.any(drawn == 0.0):
+            raise DataError("drawn noise has zero energy; cannot scale exactly")
+        # Unit normals scaled by sqrt(sigma2 * 2mn / drawn) have energy
+        # 2mn * sigma2 = e_s * 10^(-snr/10).
+        sigma2 = sigma2 * (2.0 * m * n / drawn)
+    planes *= np.sqrt(sigma2).astype(np.float32)[:, None, None, None]
+    return planes
+
+
+def corrupt_batch(residuals, ref: SnrReference, snrs, rngs, *,
+                  exact: bool = False) -> np.ndarray:
+    """corrupt for a batch, in float32: (B, 2, N, M) real and imaginary planes.
+
+    residuals are B complex (N, M) matrices, snrs their SNRs in dB and rngs
+    one numpy Generator per draw.  Noise is drawn as add_noise calibrates it
+    but from float32 Box-Muller normals, so its radius is capped near
+    5.77 sigma; the residual is added and each sample is normalized to unit
+    energy.  Energies are float64 sums over one sample each, so a draw's
+    bytes depend only on its residual, SNR and generator, never on how
+    draws are grouped into batches.
+    """
+    planes = _noise_planes(residuals[0].shape, ref, snrs, rngs, exact)
+    for draw, residual in zip(planes, residuals, strict=True):
+        draw[0] += residual.real
+        draw[1] += residual.imag
+    energy = _sample_energies(planes)
+    if np.any(energy <= 0.0):
+        raise DataError("cannot normalize a zero-energy sample")
+    planes *= (1.0 / np.sqrt(energy)).astype(np.float32)[:, None, None, None]
+    return planes

@@ -90,6 +90,8 @@ def _parse_counts(values) -> dict:
             counts[label] = int(number)
         except ValueError:
             raise ConfigError(f"bad count for {label!r}: {number!r} is not an integer") from None
+        if counts[label] < 0:
+            raise ConfigError(f"negative count for {label!r}: {number}")
     return counts
 
 
@@ -140,12 +142,18 @@ def _reference(ns, samples, checkpoint_extra=None) -> SnrReference:
 def cmd_simulate(ns) -> int:
     if ns.count is None:
         raise ConfigError("simulate needs at least one --count label=N")
-    counts = _parse_counts(ns.count)
+    counts = {ActivityLabel.from_string(label): n for label, n in _parse_counts(ns.count).items()}
     out = _resolve_data_dir(ns.out)
     scene = load_scene(ns.scene) if ns.scene else None
     cfg = RadarConfig(n_fast=ns.n_fast, m_slow=ns.m_slow)
-    records = synth_dataset(counts, cfg, rng=ns.seed, scene=scene,
-                            sensor_noise=ns.sensor_noise, clutter_paths=ns.clutter_paths)
+    try:
+        records = synth_dataset(counts, cfg, rng=ns.seed, scene=scene,
+                                sensor_noise=ns.sensor_noise, clutter_paths=ns.clutter_paths)
+    except ConfigError as exc:
+        if scene is None:
+            raise
+        # The counts and the radar shape are checked above, so the scene is at fault.
+        raise ConfigError(f"scene {ns.scene}: {exc}") from None
     if not records:
         raise ConfigError("all requested counts are zero")
     out.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ from .model import (
     ArchitectureVariant,
     Network,
     ResidualBlock,
+    batch_input,
     build_network,
     channel_plan,
     flop_count,

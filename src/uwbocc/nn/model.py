@@ -35,6 +35,7 @@ __all__ = [
     "stack_real_imag_1d",
     "layout_2d",
     "network_input",
+    "batch_input",
     "ResidualBlock",
     "Network",
     "build_network",
@@ -121,6 +122,19 @@ def network_input(residual: np.ndarray, dimensionality: int) -> np.ndarray:
     if dimensionality == 1:
         return stack_real_imag_1d(residual)
     return layout_2d(residual)
+
+
+def batch_input(planes: np.ndarray, dimensionality: int) -> np.ndarray:
+    """A (B, 2, N, M) batch of real and imaginary planes as network input.
+
+    The planes are the 2D input as they are.  Merging the plane and
+    fast-time axes, a view, gives the 1D input (B, 2N, M): real rows on
+    top, imaginary below, as stack_real_imag_1d lays out one sample.
+    """
+    if dimensionality == 1:
+        b, _, n, m = planes.shape
+        return planes.reshape(b, 2 * n, m)
+    return planes
 
 
 class ResidualBlock(Layer):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import SnrReference, compute_reference_energy, corrupt
+from .augment import SnrReference, compute_reference_energy, corrupt, corrupt_batch
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
 from .core import ActivityLabel, mean_remove
 from .dataset import (
@@ -28,7 +28,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
-from .nn.model import VARIANTS, Network, build_network, flop_count, network_input
+from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, network_input
 from .nn.training import EarlyStoppingConfig, OptimizerConfig, TrainingHistory, train_network
 
 __all__ = [
@@ -193,37 +193,37 @@ class TrainSettings:
         return EarlyStoppingConfig(patience=self.patience, max_epochs=self.max_epochs)
 
 
-# Dtype of training batches.  Layers compute in their input's dtype, so
-# training runs in float32 on the network's float64 master weights, while
-# validation and NetworkScorer batches stay float64 and score in float64.
+# Dtype of training batches, the float32 that corrupt_batch writes.  Layers
+# compute in their input's dtype, so training runs in float32 on the
+# network's float64 master weights, while validation and NetworkScorer
+# batches stay float64 and score in float64.
 TRAIN_DTYPE = np.float32
 
 
 def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     """Yield (inputs, labels) minibatches for one epoch, deterministically.
 
-    Inputs are stacked in TRAIN_DTYPE (float32), so the train forward and
-    backward passes run in float32; inference stays float64.  Each draw's
-    SNR and noise come from a SeedSequence keyed by (seed, epoch, draw
-    position), so the stream is reproducible under any worker arrangement.
-    A trailing partial batch below 2 samples is dropped because batch
-    statistics are undefined for it.
+    Each batch is corrupted in one corrupt_batch call, in TRAIN_DTYPE
+    (float32), and laid out by batch_input; the train forward and backward
+    passes run in float32, while inference stays float64.  Each draw's
+    generator is keyed by (seed, epoch, draw position) and gives the draw's
+    SNR first, then its noise, so a draw's bytes do not depend on the
+    batch size or on any worker arrangement.  A trailing partial batch
+    below 2 samples is dropped because batch statistics are undefined for
+    it.
     """
-    batch_inputs, batch_labels = [], []
-    for position, record in enumerate(plan_records):
-        residual = residual_by_file[record.file]
-        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, epoch, position)))
-        snr_db = float(rng.uniform(settings.snr_lo, settings.snr_hi))
-        # Unnamed, so each corrupted sample is freed before the next draw;
-        # holding one across draws measurably raised peak RSS (heap layout).
-        batch_inputs.append(network_input(
-            corrupt(residual, ref, snr_db, rng, exact=settings.exact_scaling), dim))
-        batch_labels.append(1.0 if record.label.occupied else 0.0)
-        if len(batch_inputs) == settings.batch_size:
-            yield np.stack(batch_inputs, dtype=TRAIN_DTYPE), np.asarray(batch_labels)
-            batch_inputs, batch_labels = [], []
-    if len(batch_inputs) >= 2:
-        yield np.stack(batch_inputs, dtype=TRAIN_DTYPE), np.asarray(batch_labels)
+    size = settings.batch_size
+    for start in range(0, len(plan_records), size):
+        records = plan_records[start:start + size]
+        if len(records) < 2:
+            return
+        rngs = [np.random.default_rng(np.random.SeedSequence((settings.seed, epoch, position)))
+                for position in range(start, start + len(records))]
+        snrs = [float(rng.uniform(settings.snr_lo, settings.snr_hi)) for rng in rngs]
+        planes = corrupt_batch([residual_by_file[record.file] for record in records], ref,
+                               snrs, rngs, exact=settings.exact_scaling)
+        labels = np.asarray([1.0 if record.label.occupied else 0.0 for record in records])
+        yield batch_input(planes, dim), labels
 
 
 # Stream tags keeping validation-corruption seeds disjoint from the

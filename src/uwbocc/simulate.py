@@ -26,7 +26,6 @@ __all__ = [
     "MotionModel",
     "Scene",
     "raised_cosine_response",
-    "raised_cosine_pulse",
     "motion_path",
     "simulate_received",
     "synth_dataset",
@@ -100,17 +99,6 @@ def _pulse_spectrum(cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
         )
     freqs = np.fft.fftfreq(cfg.n_fast, d=cfg.dt_fast)
     return freqs, raised_cosine_response(freqs, cfg.bandwidth, cfg.rolloff)
-
-
-def raised_cosine_pulse(cfg: RadarConfig) -> np.ndarray:
-    """Baseband pulse samples s(n*dt_fast), length n_fast, peak at index 0.
-
-    The discrete frequency response is the unit-peak raised cosine centered
-    at baseband; the time-domain pulse is its inverse DFT and wraps
-    circularly around the fast-time window.
-    """
-    _, spectrum = _pulse_spectrum(cfg)
-    return np.fft.ifft(spectrum)
 
 
 @dataclass(frozen=True)
@@ -321,14 +309,15 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     randomized target path with the motion family of their class.  When a
     scene is given, its clutter, noise level, and any matching target
     templates are used instead of randomized ones (target phase is still
-    re-randomized per sample); a scene may hold one target per activity.
-    Deterministic given the seed.
+    re-randomized per sample), and sensor_noise and clutter_paths are
+    unused; a scene may hold one target per activity, and needs clutter
+    for empty samples.  Deterministic given the seed.
 
     Occupied samples are spread over two cars (3:2 pattern) and empty samples
     are assigned to car2 only, mirroring the acquisition protocol the split
     logic expects.
     """
-    if clutter_paths < 0:
+    if scene is None and clutter_paths < 0:
         raise ConfigError(f"clutter_paths must be >= 0, got {clutter_paths}")
     cfg = cfg or RadarConfig()
     rng = np.random.default_rng(rng)
@@ -347,6 +336,9 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
                 raise ConfigError(f"the scene has two {motion.kind.value} targets; "
                                   "synth_dataset takes one template per activity")
             templates[motion.kind] = (path, motion)
+        if wanted.get(ActivityLabel.EMPTY) and not scene.clutter_paths:
+            raise ConfigError("empty samples are the scene's clutter and noise, so they need "
+                              "at least one [clutter] section; the scene has none")
 
     records: list[SampleRecord] = []
     for label in ActivityLabel:

@@ -7,14 +7,18 @@ import pytest
 
 from uwbocc.augment import (
     SnrReference,
+    _box_muller,
+    _noise_planes,
     add_noise,
     compute_reference_energy,
     corrupt,
+    corrupt_batch,
     noise_sigma,
     normalize_unit_energy,
 )
 from uwbocc.core import CirMatrix, frobenius_energy, mean_remove
 from uwbocc.errors import ConfigError, DataError
+from uwbocc.nn.model import batch_input, network_input
 
 DT = (0.5e-9, 0.1)
 
@@ -189,3 +193,128 @@ class TestPipeline:
         row = np.exp(2j * np.pi * 0.1 * m)
         res = np.tile(row, (4, 1))
         assert spectral_flatness(res) < 0.1
+
+
+def keyed_draws(count, seed=0, snr_lo=-30.0, snr_hi=0.0):
+    """One generator per draw keyed (seed, k), each giving its SNR first, as training does."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, k))) for k in range(count)]
+    return rngs, [float(rng.uniform(snr_lo, snr_hi)) for rng in rngs]
+
+
+def random_residuals(count, n=64, m=100, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for _ in range(count)]
+
+
+def batch_energies(planes):
+    return np.array([np.sum(np.square(p, dtype=np.float64)) for p in planes])
+
+
+# Largest radius of a float32 Box-Muller pair, in units of sigma: float32
+# uniforms are multiples of 2**-24, so 1 - u >= 2**-24.
+RADIUS_CAP = math.sqrt(-2.0 * math.log(2.0 ** -24))
+
+
+class ZeroGenerator:
+    """Stands in for a Generator whose uniforms are all zero (radius 0)."""
+
+    def random(self, dtype, out):
+        out[...] = 0
+
+
+class TestCorruptBatch:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_any_split_of_a_batch_gives_the_same_bytes(self, exact):
+        residuals = random_residuals(8)
+        ref = SnrReference(12800.0)
+        inputs = [residuals[k % 8] for k in range(64)]
+
+        def corrupted(lo, hi):
+            rngs, snrs = keyed_draws(64)
+            return corrupt_batch(inputs[lo:hi], ref, snrs[lo:hi], rngs[lo:hi], exact=exact)
+
+        whole = corrupted(0, 64)
+        assert whole.shape == (64, 2, 64, 100) and whole.dtype == np.float32
+        assert np.concatenate([corrupted(0, 20), corrupted(20, 64)]).tobytes() == whole.tobytes()
+        assert np.concatenate([corrupted(k, k + 1) for k in range(64)]).tobytes() == whole.tobytes()
+
+    def test_noise_variance_and_circular_symmetry_match_noise_sigma(self):
+        # The float64 bounds of TestAddNoise: per-component variance within
+        # 10% of sigma^2, real/imaginary correlation below 0.05, mean
+        # energy over 2000 draws within 2% of e_s * 10^(-snr/10).
+        ref = SnrReference(1.0)
+        sigma2 = noise_sigma(ref, -20.0, 64, 100)
+        rngs, _ = keyed_draws(2000, seed=3)
+        energies = []
+        for start in range(0, 2000, 100):  # 100 draws at a time keeps memory small
+            noise = _noise_planes((64, 100), ref, [-20.0] * 100, rngs[start:start + 100],
+                                  exact=False)
+            energies.extend(batch_energies(noise))
+            if start == 0:
+                re, im = noise[0, 0].ravel(), noise[0, 1].ravel()
+                assert re.var() == pytest.approx(sigma2, rel=0.1)
+                assert im.var() == pytest.approx(sigma2, rel=0.1)
+                assert abs(np.corrcoef(re, im)[0, 1]) < 0.05
+        assert np.mean(energies) == pytest.approx(100.0, rel=0.02)
+
+    def test_corrupted_zero_residuals_look_white(self):
+        # The white-noise flatness band of the float64 pipeline test.
+        rngs, snrs = keyed_draws(5, seed=4)
+        zeros = [np.zeros((64, 100), dtype=np.complex128)] * 5
+        planes = corrupt_batch(zeros, SnrReference(1.0), snrs, rngs)
+        for draw in planes:
+            flatness = spectral_flatness(draw[0].astype(np.float64) + 1j * draw[1])
+            assert 0.53 < flatness < 0.59
+
+    def test_exact_scaling_hits_the_target_to_float32_precision(self):
+        ref = SnrReference(3.0)
+        rngs, snrs = keyed_draws(32, seed=5, snr_lo=-40.0, snr_hi=10.0)
+        noise = _noise_planes((16, 20), ref, snrs, rngs, exact=True)
+        target = ref.e_s * 10.0 ** (-np.asarray(snrs) / 10.0)
+        np.testing.assert_allclose(batch_energies(noise), target,
+                                   rtol=2 * np.finfo(np.float32).eps, atol=0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_every_sample_has_unit_energy(self, exact):
+        rngs, snrs = keyed_draws(64, seed=6)
+        planes = corrupt_batch(random_residuals(64, 16, 24), SnrReference(700.0), snrs, rngs,
+                               exact=exact)
+        assert np.abs(batch_energies(planes) - 1.0).max() <= 2e-7
+
+    def test_normals_are_finite_and_their_radius_is_capped(self):
+        edges = np.float32([0.0, 2.0 ** -24, 0.5, 1.0 - 2.0 ** -24])
+        uniforms = np.random.default_rng(7).random((64, 2, 16, 25), dtype=np.float32)
+        uniforms[:, 0, 0, :4] = edges
+        uniforms[:, 1, 0, :4] = edges[::-1]
+        _box_muller(uniforms)
+        assert np.all(np.isfinite(uniforms))
+        radius = np.hypot(uniforms[:, 0].astype(np.float64), uniforms[:, 1])
+        assert radius[:, 0, 0] == pytest.approx(0.0, abs=0)
+        assert radius.max() <= RADIUS_CAP * (1 + 1e-6)
+        assert radius[:, 0, 3] == pytest.approx(RADIUS_CAP, rel=1e-6)
+
+    def test_corrupted_batches_are_finite(self):
+        rngs, snrs = keyed_draws(64, seed=8, snr_lo=-60.0, snr_hi=60.0)
+        planes = corrupt_batch(random_residuals(64, 16, 24), SnrReference(1.0), snrs, rngs)
+        assert np.all(np.isfinite(planes))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_noise_free_limit_is_the_normalized_residual_in_network_layout(self, dim):
+        residuals = random_residuals(6, 16, 24, seed=9)
+        rngs, _ = keyed_draws(6)
+        planes = corrupt_batch(residuals, SnrReference(1.0), [200.0] * 6, rngs)
+        expected = np.stack([network_input(normalize_unit_energy(r), dim) for r in residuals])
+        np.testing.assert_allclose(batch_input(planes, dim), expected.astype(np.float32),
+                                   rtol=0, atol=1e-6)
+
+    def test_zero_energy_sample_rejected(self):
+        zeros = [np.zeros((4, 6), dtype=np.complex128)] * 2
+        rngs, _ = keyed_draws(2)
+        with pytest.raises(DataError, match="zero-energy"):
+            corrupt_batch(zeros, SnrReference(1.0), [math.inf] * 2, rngs)
+
+    def test_zero_noise_energy_rejected_in_exact_mode(self):
+        residuals = random_residuals(2, 4, 6)
+        with pytest.raises(DataError, match="zero energy"):
+            corrupt_batch(residuals, SnrReference(1.0), [-10.0] * 2,
+                          [ZeroGenerator()] * 2, exact=True)

@@ -180,19 +180,22 @@ class TestTrain:
         assert run("train", "--data", dataset, "--out", b, *TRAIN_FAST) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_byte_identical_across_blas_threads(self, tmp_path):
-        # 1D-E at B=64 on 64x100 inputs: shapes where one GEMM over a whole
-        # column slice gives float32 weight gradients whose bits change with
-        # the OpenBLAS thread count.
+    # 1D-E at B=64 on 64x100 inputs: shapes where one GEMM over a whole
+    # column slice gives float32 weight gradients whose bits change with the
+    # OpenBLAS thread count.  2D-E at B=16 on 16x24 checks the other layout.
+    @pytest.mark.parametrize("variant, n_fast, m_slow, batch", [
+        ("1D-E", 64, 100, 64), ("2D-E", 16, 24, 16)])
+    def test_byte_identical_across_blas_threads(self, tmp_path, variant, n_fast, m_slow, batch):
         data = tmp_path / "data"
         assert run("simulate", "--out", data, "--count", "breathing=8", "--count", "empty=8",
-                   "--n-fast", "64", "--m-slow", "100", "--seed", "5") == 0
+                   "--n-fast", str(n_fast), "--m-slow", str(m_slow), "--seed", "5") == 0
         checkpoints = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas-{threads}.ckpt"
-            proc = run_cli(["train", "--data", data, "--out", out, "--variant", "1D-E",
-                            "--test-per-class", "0", "--empty-test", "0", "--batch-size", "64",
-                            "--reuse-occupied", "8", "--reuse-empty", "8", "--max-epochs", "1",
+            proc = run_cli(["train", "--data", data, "--out", out, "--variant", variant,
+                            "--test-per-class", "0", "--empty-test", "0",
+                            "--batch-size", str(batch), "--reuse-occupied", "8",
+                            "--reuse-empty", "8", "--max-epochs", "1",
                             "--quiet"], OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             checkpoints.append(out.read_bytes())
@@ -501,9 +504,9 @@ def first_of(kind, **fields):
     return edit
 
 
-def scene_file(tmp_path, text):
+def scene_file(tmp_path, text, clutter="[clutter]\namplitude = 1\ndelay = 4e-9\n"):
     path = tmp_path / "scene.txt"
-    path.write_text("[clutter]\namplitude = 1\ndelay = 4e-9\n" + text)
+    path.write_text(clutter + text)
     return path
 
 
@@ -512,6 +515,21 @@ def garbled_manifest(data):
     non_utf8(data / "manifest.json", (data / "manifest.json").read_text())
     return data
 
+
+# Scenes that parse but cannot be simulated: (simulate flags, scene text
+# with no clutter, words of the cause the error must give after the path).
+SCENE_CONTENT_MISTAKES = {
+    "scene without clutter for empty samples": (
+        ["simulate", "--n-fast", "16", "--m-slow", "24", "--count", "empty=2"],
+        "[target]\namplitude = 1\ndelay = 3e-9\n", "at least one [clutter] section"),
+    "scene with two breathing targets": (
+        ["simulate", "--n-fast", "16", "--m-slow", "24", "--count", "breathing=2"],
+        "[target]\namplitude = 1\ndelay = 3e-9\n[target]\namplitude = 0.5\ndelay = 5e-9\n",
+        "two breathing targets"),
+    "scene target outside the fast-time window": (
+        ["simulate", "--n-fast", "16", "--m-slow", "24", "--count", "breathing=2"],
+        "[target]\namplitude = 1\ndelay = 10e-9\n", "outside the fast-time window"),
+}
 
 USER_MISTAKES = {
     "class count not an integer": (
@@ -662,6 +680,11 @@ USER_MISTAKES = {
         lambda data, tmp: ["simulate", "--count", "breathing=2", "--out", tmp / "x", "--scene",
                            scene_file(tmp, "[target]\namplitude = 1\ndelay = 9e-9\n"
                                            "[target]\namplitude = 0.5\ndelay = 20e-9\n")], 2),
+    **{name: (lambda data, tmp, argv=argv, text=text: [
+        *argv, "--out", tmp / "x", "--scene", scene_file(tmp, text, clutter="")], 2)
+       for name, (argv, text, _) in SCENE_CONTENT_MISTAKES.items()},
+    "negative simulate count": (
+        lambda data, tmp: ["simulate", "--count", "empty=-1", "--out", tmp / "x"], 2),
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2
@@ -687,6 +710,16 @@ def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("mistake", sorted(SCENE_CONTENT_MISTAKES))
+def test_scene_content_errors_name_the_scene_file(mistake, tmp_path):
+    argv, text, cause = SCENE_CONTENT_MISTAKES[mistake]
+    scene = scene_file(tmp_path, text, clutter="")
+    proc = run_cli([*argv, "--out", tmp_path / "x", "--scene", scene])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: scene {scene}: ")
+    assert cause in proc.stderr
 
 
 @pytest.mark.parametrize("mistake", sorted(CONFIG_MISTAKES))

@@ -23,6 +23,7 @@ from uwbocc.nn import (
     Network,
     OptimizerConfig,
     ReLU,
+    batch_input,
     bce_with_logits,
     build_network,
     channel_plan,
@@ -80,6 +81,15 @@ class TestLayouts:
         out = network_input(res, 2)
         assert np.array_equal(out, layout_2d(res)) and out.shape == (2, 4, 5)
         assert np.array_equal(out[0], res.real) and np.array_equal(out[1], res.imag)
+
+    def test_batch_input_of_planes_matches_network_input_per_sample(self):
+        rng = np.random.default_rng(3)
+        residuals = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        planes = np.stack([layout_2d(r) for r in residuals])
+        for dim in (1, 2):
+            expected = np.stack([network_input(r, dim) for r in residuals])
+            assert np.array_equal(batch_input(planes, dim), expected)
+        assert np.shares_memory(batch_input(planes, 1), planes)
 
 
 class TestConv:

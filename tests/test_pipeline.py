@@ -6,13 +6,14 @@ import pytest
 from uwbocc.augment import compute_reference_energy, corrupt
 from uwbocc.baselines import energy_detector, fft_detector
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
-from uwbocc.dataset import Split, make_split
+from uwbocc.dataset import Split, build_epoch_plan, make_split
 from uwbocc.errors import ConfigError, DataError
 from uwbocc.nn import build_network, flop_count, load_checkpoint, save_checkpoint, stack_real_imag_1d
 from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
+    _epoch_batches,
     _validation_scorer,
     assign_samples,
     memory_manifest,
@@ -162,6 +163,35 @@ class TestTrainSettings:
             with pytest.raises(ConfigError, match="finite"):
                 TrainSettings(snr_lo=lo, snr_hi=hi)
         assert TrainSettings(snr_lo=-15.0, snr_hi=-15.0).snr_hi == -15.0
+
+
+class TestEpochBatches:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_plan_position_gets_the_same_bytes_at_any_batch_size(self, dim):
+        records = small_records({"breathing": 12, "empty": 12}, seed=3)
+        manifest = memory_manifest(records)
+        split = make_split(manifest, test_per_class=0, empty_test=0)
+        pairs = assign_samples(manifest, residual_samples(records), split)[Split.TRAIN]
+        residual_by_file = {rec.file: sample.residual for rec, sample in pairs}
+        ref = reference_from_training([sample for _, sample in pairs])
+        plan = build_epoch_plan(split, seed=4, reuse_occupied=6, reuse_empty=6)
+        assert len(plan) == 78  # 64 + 14 at B=64; 11 * 7 + 1 at B=7, whose last is dropped
+
+        def per_position(batch_size):
+            settings = quick_settings(batch_size=batch_size, exact_scaling=True)
+            batches = list(_epoch_batches(plan, residual_by_file, ref, settings, dim, epoch=2))
+            assert all(inputs.dtype == np.float32 for inputs, _ in batches)
+            return (np.concatenate([inputs for inputs, _ in batches]),
+                    np.concatenate([labels for _, labels in batches]))
+
+        inputs64, labels64 = per_position(64)
+        inputs7, labels7 = per_position(7)
+        assert inputs7.shape[1:] == ((2 * SMALL.n_fast, SMALL.m_slow) if dim == 1
+                                     else (2, SMALL.n_fast, SMALL.m_slow))
+        assert len(inputs64) == 78 and len(inputs7) == 77
+        assert inputs7.tobytes() == inputs64[:77].tobytes()
+        assert np.array_equal(labels64, [1.0 if r.label.occupied else 0.0 for r in plan])
+        assert np.array_equal(labels7, labels64[:77])
 
 
 class TestRunTraining:

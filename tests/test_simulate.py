@@ -16,13 +16,18 @@ from uwbocc.simulate import (
     Scene,
     motion_path,
     parse_scene,
-    raised_cosine_pulse,
     raised_cosine_response,
     simulate_received,
     synth_dataset,
 )
 
 CFG = RadarConfig()
+
+
+def simulated_pulse(cfg):
+    """The simulated pulse: one static unit path at delay 0 is the pulse itself."""
+    scene = Scene(clutter_paths=(PathComponent(1.0 + 0j, 0.0),))
+    return simulate_received(scene, cfg, rng=0).data[:, 0]
 
 
 class TestRaisedCosine:
@@ -47,7 +52,7 @@ class TestRaisedCosine:
         assert list(h) == [1.0, 1.0, 0.0]
 
     def test_pulse_peaks_at_time_zero(self):
-        pulse = raised_cosine_pulse(CFG)
+        pulse = simulated_pulse(CFG)
         assert pulse.shape == (CFG.n_fast,)
         assert np.argmax(np.abs(pulse)) == 0
         # the time-domain peak is the average of the frequency response
@@ -57,7 +62,7 @@ class TestRaisedCosine:
         assert abs(pulse[0].imag) < 1e-15
 
     def test_parseval(self):
-        pulse = raised_cosine_pulse(CFG)
+        pulse = simulated_pulse(CFG)
         freqs = np.fft.fftfreq(CFG.n_fast, d=CFG.dt_fast)
         h = raised_cosine_response(freqs, CFG.bandwidth, CFG.rolloff)
         assert np.sum(np.abs(pulse) ** 2) == pytest.approx(np.sum(h**2) / CFG.n_fast, rel=1e-12)
@@ -73,7 +78,7 @@ class TestRaisedCosine:
         # a radar section that merely describes recorded data is not.
         cfg = RadarConfig(bandwidth=1.5e9)  # (1+0.5)*1.5e9/2 > 1e9
         with pytest.raises(ConfigError, match="Nyquist"):
-            raised_cosine_pulse(cfg)
+            simulated_pulse(cfg)
         with pytest.raises(ConfigError, match="Nyquist"):
             synth_dataset({"empty": 1}, cfg, rng=0)
 
@@ -92,7 +97,7 @@ class TestSimulateReceived:
         delay = shift * CFG.dt_fast
         scene = Scene(clutter_paths=(PathComponent(1.0 + 0j, delay),))
         cir = simulate_received(scene, CFG, rng=0)
-        expected = np.roll(raised_cosine_pulse(CFG), shift) * np.exp(-2j * np.pi * CFG.center_freq * delay)
+        expected = np.roll(simulated_pulse(CFG), shift) * np.exp(-2j * np.pi * CFG.center_freq * delay)
         assert np.abs(cir.data[:, 0] - expected).max() < 1e-12
 
     def test_superposition(self):
