@@ -11,8 +11,8 @@ to unit energy, then hand the result to a detector.
 Two paths follow that order.  add_noise, normalize_unit_energy and corrupt
 work on one complex float64 sample with numpy's Gaussian sampler; scoring
 and validation use them.  corrupt_batch corrupts a whole training batch in
-float32 with Box-Muller normals, written straight into the channels-first
-(B, 2, N, M) real/imaginary planes the networks take.
+float32 with Box-Muller normals, in the channels-first (B, 2, N, M)
+real/imaginary planes that nn.model.layout_2d lays residuals out in.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import frobenius_energy
 from .errors import ConfigError, DataError
+from .nn.model import layout_2d
 
 __all__ = [
     "SnrReference",
@@ -33,7 +34,14 @@ __all__ = [
     "normalize_unit_energy",
     "corrupt",
     "corrupt_batch",
+    "TRAIN_DTYPE",
 ]
+
+# Dtype of the training batches corrupt_batch writes.  Layers compute in
+# their input's dtype, so training runs in float32 on the network's float64
+# master weights, while validation and scoring batches, laid out from
+# corrupt's complex128 output, stay float64 and score in float64.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -145,9 +153,9 @@ def _noise_planes(shape, ref: SnrReference, snrs, rngs, exact: bool) -> np.ndarr
     e_s * 10^(-snr/10) up to float32 rounding.
     """
     n, m = shape
-    planes = np.empty((len(rngs), 2, n, m), dtype=np.float32)
+    planes = np.empty((len(rngs), 2, n, m), dtype=TRAIN_DTYPE)
     for draw, rng in zip(planes, rngs):
-        rng.random(dtype=np.float32, out=draw)
+        rng.random(dtype=TRAIN_DTYPE, out=draw)
     _box_muller(planes)
     sigma2 = noise_sigma(ref, np.asarray(snrs, dtype=np.float64), n, m)
     if exact:
@@ -157,7 +165,7 @@ def _noise_planes(shape, ref: SnrReference, snrs, rngs, exact: bool) -> np.ndarr
         # Unit normals scaled by sqrt(sigma2 * 2mn / drawn) have energy
         # 2mn * sigma2 = e_s * 10^(-snr/10).
         sigma2 = sigma2 * (2.0 * m * n / drawn)
-    planes *= np.sqrt(sigma2).astype(np.float32)[:, None, None, None]
+    planes *= np.sqrt(sigma2).astype(TRAIN_DTYPE)[:, None, None, None]
     return planes
 
 
@@ -168,17 +176,18 @@ def corrupt_batch(residuals, ref: SnrReference, snrs, rngs, *,
     residuals are B complex (N, M) matrices, snrs their SNRs in dB and rngs
     one numpy Generator per draw.  Noise is drawn as add_noise calibrates it
     but from float32 Box-Muller normals, so its radius is capped near
-    5.77 sigma; the residual is added and each sample is normalized to unit
-    energy.  Energies are float64 sums over one sample each, so a draw's
-    bytes depend only on its residual, SNR and generator, never on how
-    draws are grouped into batches.
+    5.77 sigma; the residuals, laid out by layout_2d, are added and each
+    sample is normalized to unit energy.  Energies are float64 sums over
+    one sample each, so a draw's bytes depend only on its residual, SNR and
+    generator, never on how draws are grouped into batches.
     """
+    if not len(residuals) == len(snrs) == len(rngs):
+        raise DataError(f"{len(residuals)} residuals, {len(snrs)} SNRs, {len(rngs)} "
+                        "generators: corrupt_batch needs one SNR and generator per residual")
     planes = _noise_planes(residuals[0].shape, ref, snrs, rngs, exact)
-    for draw, residual in zip(planes, residuals, strict=True):
-        draw[0] += residual.real
-        draw[1] += residual.imag
+    planes += layout_2d(residuals)
     energy = _sample_energies(planes)
     if np.any(energy <= 0.0):
         raise DataError("cannot normalize a zero-energy sample")
-    planes *= (1.0 / np.sqrt(energy)).astype(np.float32)[:, None, None, None]
+    planes *= (1.0 / np.sqrt(energy)).astype(TRAIN_DTYPE)[:, None, None, None]
     return planes

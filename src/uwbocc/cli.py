@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import SnrReference
+from .augment import TRAIN_DTYPE, SnrReference
 from .baselines import DEFAULT_ENERGY_WINDOW
 from .core import ActivityLabel, CirMatrix
 from .dataset import make_split, read_cir, read_dataset, segment_recording, write_dataset
@@ -44,7 +44,6 @@ from .evaluate import (
 )
 from .nn import VARIANTS, load_checkpoint, save_checkpoint
 from .pipeline import (
-    TRAIN_DTYPE,
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
@@ -79,13 +78,15 @@ def _output_path(value) -> Path:
 
 
 def _parse_counts(values) -> dict:
-    """{label: N} from repeated 'label=N[,label=N]' strings."""
+    """{label: N} from repeated 'label=N[,label=N]' strings; each label once, in any case."""
     counts: dict = {}
     for piece in ",".join(values).split(","):
         label, eq, number = piece.partition("=")
         if not eq:
             raise ConfigError(f"counts look like label=N, got {piece!r}")
         label = label.strip()
+        if label.lower() in (known.lower() for known in counts):
+            raise ConfigError(f"count for {label.lower()!r} given more than once")
         try:
             counts[label] = int(number)
         except ValueError:

@@ -13,10 +13,8 @@ from .model import (
     flop_count,
     layout_2d,
     load_checkpoint,
-    network_input,
     param_count,
     save_checkpoint,
-    stack_real_imag_1d,
 )
 from .training import (
     AdamOptimizer,

@@ -32,9 +32,7 @@ __all__ = [
     "ArchitectureVariant",
     "VARIANTS",
     "channel_plan",
-    "stack_real_imag_1d",
     "layout_2d",
-    "network_input",
     "batch_input",
     "ResidualBlock",
     "Network",
@@ -100,36 +98,31 @@ def channel_plan(variant: ArchitectureVariant) -> list[int]:
     return [c_out for _, c_out in _blocks(variant)]
 
 
-def stack_real_imag_1d(residual: np.ndarray) -> np.ndarray:
-    """(N, M) complex -> (2N, M) real: real rows on top, imaginary below.
+def layout_2d(residuals) -> np.ndarray:
+    """B complex (N, M) residuals -> (B, 2, N, M) real and imaginary planes.
 
-    Fast-time rows become input channels; the remaining axis is slow time.
-    Energy is preserved exactly.
+    The one input layout: plane 0 of each sample holds the real part, plane
+    1 the imaginary part, written into one buffer in the residuals' real
+    dtype.  Every residual must have the first one's shape; batch_input
+    turns the planes into either family's network input.
     """
-    return np.concatenate([residual.real, residual.imag], axis=-2)
-
-
-def layout_2d(residual: np.ndarray) -> np.ndarray:
-    """(N, M) complex -> (2, N, M) real: a real and an imaginary channel."""
-    return np.stack([residual.real, residual.imag], axis=-3)
-
-
-def network_input(residual: np.ndarray, dimensionality: int) -> np.ndarray:
-    """One residual's channels-first network input: (2N, M) for 1D, (2, N, M) for 2D.
-
-    Callers lay out one sample at a time and stack the results into a batch.
-    """
-    if dimensionality == 1:
-        return stack_real_imag_1d(residual)
-    return layout_2d(residual)
+    first = residuals[0]
+    planes = np.empty((len(residuals), 2, *first.shape), dtype=first.real.dtype)
+    for sample, residual in zip(planes, residuals):
+        if residual.shape != first.shape:
+            raise DataError(f"residual of shape {residual.shape} in a batch of {first.shape}")
+        sample[0] = residual.real
+        sample[1] = residual.imag
+    return planes
 
 
 def batch_input(planes: np.ndarray, dimensionality: int) -> np.ndarray:
     """A (B, 2, N, M) batch of real and imaginary planes as network input.
 
     The planes are the 2D input as they are.  Merging the plane and
-    fast-time axes, a view, gives the 1D input (B, 2N, M): real rows on
-    top, imaginary below, as stack_real_imag_1d lays out one sample.
+    fast-time axes, a view, gives the 1D input (B, 2N, M): fast-time rows
+    become channels, real rows on top and imaginary below; energy is
+    preserved exactly.
     """
     if dimensionality == 1:
         b, _, n, m = planes.shape

@@ -28,7 +28,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
-from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, network_input
+from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, layout_2d
 from .nn.training import EarlyStoppingConfig, OptimizerConfig, TrainingHistory, train_network
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "NetworkScorer",
     "BaselineScorer",
     "TrainSettings",
-    "TRAIN_DTYPE",
     "run_training",
 ]
 
@@ -113,8 +112,9 @@ def reference_from_training(train_samples) -> SnrReference:
 _INFERENCE_CHUNK = 256
 
 
-def _logits(network: Network, batch: np.ndarray) -> np.ndarray:
-    """Inference logits of a laid-out batch, _INFERENCE_CHUNK samples per forward call."""
+def _logits(network: Network, planes: np.ndarray) -> np.ndarray:
+    """Inference logits of (B, 2, N, M) planes, _INFERENCE_CHUNK samples per forward call."""
+    batch = batch_input(planes, network.variant.dimensionality)
     chunk = _INFERENCE_CHUNK
     return np.concatenate([network.forward(batch[start:start + chunk], train=False)
                            for start in range(0, len(batch), chunk)])
@@ -129,8 +129,7 @@ class NetworkScorer:
         self.flops = flop_count(network)
 
     def __call__(self, residuals) -> np.ndarray:
-        dim = self.network.variant.dimensionality
-        return _logits(self.network, np.stack([network_input(r, dim) for r in residuals]))
+        return _logits(self.network, layout_2d(residuals))
 
 
 class BaselineScorer:
@@ -193,13 +192,6 @@ class TrainSettings:
         return EarlyStoppingConfig(patience=self.patience, max_epochs=self.max_epochs)
 
 
-# Dtype of training batches, the float32 that corrupt_batch writes.  Layers
-# compute in their input's dtype, so training runs in float32 on the
-# network's float64 master weights, while validation and NetworkScorer
-# batches stay float64 and score in float64.
-TRAIN_DTYPE = np.float32
-
-
 def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     """Yield (inputs, labels) minibatches for one epoch, deterministically.
 
@@ -231,25 +223,24 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
 _VALIDATION_STREAM = 0x5EED_A11
 
 
-def _validation_scorer(val_samples, ref, settings, dim):
-    """Corrupt the validation set once, at a fixed SNR, and score each epoch.
+def _validation_scorer(val_samples, ref, settings):
+    """Corrupt and lay out the validation set once, at a fixed SNR; score it each epoch.
 
     Freezing the corruption keeps the early-stopping signal comparable
     across epochs; the per-sample seeds derive from the training seed.
     """
-    inputs, labels = [], []
+    noisy, labels = [], []
     for i, sample in enumerate(val_samples):
         rng = np.random.default_rng(np.random.SeedSequence((settings.seed, _VALIDATION_STREAM, i)))
-        noisy = corrupt(sample.residual, ref, settings.validation_snr, rng)
-        inputs.append(network_input(noisy, dim))
+        noisy.append(corrupt(sample.residual, ref, settings.validation_snr, rng))
         labels.append(1.0 if sample.label.occupied else 0.0)
-    batch = np.stack(inputs)
+    planes = layout_2d(noisy)
     labels = np.asarray(labels)
     if labels.min() == labels.max():
         raise DataError("validation split needs both classes for AUC-based early stopping")
 
     def score(network: Network) -> float:
-        return roc_auc(_logits(network, batch), labels)
+        return roc_auc(_logits(network, planes), labels)
 
     return score
 
@@ -278,9 +269,10 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
     val_samples = [sample for _, sample in by_split[Split.VALIDATION]]
     if not val_samples:
         raise DataError("validation split is empty")
-    scorer = _validation_scorer(val_samples, ref, settings, variant.dimensionality)
+    scorer = _validation_scorer(val_samples, ref, settings)
 
-    input_shape = network_input(train_pairs[0][1].residual, variant.dimensionality).shape
+    first_residual = train_pairs[0][1].residual
+    input_shape = batch_input(layout_2d([first_residual]), variant.dimensionality).shape[1:]
     network = build_network(variant, input_shape, kernel=settings.kernel, seed=settings.seed)
 
     def batches(epoch: int):

@@ -18,7 +18,7 @@ from uwbocc.augment import (
 )
 from uwbocc.core import CirMatrix, frobenius_energy, mean_remove
 from uwbocc.errors import ConfigError, DataError
-from uwbocc.nn.model import batch_input, network_input
+from uwbocc.nn.model import batch_input
 
 DT = (0.5e-9, 0.1)
 
@@ -303,9 +303,20 @@ class TestCorruptBatch:
         residuals = random_residuals(6, 16, 24, seed=9)
         rngs, _ = keyed_draws(6)
         planes = corrupt_batch(residuals, SnrReference(1.0), [200.0] * 6, rngs)
-        expected = np.stack([network_input(normalize_unit_energy(r), dim) for r in residuals])
+        lay_out = np.concatenate if dim == 1 else np.stack
+        expected = np.stack([lay_out([r.real, r.imag])
+                             for r in map(normalize_unit_energy, residuals)])
         np.testing.assert_allclose(batch_input(planes, dim), expected.astype(np.float32),
                                    rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("draws", [(1, 4, 4), (4, 3, 4), (4, 4, 5)])
+    def test_one_residual_snr_and_generator_per_draw(self, draws):
+        # One residual would otherwise broadcast over every draw.
+        n_residuals, n_snrs, n_rngs = draws
+        rngs, snrs = keyed_draws(n_rngs)
+        with pytest.raises(DataError, match="per residual"):
+            corrupt_batch(random_residuals(n_residuals, 4, 6), SnrReference(1.0),
+                          (snrs * 2)[:n_snrs], rngs)
 
     def test_zero_energy_sample_rejected(self):
         zeros = [np.zeros((4, 6), dtype=np.complex128)] * 2

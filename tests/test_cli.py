@@ -17,6 +17,7 @@ import uwbocc
 from uwbocc import cli
 from uwbocc.cli import _parse_counts, main
 from uwbocc.dataset import read_dataset, read_manifest, write_cir
+from uwbocc.errors import ConfigError
 from uwbocc.evaluate import read_report
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
 from uwbocc.simulate import Scene, load_scene, simulate_received
@@ -623,6 +624,14 @@ USER_MISTAKES = {
     "NaN sensor noise": (
         lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
                            "--sensor-noise", "nan"], 2),
+    "simulate count label given twice": (
+        lambda data, tmp: ["simulate", "--count", "empty=2,empty=3", "--out", tmp / "x"], 2),
+    "simulate count label given twice in another case": (
+        lambda data, tmp: ["simulate", "--count", "Empty=2", "--count", "empty=3",
+                           "--out", tmp / "x"], 2),
+    "car1-validation label given twice": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--car1-validation", "breathing=1,Breathing=2", *TRAIN_FAST], 2),
     "misspelled simulate count label": (
         lambda data, tmp: ["simulate", "--count", "breething=3", "--out", tmp / "x"], 2),
     "empty-cabin import with a seat": (
@@ -710,6 +719,12 @@ def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("values", [["empty=2,empty=3"], ["Empty=2", " empty =3"]])
+def test_repeated_count_label_is_named(values):
+    with pytest.raises(ConfigError, match="'empty' given more than once"):
+        _parse_counts(values)
 
 
 @pytest.mark.parametrize("mistake", sorted(SCENE_CONTENT_MISTAKES))

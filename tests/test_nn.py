@@ -32,64 +32,75 @@ from uwbocc.nn import (
     flop_count,
     layout_2d,
     load_checkpoint,
-    network_input,
     param_count,
     save_checkpoint,
-    stack_real_imag_1d,
     train_network,
 )
 from uwbocc.nn import layers
 from uwbocc.nn.model import ResidualBlock
 
 
+def input_1d(residual):
+    """One residual's 1D network input, through layout_2d and batch_input."""
+    return batch_input(layout_2d([residual]), 1)[0]
+
+
 class TestLayouts:
     def test_1d_stacking_example(self):
         res = np.array([[1 + 2j, 3 + 4j]])
-        out = stack_real_imag_1d(res)
+        out = input_1d(res)
         assert out.shape == (2, 2)
         assert np.array_equal(out, [[1, 3], [2, 4]])
 
     def test_1d_energy_preserved(self):
         rng = np.random.default_rng(0)
         res = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-        out = stack_real_imag_1d(res)
+        out = input_1d(res)
         assert out.shape == (12, 9)
         assert np.sum(out**2) == pytest.approx(np.sum(np.abs(res) ** 2), rel=1e-14)
 
     def test_1d_all_imaginary_top_rows_zero(self):
         res = 1j * np.ones((3, 4))
-        out = stack_real_imag_1d(res)
+        out = input_1d(res)
         assert np.all(out[:3] == 0)
         assert np.all(out[3:] == 1)
 
     def test_2d_example(self):
-        out = layout_2d(np.array([[1 + 2j]]))
-        assert out.shape == (2, 1, 1)
-        assert out[0, 0, 0] == 1 and out[1, 0, 0] == 2
+        out = batch_input(layout_2d([np.array([[1 + 2j]])]), 2)
+        assert out.shape == (1, 2, 1, 1)
+        assert out[0, 0, 0, 0] == 1 and out[0, 1, 0, 0] == 2
 
     def test_2d_energy_and_real_channel(self):
         rng = np.random.default_rng(1)
         res = rng.standard_normal((4, 5)) + 0j
-        out = layout_2d(res)
+        out = batch_input(layout_2d([res]), 2)[0]
         assert np.sum(out**2) == pytest.approx(np.sum(np.abs(res) ** 2), rel=1e-14)
         assert np.all(out[1] == 0)
 
-    def test_network_input_is_channels_first(self):
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_planes_are_channels_first_in_the_real_dtype(self, dtype):
         rng = np.random.default_rng(2)
-        res = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        assert np.array_equal(network_input(res, 1), stack_real_imag_1d(res))
-        out = network_input(res, 2)
-        assert np.array_equal(out, layout_2d(res)) and out.shape == (2, 4, 5)
-        assert np.array_equal(out[0], res.real) and np.array_equal(out[1], res.imag)
+        residuals = list((rng.standard_normal((3, 4, 5))
+                          + 1j * rng.standard_normal((3, 4, 5))).astype(dtype))
+        planes = layout_2d(residuals)
+        assert planes.shape == (3, 2, 4, 5) and planes.dtype == np.finfo(dtype).dtype
+        assert batch_input(planes, 2) is planes
+        for sample, res in zip(planes, residuals):
+            assert np.array_equal(sample[0], res.real) and np.array_equal(sample[1], res.imag)
 
-    def test_batch_input_of_planes_matches_network_input_per_sample(self):
+    def test_1d_batch_is_a_view_of_the_planes_stacked_per_sample(self):
         rng = np.random.default_rng(3)
         residuals = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-        planes = np.stack([layout_2d(r) for r in residuals])
-        for dim in (1, 2):
-            expected = np.stack([network_input(r, dim) for r in residuals])
-            assert np.array_equal(batch_input(planes, dim), expected)
+        planes = layout_2d(list(residuals))
+        expected = np.stack([np.concatenate([r.real, r.imag]) for r in residuals])
+        assert np.array_equal(batch_input(planes, 1), expected)
         assert np.shares_memory(batch_input(planes, 1), planes)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5,), (4, 6)])
+    def test_mismatched_residual_shape_raises(self, shape):
+        # (1, 5) and (5,) would broadcast into a (4, 5) plane.
+        with pytest.raises(DataError, match="shape"):
+            layout_2d([np.zeros((4, 5), complex), np.ones(shape, complex)])
 
 
 class TestConv:

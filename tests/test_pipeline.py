@@ -8,7 +8,7 @@ from uwbocc.baselines import energy_detector, fft_detector
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
 from uwbocc.dataset import Split, build_epoch_plan, make_split
 from uwbocc.errors import ConfigError, DataError
-from uwbocc.nn import build_network, flop_count, load_checkpoint, save_checkpoint, stack_real_imag_1d
+from uwbocc.nn import build_network, flop_count, load_checkpoint, save_checkpoint
 from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
@@ -106,7 +106,7 @@ class TestScorers:
         scorer = NetworkScorer(net)
         residuals = self.residuals()
         scores = scorer(residuals)
-        batch = np.stack([stack_real_imag_1d(r) for r in residuals])
+        batch = np.stack([np.concatenate([r.real, r.imag]) for r in residuals])
         assert np.array_equal(scores, net.forward(batch, train=False))
         assert scorer.name == "1D-E"
         assert scorer.flops == flop_count(net)
@@ -227,7 +227,7 @@ class TestRunTraining:
         net, history, ref = run_training(manifest, samples, split, settings)
         assert history.stopped_early and history.best_epoch < len(history.val_auc) - 1
         val_pairs = assign_samples(manifest, samples, split)[Split.VALIDATION]
-        score = _validation_scorer([s for _, s in val_pairs], ref, settings, 1)
+        score = _validation_scorer([s for _, s in val_pairs], ref, settings)
         # BatchNorm running statistics are restored with the parameters.
         assert score(net) == history.best_val_auc
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import uwbocc
@@ -46,3 +47,32 @@ def test_package_holds_only_its_docstring_and_version():
     body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
     assert [type(node).__name__ for node in body] == ["Expr", "Assign"]
     assert [target.id for target in body[1].targets] == ["__version__"]
+
+
+def test_benchmark_harness_finds_the_library_names_it_uses():
+    # perfbench/tracing.py skips a traced name that no longer exists, so a
+    # renamed function would silently drop its span from every traced run.
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", perfbench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    homes: dict = {}
+    for home, attribute, span in tracing.FUNCTIONS:
+        homes.setdefault(span, []).append((home, attribute))
+    unresolved = [span for span in tracing.EXPECTED_CALLS if span in homes
+                  and not any(hasattr(importlib.import_module(home), attribute)
+                              for home, attribute in homes[span])]
+    assert not unresolved, f"traced spans with no callable left: {unresolved}"
+
+    tree = ast.parse((perfbench / "child.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "uwbocc":
+                    importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "uwbocc":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    assert not missing, f"names perfbench/child.py imports that do not resolve: {missing}"
