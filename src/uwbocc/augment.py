@@ -8,11 +8,13 @@ stronger motion stay easier to detect at the same nominal SNR.  The
 processing order is fixed: remove the slow-time mean, add noise, normalize
 to unit energy, then hand the result to a detector.
 
-Two paths follow that order.  add_noise, normalize_unit_energy and corrupt
-work on one complex float64 sample with numpy's Gaussian sampler; scoring
-and validation use them.  corrupt_batch corrupts a whole training batch in
-float32 with Box-Muller normals, in the channels-first (B, 2, N, M)
-real/imaginary planes that nn.model.layout_2d lays residuals out in.
+One path follows that order for every draw: training batches, the frozen
+validation set and each grid SNR of a sweep or ablation.  corrupt_batch is
+normalize_unit_energy(add_noise(...)) over a batch, with Box-Muller noise
+from one generator per draw, written into the channels-first (B, 2, N, M)
+real/imaginary planes that nn.model.layout_2d lays residuals out in.  The
+planes take the residuals' real dtype, as layout_2d does: float32 for the
+complex64 residuals pipeline.residual_samples makes.
 """
 
 from __future__ import annotations
@@ -32,16 +34,8 @@ __all__ = [
     "noise_sigma",
     "add_noise",
     "normalize_unit_energy",
-    "corrupt",
     "corrupt_batch",
-    "TRAIN_DTYPE",
 ]
-
-# Dtype of the training batches corrupt_batch writes.  Layers compute in
-# their input's dtype, so training runs in float32 on the network's float64
-# master weights, while validation and scoring batches, laid out from
-# corrupt's complex128 output, stay float64 and score in float64.
-TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -70,50 +64,6 @@ def noise_sigma(ref: SnrReference, snr_db: float, n: int, m: int) -> float:
     return ref.e_s / (2.0 * m * n * 10.0 ** (snr_db / 10.0))
 
 
-def add_noise(residual: np.ndarray, ref: SnrReference, snr_db: float,
-              rng=None, *, exact: bool = False) -> np.ndarray:
-    """Add circularly-symmetric white Gaussian noise at the requested SNR.
-
-    The variance comes from noise_sigma, so it depends only on the reference
-    energy and matrix size, never on the sample being corrupted.  With
-    exact=True the drawn noise is rescaled so e_s/||V||^2 equals
-    10^(snr_db/10) exactly.  snr_db = +inf is a noise-free passthrough.
-    Deterministic per seed.  The noise is built in place in one complex
-    buffer: the real half is drawn first, then the imaginary half.
-    """
-    if math.isinf(snr_db) and snr_db > 0:
-        return residual
-    rng = np.random.default_rng(rng)
-    shape = residual.shape
-    sigma2 = noise_sigma(ref, snr_db, *shape)
-    noise = np.empty(shape, dtype=np.complex128)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
-    noise *= math.sqrt(sigma2)
-    if exact:
-        target = ref.e_s * 10.0 ** (-snr_db / 10.0)
-        got = frobenius_energy(noise)
-        if got == 0.0:
-            raise DataError("drawn noise has zero energy; cannot scale exactly")
-        noise *= math.sqrt(target / got)
-    noise += residual
-    return noise
-
-
-def normalize_unit_energy(residual: np.ndarray) -> np.ndarray:
-    """Scale so the Frobenius-squared energy is 1; direction unchanged."""
-    energy = frobenius_energy(residual)
-    if energy <= 0.0:
-        raise DataError("cannot normalize a zero-energy sample")
-    return residual / math.sqrt(energy)
-
-
-def corrupt(residual: np.ndarray, ref: SnrReference, snr_db: float,
-            rng=None, *, exact: bool = False) -> np.ndarray:
-    """A detector input: add_noise at snr_db, then normalize_unit_energy."""
-    return normalize_unit_energy(add_noise(residual, ref, snr_db, rng, exact=exact))
-
-
 def _sample_energies(planes: np.ndarray) -> np.ndarray:
     """Float64 energy of each sample of a (B, ...) batch.
 
@@ -125,37 +75,48 @@ def _sample_energies(planes: np.ndarray) -> np.ndarray:
 
 
 def _box_muller(planes: np.ndarray) -> None:
-    """Turn (..., 2, N, M) float32 uniforms in [0, 1) into standard normals, in place.
+    """Turn (..., 2, N, M) uniforms in [0, 1) into standard normals, in place.
 
     Plane 0 supplies the radius sqrt(-2 log(1 - u)), plane 1 the angle
     2 pi u; they become the real (r cos) and imaginary (r sin) parts of a
     unit-variance-per-component circular Gaussian.  log1p(-u) stays finite
-    at u = 0.  Float32 uniforms are multiples of 2**-24, so 1 - u >= 2**-24
-    and the radius never exceeds sqrt(-2 ln 2**-24) ~ 5.77.
+    at u = 0.  Uniforms are multiples of eps/2 of their dtype (2**-24 in
+    float32), so 1 - u >= eps/2 and the radius never exceeds
+    sqrt(-2 ln(eps/2)), about 5.77 in float32 and 8.57 in float64.
     """
     radius, angle = planes[..., 0, :, :], planes[..., 1, :, :]
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle *= np.float32(2.0 * math.pi)
+    angle *= 2.0 * math.pi
     cos = np.cos(angle)
     np.sin(angle, out=angle)
     angle *= radius
     radius *= cos
 
 
-def _noise_planes(shape, ref: SnrReference, snrs, rngs, exact: bool) -> np.ndarray:
-    """Float32 (B, 2, N, M) noise: add_noise's calibration with Box-Muller normals.
+def add_noise(residuals, ref: SnrReference, snrs, rngs, *, exact: bool = False) -> np.ndarray:
+    """Circularly-symmetric white Gaussian noise at each SNR, plus the residuals.
 
-    Each generator fills its own draw's uniforms.  Each draw is scaled by
-    sqrt(noise_sigma), or with exact=True so that its energy is
-    e_s * 10^(-snr/10) up to float32 rounding.
+    residuals are B complex (N, M) matrices, snrs their SNRs in dB and rngs
+    one numpy Generator per draw; the result is (B, 2, N, M) planes in the
+    residuals' real dtype.  Each generator fills its own draw's uniforms,
+    which become Box-Muller normals scaled by sqrt(noise_sigma): the
+    variance depends only on the reference energy and matrix size, never
+    on the sample being corrupted.  With exact=True each draw is rescaled
+    so e_s/||V||^2 equals 10^(snr/10) up to the planes' rounding.  An SNR
+    of +inf adds no noise.  Each residual, laid out by layout_2d, is added
+    one draw at a time, so no second batch-sized buffer is made.
     """
-    n, m = shape
-    planes = np.empty((len(rngs), 2, n, m), dtype=TRAIN_DTYPE)
+    if not len(residuals) == len(snrs) == len(rngs):
+        raise DataError(f"{len(residuals)} residuals, {len(snrs)} SNRs, {len(rngs)} "
+                        "generators: add_noise needs one SNR and generator per residual")
+    first = residuals[0]
+    n, m = first.shape
+    planes = np.empty((len(rngs), 2, n, m), dtype=first.real.dtype)
     for draw, rng in zip(planes, rngs):
-        rng.random(dtype=TRAIN_DTYPE, out=draw)
+        rng.random(dtype=planes.dtype, out=draw)
     _box_muller(planes)
     sigma2 = noise_sigma(ref, np.asarray(snrs, dtype=np.float64), n, m)
     if exact:
@@ -165,29 +126,33 @@ def _noise_planes(shape, ref: SnrReference, snrs, rngs, exact: bool) -> np.ndarr
         # Unit normals scaled by sqrt(sigma2 * 2mn / drawn) have energy
         # 2mn * sigma2 = e_s * 10^(-snr/10).
         sigma2 = sigma2 * (2.0 * m * n / drawn)
-    planes *= np.sqrt(sigma2).astype(TRAIN_DTYPE)[:, None, None, None]
+    planes *= np.sqrt(sigma2).astype(planes.dtype)[:, None, None, None]
+    for draw, residual in zip(planes, residuals):
+        if residual.shape != first.shape:
+            raise DataError(f"residual of shape {residual.shape} in a batch of {first.shape}")
+        draw += layout_2d([residual])[0]
+    return planes
+
+
+def normalize_unit_energy(planes: np.ndarray) -> np.ndarray:
+    """Scale each sample of a (B, ...) batch to unit energy, in place; returns planes.
+
+    Energies are float64 sums over one sample each, so a sample's bytes
+    depend only on itself, never on the batch around it.
+    """
+    energy = _sample_energies(planes)
+    if np.any(energy <= 0.0):
+        raise DataError("cannot normalize a zero-energy sample")
+    planes *= (1.0 / np.sqrt(energy)).astype(planes.dtype)[:, None, None, None]
     return planes
 
 
 def corrupt_batch(residuals, ref: SnrReference, snrs, rngs, *,
                   exact: bool = False) -> np.ndarray:
-    """corrupt for a batch, in float32: (B, 2, N, M) real and imaginary planes.
+    """Detector inputs: add_noise at each draw's SNR, then normalize_unit_energy.
 
-    residuals are B complex (N, M) matrices, snrs their SNRs in dB and rngs
-    one numpy Generator per draw.  Noise is drawn as add_noise calibrates it
-    but from float32 Box-Muller normals, so its radius is capped near
-    5.77 sigma; the residuals, laid out by layout_2d, are added and each
-    sample is normalized to unit energy.  Energies are float64 sums over
-    one sample each, so a draw's bytes depend only on its residual, SNR and
-    generator, never on how draws are grouped into batches.
+    Every draw in the package goes through here.  A draw's bytes depend
+    only on its residual, SNR and generator, never on how draws are
+    grouped into batches.
     """
-    if not len(residuals) == len(snrs) == len(rngs):
-        raise DataError(f"{len(residuals)} residuals, {len(snrs)} SNRs, {len(rngs)} "
-                        "generators: corrupt_batch needs one SNR and generator per residual")
-    planes = _noise_planes(residuals[0].shape, ref, snrs, rngs, exact)
-    planes += layout_2d(residuals)
-    energy = _sample_energies(planes)
-    if np.any(energy <= 0.0):
-        raise DataError("cannot normalize a zero-energy sample")
-    planes *= (1.0 / np.sqrt(energy)).astype(TRAIN_DTYPE)[:, None, None, None]
-    return planes
+    return normalize_unit_energy(add_noise(residuals, ref, snrs, rngs, exact=exact))

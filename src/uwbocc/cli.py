@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import TRAIN_DTYPE, SnrReference
+from .augment import SnrReference
 from .baselines import DEFAULT_ENERGY_WINDOW
 from .core import ActivityLabel, CirMatrix
 from .dataset import make_split, read_cir, read_dataset, segment_recording, write_dataset
@@ -216,7 +216,7 @@ def cmd_train(ns) -> int:
         "epochs_run": len(history.val_auc),
         "reference_energy": ref.e_s,
         "stopped_early": history.stopped_early,
-        "train_dtype": np.dtype(TRAIN_DTYPE).name,
+        "train_dtype": samples[0].residual.real.dtype.name,
         "train_seed": settings.seed,
     }
     save_checkpoint(network, _output_path(ns.out), extra=extra)

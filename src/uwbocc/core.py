@@ -130,12 +130,11 @@ def mean_remove(r: CirMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frobenius_energy(r) -> float:
-    """Sum of squared magnitudes over all matrix entries.
+    """Sum of squared magnitudes over all matrix entries, accumulated in float64.
 
-    Accepts a CirMatrix or a bare complex/real array.  Zero if and only if
-    every entry is zero.
+    Accepts a CirMatrix or a bare complex/real array of any precision.  Zero
+    if and only if every entry is zero.
     """
     arr = r.data if isinstance(r, CirMatrix) else np.asarray(r)
-    if np.iscomplexobj(arr):
-        return float(np.sum(arr.real**2) + np.sum(arr.imag**2))
-    return float(np.sum(np.square(arr, dtype=np.float64)))
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    return float(sum(np.sum(np.square(part, dtype=np.float64)) for part in parts))

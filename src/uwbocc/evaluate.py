@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .augment import SnrReference, corrupt
+from .augment import SnrReference, corrupt_batch
 from .core import ActivityLabel
 from .errors import ConfigError, DataError
 
@@ -126,6 +126,9 @@ def _check_grid(grid) -> tuple:
         raise ConfigError("empty SNR grid")
     if not all(math.isfinite(v) for v in grid):
         raise ConfigError("grid SNR values must be finite")
+    repeated = sorted({v for v in grid if grid.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"grid SNR {repeated[0]!r} dB given more than once")
     return grid
 
 
@@ -150,32 +153,35 @@ def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
     return activities, negatives
 
 
-def _score_grid_point(scorer, positives, negatives) -> list:
+def _score_grid_point(scorer, planes, sizes) -> list:
     """[(auc, n_pos, n_neg)] per positive group, from one scorer call.
 
-    positives holds one list of corrupted inputs per activity; the scorer
-    sees every group and the negatives as one batch, and each group is
+    planes is one grid point's (B, 2, N, M) batch: each activity's
+    positives in turn, sizes[i] of them for activity i, then the negatives.
+    The scorer sees the whole batch at once, and each activity's slice is
     ranked against the same negative scores.
     """
-    batch = [x for group in positives for x in group] + negatives
-    scores = np.asarray(scorer(batch), dtype=np.float64)
-    if scores.shape != (len(batch),):
-        raise ConfigError(f"scorer returned {scores.shape} scores for {len(batch)} inputs")
-    negative_scores = scores[len(batch) - len(negatives):]
+    scores = np.asarray(scorer(planes), dtype=np.float64)
+    if scores.shape != (len(planes),):
+        raise ConfigError(f"scorer returned {scores.shape} scores for {len(planes)} inputs")
+    negative_scores = scores[sum(sizes):]
+    n_neg = len(negative_scores)
     results, start = [], 0
-    for group in positives:
-        stop = start + len(group)
-        labels = np.concatenate([np.ones(len(group)), np.zeros(len(negatives))])
-        auc = roc_auc(np.concatenate([scores[start:stop], negative_scores]), labels)
-        results.append((auc, len(group), len(negatives)))
-        start = stop
+    for size in sizes:
+        labels = np.concatenate([np.ones(size), np.zeros(n_neg)])
+        auc = roc_auc(np.concatenate([scores[start:start + size], negative_scores]), labels)
+        results.append((auc, size, n_neg))
+        start += size
     return results
 
 
 # Version of the corruption seed scheme, written into every report config.
+# 3: every draw is float32 Box-Muller noise from augment.corrupt_batch on
+# complex64 residuals, and detectors score float32 planes; schema 2 drew
+# float64 noise with numpy's Gaussian sampler, one residual at a time.
 # 2: negatives drawn once per grid SNR; reports without the field drew them
 # once per activity.
-_REPORT_SCHEMA = 2
+_REPORT_SCHEMA = 3
 
 # Seed tag of the negatives' draws, in place of an act_idx: act_idx counts
 # occupied activities, so it never reaches this value.
@@ -186,11 +192,11 @@ def _score_points(scorers, points, negatives, ref, seed, exact, threads) -> list
     """Per point, one (auc, n_pos, n_neg) per scorer, in scorer order.
 
     A point is (act_idx, activity, positives, snr_idx, snr_db).  Points are
-    scored by grid SNR: at each distinct snr_idx the negatives are corrupted
-    once, draw k seeded by (seed, _NEGATIVE_STREAM, snr_idx, k), and each
-    point's positives with (seed, act_idx, snr_idx, k).  Every scorer sees
-    that grid point's whole batch in one call, so results depend neither on
-    threads nor on which scorers share a run.
+    scored by grid SNR: each distinct snr_idx makes one corrupt_batch call,
+    every point's positives first, draw k keyed (seed, act_idx, snr_idx, k),
+    then the negatives once, keyed (seed, _NEGATIVE_STREAM, snr_idx, k).
+    Every scorer gets that one (B, 2, N, M) array, so results depend
+    neither on threads nor on which scorers share a run.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -200,15 +206,13 @@ def _score_points(scorers, points, negatives, ref, seed, exact, threads) -> list
 
     def run(indices):
         _, _, _, snr_idx, snr_db = points[indices[0]]
-
-        def draws(stream, residuals):
-            return [corrupt(residual, ref, snr_db,
-                            np.random.SeedSequence((seed, stream, snr_idx, k)), exact=exact)
-                    for k, residual in enumerate(residuals)]
-
-        corrupted_neg = draws(_NEGATIVE_STREAM, negatives)
-        corrupted_pos = [draws(points[i][0], points[i][2]) for i in indices]
-        return [_score_grid_point(scorer, corrupted_pos, corrupted_neg) for scorer in scorers]
+        groups = [(points[i][0], points[i][2]) for i in indices] + [(_NEGATIVE_STREAM, negatives)]
+        residuals = [residual for _, group in groups for residual in group]
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, stream, snr_idx, k)))
+                for stream, group in groups for k in range(len(group))]
+        planes = corrupt_batch(residuals, ref, [snr_db] * len(residuals), rngs, exact=exact)
+        sizes = [len(points[i][2]) for i in indices]
+        return [_score_grid_point(scorer, planes, sizes) for scorer in scorers]
 
     groups = list(by_snr.values())
     if threads > 1:

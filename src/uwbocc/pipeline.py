@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import SnrReference, compute_reference_energy, corrupt, corrupt_batch
+from .augment import SnrReference, compute_reference_energy, corrupt_batch
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
 from .core import ActivityLabel, mean_remove
 from .dataset import (
@@ -53,10 +53,18 @@ class ResidualSample:
 
 
 def residual_samples(records) -> list[ResidualSample]:
-    """Mean-remove every record once; downstream draws reuse the residuals."""
+    """Mean-remove every record once; downstream draws reuse the residuals.
+
+    Each residual is kept as a read-only complex64 array.  This is where the
+    package chooses its working precision: noise planes take the residuals'
+    real dtype, so every draw, and with it training and scoring, runs in
+    float32.
+    """
     out = []
     for rec in records:
         _, residual = mean_remove(rec.cir)
+        residual = residual.astype(np.complex64)
+        residual.setflags(write=False)
         out.append(ResidualSample(rec.label, residual))
     return out
 
@@ -121,19 +129,19 @@ def _logits(network: Network, planes: np.ndarray) -> np.ndarray:
 
 
 class NetworkScorer:
-    """Scores residual batches with a trained network (inference mode)."""
+    """Scores (B, 2, N, M) batches of planes with a trained network (inference mode)."""
 
     def __init__(self, network: Network):
         self.network = network
         self.name = network.variant.name
         self.flops = flop_count(network)
 
-    def __call__(self, residuals) -> np.ndarray:
-        return _logits(self.network, layout_2d(residuals))
+    def __call__(self, planes: np.ndarray) -> np.ndarray:
+        return _logits(self.network, planes)
 
 
 class BaselineScorer:
-    """Scores residual batches with a classical detector function."""
+    """Scores (B, 2, N, M) batches of planes with a classical detector function."""
 
     KINDS = ("energy", "fft")
 
@@ -145,14 +153,14 @@ class BaselineScorer:
         self.window_cols = window_cols
         self.flops = 0  # estimated from the input shape on the first call
 
-    def __call__(self, residuals) -> np.ndarray:
-        if residuals and not self.flops:
-            n, m = residuals[0].shape
+    def __call__(self, planes: np.ndarray) -> np.ndarray:
+        if len(planes) and not self.flops:
+            n, m = planes.shape[-2:]
             self.flops = (4 * n * m + 2 * m if self.kind == "energy"
                           else int(5 * n * m * max(np.log2(m), 1.0)))
         if self.kind == "energy":
-            return np.asarray([energy_detector(r, self.window_cols) for r in residuals])
-        return np.asarray([fft_detector(r) for r in residuals])
+            return energy_detector(planes, self.window_cols)
+        return fft_detector(planes)
 
 
 @dataclass(frozen=True)
@@ -195,14 +203,13 @@ class TrainSettings:
 def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     """Yield (inputs, labels) minibatches for one epoch, deterministically.
 
-    Each batch is corrupted in one corrupt_batch call, in TRAIN_DTYPE
-    (float32), and laid out by batch_input; the train forward and backward
-    passes run in float32, while inference stays float64.  Each draw's
-    generator is keyed by (seed, epoch, draw position) and gives the draw's
-    SNR first, then its noise, so a draw's bytes do not depend on the
-    batch size or on any worker arrangement.  A trailing partial batch
-    below 2 samples is dropped because batch statistics are undefined for
-    it.
+    Each batch is corrupted in one corrupt_batch call, in the residuals'
+    precision (float32), and laid out by batch_input, so the train forward
+    and backward passes run in float32.  Each draw's generator is keyed by
+    (seed, epoch, draw position) and gives the draw's SNR first, then its
+    noise, so a draw's bytes do not depend on the batch size or on any
+    worker arrangement.  A trailing partial batch below 2 samples is
+    dropped because batch statistics are undefined for it.
     """
     size = settings.batch_size
     for start in range(0, len(plan_records), size):
@@ -224,18 +231,16 @@ _VALIDATION_STREAM = 0x5EED_A11
 
 
 def _validation_scorer(val_samples, ref, settings):
-    """Corrupt and lay out the validation set once, at a fixed SNR; score it each epoch.
+    """Corrupt the validation set once, at a fixed SNR, in one call; score it each epoch.
 
     Freezing the corruption keeps the early-stopping signal comparable
-    across epochs; the per-sample seeds derive from the training seed.
+    across epochs; draw i's generator is keyed (seed, _VALIDATION_STREAM, i).
     """
-    noisy, labels = [], []
-    for i, sample in enumerate(val_samples):
-        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, _VALIDATION_STREAM, i)))
-        noisy.append(corrupt(sample.residual, ref, settings.validation_snr, rng))
-        labels.append(1.0 if sample.label.occupied else 0.0)
-    planes = layout_2d(noisy)
-    labels = np.asarray(labels)
+    rngs = [np.random.default_rng(np.random.SeedSequence((settings.seed, _VALIDATION_STREAM, i)))
+            for i in range(len(val_samples))]
+    planes = corrupt_batch([sample.residual for sample in val_samples], ref,
+                           [settings.validation_snr] * len(val_samples), rngs)
+    labels = np.asarray([1.0 if sample.label.occupied else 0.0 for sample in val_samples])
     if labels.min() == labels.max():
         raise DataError("validation split needs both classes for AUC-based early stopping")
 

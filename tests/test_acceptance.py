@@ -138,14 +138,14 @@ def test_criterion_3_snr_calibration():
 
     energies = np.empty(10_000)
     for i in range(energies.size):
-        noisy = add_noise(zero, ref, -20.0, rng=np.random.default_rng((7, i)))
+        noisy = add_noise([zero], ref, [-20.0], [np.random.default_rng((7, i))])
         energies[i] = frobenius_energy(noisy)
     mean = float(energies.mean())
     assert abs(mean / target - 1.0) <= 0.02, f"mean noise energy {mean:.3f} vs {target}"
 
     worst = 0.0
     for i in range(200):
-        noisy = add_noise(zero, ref, -20.0, rng=np.random.default_rng((8, i)), exact=True)
+        noisy = add_noise([zero], ref, [-20.0], [np.random.default_rng((8, i))], exact=True)
         worst = max(worst, abs(frobenius_energy(noisy) / target - 1.0))
     assert worst <= 1e-12, f"exact-scaling relative error {worst:.3e}"
 

@@ -1,6 +1,7 @@
 """Noise calibration, normalization, and the input pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,15 @@ import pytest
 from uwbocc.augment import (
     SnrReference,
     _box_muller,
-    _noise_planes,
     add_noise,
     compute_reference_energy,
-    corrupt,
     corrupt_batch,
     noise_sigma,
     normalize_unit_energy,
 )
 from uwbocc.core import CirMatrix, frobenius_energy, mean_remove
 from uwbocc.errors import ConfigError, DataError
-from uwbocc.nn.model import batch_input
+from uwbocc.nn.model import batch_input, layout_2d
 
 DT = (0.5e-9, 0.1)
 
@@ -38,6 +37,16 @@ def residual_of_energy(energy, n=4, m=8):
     data = np.zeros((n, m), dtype=np.complex128)
     data[0, 0] = math.sqrt(energy)
     return data
+
+
+def one_draw(residual, ref, snr_db, seed, exact=False):
+    """add_noise on a batch of one: the (2, N, M) planes of one noisy residual."""
+    return add_noise([residual], ref, [snr_db], [np.random.default_rng(seed)], exact=exact)[0]
+
+
+def as_complex(planes):
+    """(2, N, M) real and imaginary planes back to one complex128 matrix."""
+    return planes[0].astype(np.float64) + 1j * planes[1]
 
 
 class TestReferenceEnergy:
@@ -81,75 +90,94 @@ class TestNoiseSigma:
         ref = SnrReference(5.0)
         a = residual_of_energy(1.0)
         b = residual_of_energy(400.0)
-        noisy_a = add_noise(a, ref, -10.0, rng=42)
-        noisy_b = add_noise(b, ref, -10.0, rng=42)
-        assert np.allclose(noisy_a - a, noisy_b - b, atol=1e-12, rtol=0)
+        noisy = add_noise([a, b], ref, [-10.0] * 2, [np.random.default_rng(42) for _ in "ab"])
+        added = noisy - layout_2d([a, b])
+        assert np.allclose(added[0], added[1], atol=1e-12, rtol=0)
 
 
 class TestAddNoise:
     def test_infinite_snr_is_passthrough(self):
         res = residual_of_energy(2.0)
-        assert add_noise(res, SnrReference(1.0), math.inf, rng=0) is res
+        assert np.array_equal(one_draw(res, SnrReference(1.0), math.inf, 0), layout_2d([res])[0])
+
+    def test_planes_take_the_residuals_real_dtype(self):
+        for dtype, real in ((np.complex64, np.float32), (np.complex128, np.float64)):
+            noisy = one_draw(residual_of_energy(2.0).astype(dtype), SnrReference(1.0), -10.0, 0)
+            assert noisy.dtype == real and noisy.shape == (2, 4, 8)
 
     def test_mean_noise_energy_calibrated(self):
         # E||V||^2 = 2*M*N*sigma^2 = e_s * 10^(-snr/10)
         ref = SnrReference(1.0)
         base = np.zeros((64, 100), dtype=np.complex128)
-        rng = np.random.default_rng(7)
         total = 0.0
         n_draws = 2000
-        for _ in range(n_draws):
-            total += frobenius_energy(add_noise(base, ref, -20.0, rng=rng))
+        for i in range(n_draws):
+            total += frobenius_energy(one_draw(base, ref, -20.0, (7, i)))
         assert total / n_draws == pytest.approx(100.0, rel=0.02)
 
     def test_exact_scaling_hits_ratio_exactly(self):
         ref = SnrReference(3.0)
         base = np.zeros((16, 20), dtype=np.complex128)
         for seed, snr in ((0, -20.0), (1, -5.5), (2, 0.0)):
-            noisy = add_noise(base, ref, snr, rng=seed, exact=True)
+            noisy = one_draw(base, ref, snr, seed, exact=True)
             ratio = ref.e_s / frobenius_energy(noisy)
             assert ratio == pytest.approx(10.0 ** (snr / 10.0), rel=1e-12)
 
     def test_deterministic_per_seed(self):
         res = residual_of_energy(1.0)
-        a = add_noise(res, SnrReference(1.0), -15.0, rng=99)
-        b = add_noise(res, SnrReference(1.0), -15.0, rng=99)
+        a = one_draw(res, SnrReference(1.0), -15.0, 99)
+        b = one_draw(res, SnrReference(1.0), -15.0, 99)
         assert np.array_equal(a, b)
 
     def test_noise_is_circularly_symmetric(self):
         base = np.zeros((64, 100), dtype=np.complex128)
-        noisy = add_noise(base, SnrReference(1.0), -20.0, rng=3)
-        re, im = noisy.real.ravel(), noisy.imag.ravel()
+        noisy = one_draw(base, SnrReference(1.0), -20.0, 3)
+        re, im = noisy[0].ravel(), noisy[1].ravel()
         sigma2 = noise_sigma(SnrReference(1.0), -20.0, 64, 100)
         assert re.var() == pytest.approx(sigma2, rel=0.1)
         assert im.var() == pytest.approx(sigma2, rel=0.1)
         assert abs(np.corrcoef(re, im)[0, 1]) < 0.05
 
+    def test_residuals_of_another_shape_rejected(self):
+        residuals = [np.zeros((4, 6), complex), np.zeros((1, 6), complex)]
+        with pytest.raises(DataError, match="shape"):
+            add_noise(residuals, SnrReference(1.0), [-10.0] * 2,
+                      [np.random.default_rng(k) for k in range(2)])
+
 
 class TestNormalize:
     def test_energy_four_halves_entries(self):
         res = residual_of_energy(4.0)
-        out = normalize_unit_energy(res)
-        assert np.array_equal(out, res / 2.0)
+        planes = layout_2d([res])
+        out = normalize_unit_energy(planes)
+        assert out is planes  # in place
+        assert np.array_equal(out, layout_2d([res / 2.0]))
         assert frobenius_energy(out) == pytest.approx(1.0, rel=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         res = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        once = normalize_unit_energy(res)
-        twice = normalize_unit_energy(once)
+        once = normalize_unit_energy(layout_2d([res]))
+        twice = normalize_unit_energy(once.copy())
         assert np.abs(twice - once).max() < 1e-15
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(1)
         res = rng.standard_normal((4, 6)) + 0j
-        out = normalize_unit_energy(res)
-        quotient = out / res
+        out = normalize_unit_energy(layout_2d([res]))
+        quotient = out[0, 0] / res.real
         assert np.abs(quotient - quotient.flat[0]).max() < 1e-12
+
+    def test_each_sample_scaled_by_its_own_energy(self):
+        residuals = [residual_of_energy(e) for e in (4.0, 9.0, 1.0)]
+        out = normalize_unit_energy(layout_2d(residuals))
+        assert np.array_equal(out, layout_2d([residuals[0] / 2.0, residuals[1] / 3.0,
+                                              residuals[2]]))
 
     def test_zero_energy_rejected(self):
         with pytest.raises(DataError):
-            normalize_unit_energy(np.zeros((2, 3), dtype=np.complex128))
+            normalize_unit_energy(layout_2d([residual_of_energy(1.0),
+                                             np.zeros((4, 8), dtype=np.complex128)]))
 
 
 class TestPipeline:
@@ -160,8 +188,10 @@ class TestPipeline:
         ref = SnrReference(2.0)
         _, residual = mean_remove(cir)
         for exact in (False, True):
-            out = corrupt(residual, ref, -12.0, rng=77, exact=exact)
-            expected = normalize_unit_energy(add_noise(residual, ref, -12.0, rng=77, exact=exact))
+            out = corrupt_batch([residual], ref, [-12.0], [np.random.default_rng(77)],
+                                exact=exact)
+            expected = normalize_unit_energy(add_noise([residual], ref, [-12.0],
+                                                       [np.random.default_rng(77)], exact=exact))
             assert np.array_equal(out, expected)
             assert frobenius_energy(out) == pytest.approx(1.0, rel=1e-12)
 
@@ -184,8 +214,8 @@ class TestPipeline:
         for seed in range(5):
             cir = simulate_received(scene, cfg, rng=seed)
             _, residual = mean_remove(cir)
-            out = add_noise(residual, ref, -30.0, rng=seed + 100)
-            flatness = spectral_flatness(out)
+            out = one_draw(residual, ref, -30.0, seed + 100)
+            flatness = spectral_flatness(as_complex(out))
             assert 0.53 < flatness < 0.59
 
     def test_structured_signal_is_not_white(self):
@@ -202,8 +232,15 @@ def keyed_draws(count, seed=0, snr_lo=-30.0, snr_hi=0.0):
 
 
 def random_residuals(count, n=64, m=100, seed=0):
+    """Complex64 residuals, as pipeline.residual_samples keeps them."""
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for _ in range(count)]
+    return [(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))).astype(np.complex64)
+            for _ in range(count)]
+
+
+def zero_residuals(count, n=64, m=100):
+    """Adding a zero residual leaves the noise planes as they were drawn."""
+    return [np.zeros((n, m), dtype=np.complex64)] * count
 
 
 def batch_energies(planes):
@@ -247,8 +284,7 @@ class TestCorruptBatch:
         rngs, _ = keyed_draws(2000, seed=3)
         energies = []
         for start in range(0, 2000, 100):  # 100 draws at a time keeps memory small
-            noise = _noise_planes((64, 100), ref, [-20.0] * 100, rngs[start:start + 100],
-                                  exact=False)
+            noise = add_noise(zero_residuals(100), ref, [-20.0] * 100, rngs[start:start + 100])
             energies.extend(batch_energies(noise))
             if start == 0:
                 re, im = noise[0, 0].ravel(), noise[0, 1].ravel()
@@ -260,16 +296,16 @@ class TestCorruptBatch:
     def test_corrupted_zero_residuals_look_white(self):
         # The white-noise flatness band of the float64 pipeline test.
         rngs, snrs = keyed_draws(5, seed=4)
-        zeros = [np.zeros((64, 100), dtype=np.complex128)] * 5
-        planes = corrupt_batch(zeros, SnrReference(1.0), snrs, rngs)
+        planes = corrupt_batch(zero_residuals(5), SnrReference(1.0), snrs, rngs)
+        assert planes.dtype == np.float32
         for draw in planes:
-            flatness = spectral_flatness(draw[0].astype(np.float64) + 1j * draw[1])
+            flatness = spectral_flatness(as_complex(draw))
             assert 0.53 < flatness < 0.59
 
     def test_exact_scaling_hits_the_target_to_float32_precision(self):
         ref = SnrReference(3.0)
         rngs, snrs = keyed_draws(32, seed=5, snr_lo=-40.0, snr_hi=10.0)
-        noise = _noise_planes((16, 20), ref, snrs, rngs, exact=True)
+        noise = add_noise(zero_residuals(32, 16, 20), ref, snrs, rngs, exact=True)
         target = ref.e_s * 10.0 ** (-np.asarray(snrs) / 10.0)
         np.testing.assert_allclose(batch_energies(noise), target,
                                    rtol=2 * np.finfo(np.float32).eps, atol=0)
@@ -304,8 +340,8 @@ class TestCorruptBatch:
         rngs, _ = keyed_draws(6)
         planes = corrupt_batch(residuals, SnrReference(1.0), [200.0] * 6, rngs)
         lay_out = np.concatenate if dim == 1 else np.stack
-        expected = np.stack([lay_out([r.real, r.imag])
-                             for r in map(normalize_unit_energy, residuals)])
+        normalized = [r / math.sqrt(frobenius_energy(r)) for r in residuals]
+        expected = np.stack([lay_out([r.real, r.imag]) for r in normalized])
         np.testing.assert_allclose(batch_input(planes, dim), expected.astype(np.float32),
                                    rtol=0, atol=1e-6)
 
@@ -319,13 +355,28 @@ class TestCorruptBatch:
                           (snrs * 2)[:n_snrs], rngs)
 
     def test_zero_energy_sample_rejected(self):
-        zeros = [np.zeros((4, 6), dtype=np.complex128)] * 2
         rngs, _ = keyed_draws(2)
         with pytest.raises(DataError, match="zero-energy"):
-            corrupt_batch(zeros, SnrReference(1.0), [math.inf] * 2, rngs)
+            corrupt_batch(zero_residuals(2, 4, 6), SnrReference(1.0), [math.inf] * 2, rngs)
 
     def test_zero_noise_energy_rejected_in_exact_mode(self):
         residuals = random_residuals(2, 4, 6)
         with pytest.raises(DataError, match="zero energy"):
             corrupt_batch(residuals, SnrReference(1.0), [-10.0] * 2,
                           [ZeroGenerator()] * 2, exact=True)
+
+    def test_peak_memory_is_the_planes_and_half_a_planes_temporary(self):
+        # A grid point of 150 draws at 64 x 100.  Box-Muller's cosine is the
+        # one batch-sized temporary (half the planes); each residual is added
+        # one draw at a time.  Laying out the whole batch's residuals before
+        # adding them would hold a second planes-sized buffer (2.0x).
+        residuals = random_residuals(150)
+        rngs, snrs = keyed_draws(150, seed=10)
+        tracemalloc.start()
+        try:
+            planes = corrupt_batch(residuals, SnrReference(12800.0), snrs, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert planes.dtype == np.float32
+        assert peak <= 1.6 * planes.nbytes, f"peak {peak / planes.nbytes:.2f}x the planes"

@@ -560,6 +560,12 @@ USER_MISTAKES = {
     "negative synthetic negatives": (
         lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
                            "--synthetic-negatives", "-3", "--out", tmp / "r.json"], 2),
+    "repeated grid SNR": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10,-10", "--out", tmp / "r.json"], 2),
+    "range grid that repeats one SNR": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10:-10:3", "--out", tmp / "r.json"], 2),
     # A header that asks for far more weights than the payload holds is
     # rejected before the network is built (n_total 93 would allocate GBs).
     "checkpoint header deeper than its payload": (

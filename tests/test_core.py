@@ -1,5 +1,7 @@
 """Mean removal, energy accounting, and the core data model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,18 @@ class TestFrobeniusEnergy:
     def test_accepts_bare_arrays_and_wrappers(self):
         arr = np.full((2, 3), 2.0 + 0j)
         assert frobenius_energy(arr) == frobenius_energy(make_cir(arr)) == pytest.approx(24.0)
+
+    def test_complex64_accumulates_in_float64(self):
+        # Squares of float32 values are exact in float64, so fsum gives the
+        # correctly rounded energy; summing in float32 misses it here by 5e-8.
+        rng = np.random.default_rng(11)
+        wide = (rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))) * 1e3
+        arr = wide.astype(np.complex64)
+        parts = np.concatenate([arr.real.ravel(), arr.imag.ravel()]).astype(np.float64)
+        reference = math.fsum(parts**2)
+        assert frobenius_energy(arr) == pytest.approx(reference, rel=1e-13, abs=0)
+        # complex128 keeps the bits of squaring and summing each part.
+        assert frobenius_energy(wide) == float(np.sum(wide.real**2) + np.sum(wide.imag**2))
 
 
 class TestDataModel:

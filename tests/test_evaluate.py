@@ -166,8 +166,8 @@ class SpikeScorer:
     name = "spike"
     flops = 1234
 
-    def __call__(self, batch):
-        return [energy_detector(r, window_cols=1) for r in batch]
+    def __call__(self, planes):
+        return energy_detector(planes, window_cols=1)
 
 
 def sweep_samples(n_pos=6, n_neg=6, n=16, m=24):
@@ -227,6 +227,13 @@ class TestSnrSweep:
             with pytest.raises(ConfigError, match="finite"):
                 snr_sweep(SpikeScorer(), sweep_samples(), SnrReference(100.0), grid=grid)
 
+    def test_repeated_grid_snr_rejected(self):
+        # Two draws of one SNR would write two rows that disagree.
+        for grid, value in (([-10.0, -10.0], "-10.0"), ([-5.0, -20.0, -5.0, -20.0], "-20.0"),
+                            ([0.0, -0.0], "0.0")):
+            with pytest.raises(ConfigError, match=f"grid SNR {value} dB given more than once"):
+                snr_sweep(SpikeScorer(), sweep_samples(), SnrReference(100.0), grid=grid)
+
     def test_deterministic_across_runs_and_threads(self):
         kwargs = dict(grid=[-5.0, -15.0], seed=3)
         ref = SnrReference(100.0)
@@ -263,12 +270,13 @@ class TestDrawsPerGridPoint:
     def test_negatives_drawn_once_per_grid_snr(self, monkeypatch, threads, n_empty, synthetic):
         import uwbocc.augment as augment
 
-        drawn = []
+        drawn, calls = [], []
         add_noise = augment.add_noise
 
-        def counted(residual, *args, **kwargs):
-            drawn.append(id(residual))
-            return add_noise(residual, *args, **kwargs)
+        def counted(residuals, *args, **kwargs):
+            calls.append(len(residuals))
+            drawn.extend(id(residual) for residual in residuals)
+            return add_noise(residuals, *args, **kwargs)
 
         monkeypatch.setattr(augment, "add_noise", counted)
         samples = [s for s in three_activity_samples()
@@ -284,6 +292,8 @@ class TestDrawsPerGridPoint:
         assert len(report.rows) == 2 * len(grid)
         assert {(r.n_pos, r.n_neg) for r in report.rows} == {(3, n_neg)}
         assert len(drawn) == len(grid) * (n_pos + n_neg)
+        # One noise call per grid SNR draws the whole grid point.
+        assert calls == [n_pos + n_neg] * len(grid)
         # Every sample, the synthetic negatives included, is drawn once per grid SNR.
         assert len(set(drawn)) == n_pos + n_neg
         assert all(drawn.count(key) == len(grid) for key in set(drawn))

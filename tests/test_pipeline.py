@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from uwbocc.augment import compute_reference_energy, corrupt
+from uwbocc.augment import compute_reference_energy, corrupt_batch
 from uwbocc.baselines import energy_detector, fft_detector
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
 from uwbocc.dataset import Split, build_epoch_plan, make_split
 from uwbocc.errors import ConfigError, DataError
-from uwbocc.nn import build_network, flop_count, load_checkpoint, save_checkpoint
+from uwbocc.nn import build_network, flop_count, layout_2d, load_checkpoint, save_checkpoint
 from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
@@ -37,7 +37,9 @@ class TestResidualPrep:
         assert [s.label for s in samples] == [r.label for r in records]
         for rec, sample in zip(records, samples):
             _, expected = mean_remove(rec.cir)
-            assert np.array_equal(sample.residual, expected)
+            assert sample.residual.dtype == np.complex64
+            assert not sample.residual.flags.writeable
+            assert np.array_equal(sample.residual, expected.astype(np.complex64))
 
     def test_memory_manifest_mirrors_records(self):
         records = small_records({"breathing": 3, "empty": 2}, seed=1)
@@ -82,12 +84,11 @@ class TestReference:
     def test_median_of_breathing_residual_energies(self):
         records = small_records({"breathing": 5, "empty": 3}, seed=4)
         ref = reference_from_training(residual_samples(records))
-        energies = sorted(
-            frobenius_energy(mean_remove(r.cir)[1])
-            for r in records if r.label is ActivityLabel.BREATHING)
+        breathing = [mean_remove(r.cir)[1].astype(np.complex64)
+                     for r in records if r.label is ActivityLabel.BREATHING]
+        energies = sorted(frobenius_energy(residual) for residual in breathing)
         assert ref.e_s == pytest.approx(energies[(len(energies) - 1) // 2], rel=1e-12)
-        direct = compute_reference_energy(
-            [mean_remove(r.cir)[1] for r in records if r.label is ActivityLabel.BREATHING])
+        direct = compute_reference_energy(breathing)
         assert ref.e_s == direct.e_s
 
     def test_requires_breathing_samples(self):
@@ -101,11 +102,14 @@ class TestScorers:
         records = small_records({"breathing": n}, seed=6)
         return [s.residual for s in residual_samples(records)]
 
+    def planes(self):
+        return layout_2d(self.residuals())
+
     def test_network_scorer_matches_direct_forward(self):
         net = build_network("1D-E", (2 * SMALL.n_fast, SMALL.m_slow), seed=0)
         scorer = NetworkScorer(net)
         residuals = self.residuals()
-        scores = scorer(residuals)
+        scores = scorer(layout_2d(residuals))
         batch = np.stack([np.concatenate([r.real, r.imag]) for r in residuals])
         assert np.array_equal(scores, net.forward(batch, train=False))
         assert scorer.name == "1D-E"
@@ -115,32 +119,31 @@ class TestScorers:
         from uwbocc import pipeline
 
         net = build_network("1D-E", (2 * SMALL.n_fast, SMALL.m_slow), seed=1)
-        residuals = self.residuals()
-        whole = NetworkScorer(net)(residuals)
+        planes = self.planes().astype(np.float64)
+        whole = NetworkScorer(net)(planes)
         monkeypatch.setattr(pipeline, "_INFERENCE_CHUNK", 2)
-        chunked = NetworkScorer(net)(residuals)
+        chunked = NetworkScorer(net)(planes)
         # matmul summation order varies with the slice height, so last-bit
         # drift is expected; a fixed chunk size keeps real runs bit-stable
         assert np.allclose(whole, chunked, rtol=1e-12, atol=0)
 
     def test_network_scorer_2d_layout(self):
         net = build_network("2D-E", (2, SMALL.n_fast, SMALL.m_slow), seed=2)
-        scores = NetworkScorer(net)(self.residuals())
+        scores = NetworkScorer(net)(self.planes())
         assert scores.shape == (5,)
         assert np.all(np.isfinite(scores))
 
     def test_baseline_scorer_delegates(self):
-        residuals = self.residuals()
-        energy_scores = BaselineScorer("energy", window_cols=4)(residuals)
-        assert np.array_equal(energy_scores,
-                              [energy_detector(r, window_cols=4) for r in residuals])
-        fft_scores = BaselineScorer("fft")(residuals)
-        assert np.array_equal(fft_scores, [fft_detector(r) for r in residuals])
+        planes = self.planes()
+        energy_scores = BaselineScorer("energy", window_cols=4)(planes)
+        assert np.array_equal(energy_scores, energy_detector(planes, window_cols=4))
+        fft_scores = BaselineScorer("fft")(planes)
+        assert np.array_equal(fft_scores, fft_detector(planes))
 
     def test_baseline_scorer_estimates_flops_on_first_call(self):
         scorer = BaselineScorer("energy", window_cols=4)
         assert scorer.flops == 0
-        scorer(self.residuals())
+        scorer(self.planes())
         assert scorer.flops == 4 * SMALL.n_fast * SMALL.m_slow + 2 * SMALL.m_slow
 
     def test_baseline_scorer_unknown_kind(self):
@@ -241,8 +244,8 @@ class TestRunTraining:
         path = tmp_path / "trained.ckpt"
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)
-        inputs = [corrupt(s.residual, ref, -10.0, np.random.SeedSequence((5, k)))
-                  for k, s in enumerate(samples)]
+        inputs = corrupt_batch([s.residual for s in samples], ref, [-10.0] * len(samples),
+                               [np.random.default_rng((5, k)) for k in range(len(samples))])
         np.testing.assert_allclose(NetworkScorer(loaded)(inputs), NetworkScorer(net)(inputs),
                                    rtol=0, atol=1e-6)
 
