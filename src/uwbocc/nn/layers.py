@@ -14,25 +14,41 @@ Convolutions (stride 1, same padding, odd kernel k, d spatial axes) share
 one engine.  Its columns are channels-first: a (C*k**d, B*S) matrix whose
 row c*k**d + t is channel c shifted by kernel tap t, built with k**d slice
 copies, so one GEMM with the (c_out, C*k**d) weight matrix gives the output.
-Columns are built one batch slice at a time, as many samples as fit in
-_COLUMN_BUDGET_BYTES (one at least).  The budget is cache-sized: a slice's
-columns stay in cache between being filled and being read by their GEMM,
-and a buffer that small comes back from the heap on every call instead of
-being mapped and page-faulted in afresh.  It is a constant, not a property
-of the machine, so slices depend only on shapes and dtype and outputs stay
-byte-deterministic.  In train mode a convolution keeps a reference to its
-input, k**d times smaller than the columns, and rebuilds the columns in
-backward.  This relies on nothing mutating a layer's input between its
-forward and its backward call.  The input gradient is a same-padded
-convolution of the output gradient with the kernel flipped spatially and
-transposed in its channel axes.
+Columns are built one batch slice at a time.  The slice plan is a function
+of shapes and dtype alone: each slice holds as many samples as fit in
+_COLUMN_BUDGET_BYTES // _WORKERS (one at least), and both are constants,
+not properties of the machine, so outputs stay byte-deterministic.  The
+budget is cache-sized, so a slice's columns are still in cache when its
+GEMM reads them.
+
+_WORKERS threads run the slices: worker w fills and multiplies slices
+w, w + _WORKERS, ..., and its GEMMs write disjoint columns of the output.
+Every call makes one buffer, split into one part per worker.  glibc sets its trim
+threshold from the largest block it has handed out, so one buffer per
+worker, freed together at the top of the heap, would exceed it, go back to
+the OS and be page-faulted in afresh on the next call; a single buffer of
+the same size stays in the heap.  The executor is made on the first
+convolution, which also pins numpy's bundled OpenBLAS to one thread through
+its C API: the workers are the parallelism, and one-thread GEMMs give the
+same bits whatever OPENBLAS_NUM_THREADS says.  A call runs its slices
+inline, with the same plan and bits, when it has one slice, when the process
+may use fewer than two CPUs, or when that OpenBLAS is not found.  An error
+in a slice reaches the caller once every worker has stopped: the first in
+slice order.
+
+In train mode a convolution keeps a reference to its input, k**d times
+smaller than the columns, and rebuilds the columns in backward.  This
+relies on nothing mutating a layer's input between its forward and its
+backward call.  The input gradient is a same-padded convolution of the
+output gradient with the kernel flipped spatially and transposed in its
+channel axes.
 
 The weight gradient is reduced per sample: one batched GEMM per slice
 gives each sample's (c_out, C*k**d) product, and these are summed over the
-samples, then over the slices, in a fixed order.  A single GEMM over a
-slice's B*S columns gives bits that change with OPENBLAS_NUM_THREADS (seen
-in float32 for 1D-E at B=64), and so would every trained checkpoint; the
-per-sample products give the same bits for 1 and 2 threads.
+samples of a slice, then over the slices in slice order.  A single GEMM
+over a slice's B*S columns gives bits that change with OPENBLAS_NUM_THREADS
+(seen in float32 for 1D-E at B=64), and so would every trained checkpoint;
+the per-sample products give the same bits for 1 and 2 threads.
 
 BatchNorm and ReLU are memory-bound, so they make as few full-size passes
 and temporaries as their formulas allow.
@@ -40,8 +56,12 @@ and temporaries as their formulas allow.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,10 +114,18 @@ def _he_scale(fan_in: int) -> float:
     return np.sqrt(2.0 / fan_in)
 
 
-# Bytes of columns built at once; a batch is split into slices that fit.
-# Cache-sized, so a slice is still in cache when its GEMM reads it, and far
-# below glibc's mmap threshold, so the buffer is reused from the heap.
+# Bytes of columns built at once, shared by the workers: a batch is split
+# into slices that fit in one worker's share.  Cache-sized, so a slice is
+# still in cache when its GEMM reads it, and far below glibc's mmap
+# threshold, so the buffer is reused from the heap.
 _COLUMN_BUDGET_BYTES = 8 << 20
+
+# Threads that fill and multiply batch slices at once.  A constant, never the
+# CPU count, so the slice plan does not depend on the machine.
+_WORKERS = 2
+
+_POOL: list = []  # [the workers' executor, or None to run inline], set by _pool
+_POOL_LOCK = threading.Lock()
 
 
 def _fill_columns(src: np.ndarray, kernel: int, out: np.ndarray) -> None:
@@ -117,21 +145,68 @@ def _fill_columns(src: np.ndarray, kernel: int, out: np.ndarray) -> None:
         dst[tuple(dst_index)] = src[tuple(src_index)]
 
 
-def _column_slices(src: np.ndarray, kernel: int):
-    """Per batch slice of src (C, B, *S), yield (lo, hi, the column matrix's [:, lo:hi]).
+def _openblas_thread_setter():
+    """numpy's bundled OpenBLAS thread-count setter, or None if it cannot be found."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+        for path in paths:
+            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    except OSError:
+        pass
+    return None
 
-    All slices share one buffer, so each block is stale once the next is yielded.
+
+def _pool():
+    """The workers' executor, or None to run inline; the first call pins OpenBLAS to one thread."""
+    with _POOL_LOCK:
+        if not _POOL:
+            setter = _openblas_thread_setter()
+            if setter is not None:
+                setter(1)
+            usable = setter is not None and len(os.sched_getaffinity(0)) >= _WORKERS
+            _POOL.append(ThreadPoolExecutor(_WORKERS, thread_name_prefix="uwbocc-conv")
+                         if usable else None)
+        return _POOL[0]
+
+
+def _map_slices(src: np.ndarray, kernel: int, work) -> list:
+    """Return work(lo, hi, the column matrix's [:, lo:hi]) for each batch slice of src (C, B, *S).
+
+    Results come in slice order.  A slice's columns are valid only until
+    work returns: the worker's next slice overwrites them.
     """
     channels, batch, spatial = src.shape[0], src.shape[1], src.shape[2:]
     rows, size = channels * kernel ** len(spatial), math.prod(spatial)
-    step = max(1, min(batch, _COLUMN_BUDGET_BYTES // (src.itemsize * rows * size)))
-    buffer = np.empty(rows * step * size, dtype=src.dtype)
-    for start in range(0, batch, step):
-        stop = min(start + step, batch)
-        cols = buffer[:rows * (stop - start) * size]
-        _fill_columns(src[:, start:stop], kernel,
-                      cols.reshape((channels, -1, stop - start) + spatial))
-        yield start * size, stop * size, cols.reshape(rows, -1)
+    step = max(1, min(batch, _COLUMN_BUDGET_BYTES // _WORKERS // (src.itemsize * rows * size)))
+    starts = range(0, batch, step)
+    workers = min(_WORKERS, len(starts))
+    part = rows * step * size
+    buffer = np.empty(workers * part, dtype=src.dtype)
+
+    def run(worker):
+        """Slices worker, worker + workers, ...; returns (results, (slice, error) or None)."""
+        results = []
+        for index in range(worker, len(starts), workers):
+            start, stop = starts[index], min(starts[index] + step, batch)
+            cols = buffer[worker * part:worker * part + rows * (stop - start) * size]
+            try:
+                _fill_columns(src[:, start:stop], kernel,
+                              cols.reshape((channels, -1, stop - start) + spatial))
+                results.append(work(start * size, stop * size, cols.reshape(rows, -1)))
+            except Exception as error:
+                return results, (index, error)
+        return results, None
+
+    pool = _pool()
+    outcomes = list((pool.map if pool is not None and workers > 1 else map)(run, range(workers)))
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [outcomes[index % workers][0][index // workers] for index in range(len(starts))]
 
 
 def _convolve(src: np.ndarray, wmat: np.ndarray, kernel: int) -> np.ndarray:
@@ -139,8 +214,7 @@ def _convolve(src: np.ndarray, wmat: np.ndarray, kernel: int) -> np.ndarray:
     wmat = wmat.astype(src.dtype, copy=False)
     out = np.empty((wmat.shape[0],) + src.shape[1:], dtype=src.dtype)
     flat = out.reshape(wmat.shape[0], -1)
-    for lo, hi, cols in _column_slices(src, kernel):
-        np.matmul(wmat, cols, out=flat[:, lo:hi])
+    _map_slices(src, kernel, lambda lo, hi, cols: np.matmul(wmat, cols, out=flat[:, lo:hi]))
     return out
 
 
@@ -187,12 +261,15 @@ class _Conv(Layer):
         dy_t = np.ascontiguousarray(dy.swapaxes(0, 1))
         dy_flat = dy_t.reshape(self.c_out, -1)
         size = math.prod(x.shape[2:])
-        grad = self.weight.grad.reshape(self.c_out, -1)
-        for lo, hi, cols in _column_slices(x.swapaxes(0, 1), self.kernel):
+
+        def sample_sum(lo, hi, cols):
             # (n, c_out, S) @ (n, S, C*k**d): one product per sample.
-            per_sample = np.matmul(dy_flat[:, lo:hi].reshape(self.c_out, -1, size).swapaxes(0, 1),
-                                   cols.reshape(len(cols), -1, size).transpose(1, 2, 0))
-            grad += per_sample.sum(axis=0)
+            return np.matmul(dy_flat[:, lo:hi].reshape(self.c_out, -1, size).swapaxes(0, 1),
+                             cols.reshape(len(cols), -1, size).transpose(1, 2, 0)).sum(axis=0)
+
+        grad = self.weight.grad.reshape(self.c_out, -1)
+        for part in _map_slices(x.swapaxes(0, 1), self.kernel, sample_sum):
+            grad += part
         return dy_t
 
 

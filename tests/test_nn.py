@@ -1,7 +1,13 @@
 """Layer math, network assembly, complexity accounting, training loop."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -456,19 +462,136 @@ class TestConvEngine:
         x = rng.standard_normal((7, 3) + spatial)
         dy = rng.standard_normal((7, 2) + spatial)
         whole = conv_pass(conv, x, dy)
-        # Column bytes per sample and channel; the budget holds 6 of them, so the
-        # input's 3-channel columns go 2 samples per slice and dy's 2-channel ones 3.
+        # Column bytes per sample and channel; each worker's half of the budget
+        # holds 6 of them, so the input's 3-channel columns go 2 samples per
+        # slice and dy's 2-channel ones 3.
         unit = 3 ** len(spatial) * int(np.prod(spatial)) * 8
-        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", 6 * unit)
+        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", layers._WORKERS * 6 * unit)
         calls = []
         fill = layers._fill_columns
-        monkeypatch.setattr(layers, "_fill_columns",
-                            lambda src, k, out: calls.append(src.shape[1]) or fill(src, k, out))
-        sliced = conv_pass(conv, x, dy)
-        # forward, weight gradient, input gradient
-        assert calls == [2, 2, 2, 1] + [2, 2, 2, 1] + [3, 3, 1]
-        for a, b in zip(whole, sliced):
+        monkeypatch.setattr(layers, "_fill_columns", lambda src, k, out: calls.append(
+            (src.shape[0], src.shape[1])) or fill(src, k, out))
+        conv.weight.zero_grad()
+        y = conv.forward(x, train=True)
+        forward_calls, calls[:] = sorted(calls), []
+        dx = conv.backward(dy)
+        # Workers fill their slices in any interleaving; the widths are fixed.
+        assert forward_calls == sorted([(3, 2), (3, 2), (3, 2), (3, 1)])
+        # weight gradient over x's columns, input gradient over dy's
+        assert sorted(calls) == sorted([(3, 2), (3, 2), (3, 2), (3, 1), (2, 3), (2, 3), (2, 1)])
+        for a, b in zip(whole, (y, dx, conv.weight.grad)):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_pooled_and_inline_runs_give_equal_bits(self, name, monkeypatch):
+        if layers._pool() is None:
+            pytest.skip("the conv engine runs inline on this machine")
+        # One sample per slice: every convolution of a batch of 6 has 6 slices.
+        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", 1)
+        threads = []
+        fill = layers._fill_columns
+        monkeypatch.setattr(layers, "_fill_columns", lambda src, k, out: threads.append(
+            threading.current_thread().name) or fill(src, k, out))
+        runs = []
+        for pool in (layers._pool(), None):
+            monkeypatch.setattr(layers, "_pool", lambda pool=pool: pool)
+            threads.clear()
+            shape, batch, labels = small_batch(name, np.float32)
+            net = build_network(name, shape, seed=0)
+            optimizer = AdamOptimizer(net.params(), OptimizerConfig())
+            for _ in range(3):
+                net.zero_grads()
+                net.backward(bce_with_logits(net.forward(batch, train=True), labels)[1])
+                optimizer.step()
+            runs.append(([arr.tobytes() for _, arr in net.named_state()],
+                         net.forward(batch, train=False).tobytes(), set(threads)))
+        (*pooled, pooled_threads), (*inline, inline_threads) = runs
+        assert pooled_threads and all(t.startswith("uwbocc-conv") for t in pooled_threads)
+        assert inline_threads == {threading.current_thread().name}
+        assert pooled == inline
+
+    def test_concurrent_callers_share_the_workers(self, monkeypatch):
+        # evaluate --threads N calls convolutions from N threads at once; the
+        # first calls race to make the executor, and every call shares it.
+        rng = np.random.default_rng(6)
+        conv = Conv2d(3, 4, 3, rng=0)
+        inputs = [rng.standard_normal((5, 3, 6, 7)) for _ in range(8)]
+        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", 1)
+        expected = [conv.forward(x, train=False) for x in inputs]
+        monkeypatch.setattr(layers, "_POOL", [])
+        barrier = threading.Barrier(4)
+
+        def caller():
+            barrier.wait(timeout=60)
+            return [conv.forward(x, train=False) for x in inputs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(caller) for _ in range(4)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(layers._POOL) == 1
+        if layers._POOL[0] is not None:
+            layers._POOL[0].shutdown()
+        assert all(np.array_equal(y, e) for run in results for y, e in zip(run, expected))
+
+    def test_worker_error_reaches_caller_after_every_worker_stops(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        conv = Conv1d(3, 2, 3, rng=0)
+        x = rng.standard_normal((6, 3, 11))
+        y = conv.forward(x, train=False)
+        # One sample per slice: worker 0 runs slices 0, 2, 4 and worker 1 runs 1, 3, 5.
+        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", 1)
+        events = []
+        fill = layers._fill_columns
+
+        def failing(src, k, out):
+            start = (src.ctypes.data - x.ctypes.data) // x.strides[0]
+            events.append(("enter", start))
+            try:
+                if start == 1:  # raised last, but first in slice order
+                    time.sleep(0.2)
+                    raise RuntimeError("slice 1")
+                if start == 2:
+                    raise RuntimeError("slice 2")
+                fill(src, k, out)
+            finally:
+                events.append(("exit", start))
+
+        monkeypatch.setattr(layers, "_fill_columns", failing)
+        with pytest.raises(RuntimeError, match="slice 1"):
+            conv.forward(x, train=False)
+        seen = list(events)
+        time.sleep(0.1)
+        assert events == seen
+        assert sorted(start for kind, start in seen if kind == "enter") == [0, 1, 2]
+        assert sorted(start for kind, start in seen if kind == "exit") == [0, 1, 2]
+        monkeypatch.setattr(layers, "_fill_columns", fill)
+        assert np.array_equal(conv.forward(x, train=False), y)
+
+    def test_float64_logits_do_not_depend_on_blas_threads(self):
+        # 1D-A to 1D-C gave different bits under 1 and 2 OpenBLAS threads
+        # while the conv GEMMs ran on OpenBLAS's own threads.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from uwbocc.nn import batch_input, build_network\n"
+            "planes = np.random.default_rng(0).standard_normal((40, 2, 64, 100))\n"
+            "for name in ('1D-A', '1D-B', '1D-C', '1D-D'):\n"
+            "    net = build_network(name, (128, 100), seed=0)\n"
+            "    logits = net.forward(batch_input(planes, 1), train=False)\n"
+            "    print(name, hashlib.sha256(logits.tobytes()).hexdigest())\n")
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(layers.__file__).parents[2]))
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout)
+        assert hashes[0] == hashes[1]
 
     @pytest.mark.parametrize("cls, spatial", [(Conv1d, (8,)), (Conv2d, (4, 6))])
     def test_holds_only_its_input(self, cls, spatial):

@@ -76,3 +76,22 @@ def test_benchmark_harness_finds_the_library_names_it_uses():
             missing += [f"{node.module}.{alias.name}" for alias in node.names
                         if not hasattr(module, alias.name)]
     assert not missing, f"names perfbench/child.py imports that do not resolve: {missing}"
+
+
+def test_only_the_conv_engine_reaches_into_openblas():
+    # The BLAS thread policy has one home: nn.layers pins OpenBLAS to one
+    # thread and gives the convolutions their own workers instead.
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if module_name(path) == "uwbocc.nn.layers":
+            continue
+        text = path.read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+        if "ctypes" in imported or "scipy_openblas" in text:
+            offenders.append(module_name(path))
+    assert not offenders, f"modules that reach into OpenBLAS besides nn.layers: {offenders}"
