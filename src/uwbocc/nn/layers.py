@@ -19,7 +19,12 @@ of shapes and dtype alone: each slice holds as many samples as fit in
 _COLUMN_BUDGET_BYTES // _WORKERS (one at least), and both are constants,
 not properties of the machine, so outputs stay byte-deterministic.  The
 budget is cache-sized, so a slice's columns are still in cache when its
-GEMM reads them.
+GEMM reads them.  The zeros of the same padding are written apart from the
+windows: a worker zeroes each tap's border strips in its part of the buffer
+when it starts a call and again only when its slice width changes (the
+ragged last slice moves the strips), and a slice's fill copies only the
+window interiors, which never overlap the strips.  Each tap's interior and
+strip indices are computed once per kernel and spatial shape.
 
 _WORKERS threads run the slices: worker w fills and multiplies slices
 w, w + _WORKERS, ..., and its GEMMs write disjoint columns of the output.
@@ -51,12 +56,19 @@ over a slice's B*S columns gives bits that change with OPENBLAS_NUM_THREADS
 the per-sample products give the same bits for 1 and 2 threads.
 
 BatchNorm and ReLU are memory-bound, so they make as few full-size passes
-and temporaries as their formulas allow.
+and temporaries as their formulas allow.  To that end, layers share buffers
+under these aliasing rules:
+- ReLU's cached output is the next convolution's cached input;
+- BatchNorm backward builds its input gradient in xhat's buffer;
+- ReLU backward overwrites the gradient it is given and returns it;
+- ResidualBlock adds the skip into its branch sum and its gradient in place;
+- nothing mutates a layer's input between its forward and its backward.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -128,21 +140,49 @@ _POOL: list = []  # [the workers' executor, or None to run inline], set by _pool
 _POOL_LOCK = threading.Lock()
 
 
-def _fill_columns(src: np.ndarray, kernel: int, out: np.ndarray) -> None:
-    """Write the zero-padded windows of src (C, B, *S) into out (C, k**d, B, *S)."""
-    pad, spatial = kernel // 2, src.shape[2:]
+@functools.lru_cache(maxsize=64)
+def _taps(kernel: int, spatial: tuple) -> tuple:
+    """Per kernel tap over spatial axes S: (window interior, source, border strips).
+
+    The interior and the strips index columns (C, k**d, B, *S); the source
+    indexes src (C, B, *S) and has the interior's shape.
+    """
+    pad, taps = kernel // 2, []
     for tap, offsets in enumerate(itertools.product(range(kernel), repeat=len(spatial))):
-        dst, src_index, dst_index = out[:, tap], [slice(None)] * 2, [slice(None)] * 2
+        dst_index, src_index, strips = [slice(None), tap, slice(None)], [slice(None)] * 2, []
         for axis, (offset, size) in enumerate(zip(offsets, spatial)):
             shift = offset - pad
             lo = min(max(-shift, 0), size)
             hi = max(min(size - shift, size), lo)
-            lead = (slice(None),) * (axis + 2)
-            dst[lead + (slice(0, lo),)] = 0.0
-            dst[lead + (slice(hi, size),)] = 0.0
+            lead = (slice(None), tap) + (slice(None),) * (axis + 1)
+            strips += [lead + (edge,) for edge in (slice(0, lo), slice(hi, size))
+                       if edge.stop > edge.start]
             src_index.append(slice(lo + shift, hi + shift))
             dst_index.append(slice(lo, hi))
-        dst[tuple(dst_index)] = src[tuple(src_index)]
+        taps.append((tuple(dst_index), tuple(src_index), tuple(strips)))
+    return tuple(taps)
+
+
+def _pad_columns(kernel: int, out: np.ndarray) -> None:
+    """Zero the border strips of every tap's window in out (C, k**d, B, *S)."""
+    for _, _, strips in _taps(kernel, out.shape[3:]):
+        for strip in strips:
+            out[strip] = 0.0
+
+
+def _fill_columns(src: np.ndarray, kernel: int, out: np.ndarray) -> None:
+    """Copy the windows of src (C, B, *S) into out (C, k**d, B, *S), interiors only.
+
+    The border strips are left as they are: zero once _pad_columns has run
+    on out.
+    """
+    for dst_index, src_index, _ in _taps(kernel, src.shape[2:]):
+        out[dst_index] = src[src_index]
+
+
+def _column_buffer(size: int, dtype) -> np.ndarray:
+    """Uninitialized storage for one call's columns: every worker's part."""
+    return np.empty(size, dtype=dtype)
 
 
 def _openblas_thread_setter():
@@ -185,17 +225,22 @@ def _map_slices(src: np.ndarray, kernel: int, work) -> list:
     starts = range(0, batch, step)
     workers = min(_WORKERS, len(starts))
     part = rows * step * size
-    buffer = np.empty(workers * part, dtype=src.dtype)
+    buffer = _column_buffer(workers * part, src.dtype)
 
     def run(worker):
         """Slices worker, worker + workers, ...; returns (results, (slice, error) or None)."""
-        results = []
+        results, padded_width = [], None
         for index in range(worker, len(starts), workers):
             start, stop = starts[index], min(starts[index] + step, batch)
             cols = buffer[worker * part:worker * part + rows * (stop - start) * size]
+            windows = cols.reshape((channels, -1, stop - start) + spatial)
             try:
-                _fill_columns(src[:, start:stop], kernel,
-                              cols.reshape((channels, -1, stop - start) + spatial))
+                # A slice's fill writes only interiors, and the strips sit
+                # elsewhere in the part once the width changes.
+                if stop - start != padded_width:
+                    _pad_columns(kernel, windows)
+                    padded_width = stop - start
+                _fill_columns(src[:, start:stop], kernel, windows)
                 results.append(work(start * size, stop * size, cols.reshape(rows, -1)))
             except Exception as error:
                 return results, (index, error)
@@ -384,8 +429,10 @@ class ReLU(Layer):
     """Elementwise max(x, 0).
 
     A train forward maps NaN to 0 and caches its output y, which is the next
-    layer's input anyway; backward passes dy where y > 0, exactly where
-    x > 0, and releases y.  Inference caches nothing and lets NaN through.
+    layer's input anyway; backward multiplies dy in place by the mask y > 0,
+    which holds exactly where x > 0, releases y and returns dy itself.  It
+    overwrites the gradient it is given, so a caller hands it one that
+    nothing reads afterwards.  Inference caches nothing and lets NaN through.
     """
 
     def __init__(self):
@@ -399,7 +446,7 @@ class ReLU(Layer):
 
     def backward(self, dy):
         y, self._y = self._y, None
-        return np.multiply(dy, y > 0)
+        return np.multiply(dy, y > 0, out=dy)
 
 
 class GlobalAvgPool(Layer):

@@ -289,6 +289,21 @@ class TestReLU:
         relu.backward(np.ones_like(y))
         assert not [v for v in vars(relu).values() if isinstance(v, np.ndarray)]
 
+    def test_backward_masks_the_gradient_in_place(self):
+        relu = ReLU()
+        relu.forward(np.random.default_rng(11).standard_normal((3, 2, 7)), train=True)
+        dy = np.ones((3, 2, 7))
+        assert np.shares_memory(relu.backward(dy), dy)
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_in_place_backward_gives_the_copying_bits(self, name, monkeypatch):
+        # Every caller hands ReLU backward a gradient it does not read again;
+        # a caller that did would see the mask here.
+        in_place = adam_steps(name)
+        masked = ReLU.backward
+        monkeypatch.setattr(ReLU, "backward", lambda self, dy: masked(self, dy.copy()))
+        assert adam_steps(name) == in_place
+
 
 def residual_blocks(net):
     return [layer for layer in net.layers if isinstance(layer, ResidualBlock)]
@@ -481,6 +496,46 @@ class TestConvEngine:
         assert sorted(calls) == sorted([(3, 2), (3, 2), (3, 2), (3, 1), (2, 3), (2, 3), (2, 1)])
         for a, b in zip(whole, (y, dx, conv.weight.grad)):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("cls, spatial", [(Conv1d, (11,)), (Conv2d, (4, 5))])
+    def test_dirty_column_buffers_give_zeroed_slice_bits(self, cls, spatial, kernel, monkeypatch):
+        # A fresh buffer holds whatever the heap held last; NaN shows every
+        # border strip a slice reads without the padding step having zeroed
+        # it, and a strip left over from a wider slice shows against the
+        # reference, which zeroes every slice's columns before its fill.  The
+        # reference runs the same slice plan: a one-slice run regroups the sums.
+        rng = np.random.default_rng(kernel)
+        conv = cls(3, 2, kernel, rng=0)
+        x = rng.standard_normal((7, 3) + spatial)
+        dy = rng.standard_normal((7, 2) + spatial)
+        # As in test_batch_slices_match_one_slice: x's columns go in slices of
+        # 2,2,2,1 samples, so worker 1 runs widths 2 then 1, and dy's in 3,3,1,
+        # so worker 0 runs widths 3 then 1.
+        unit = kernel ** len(spatial) * int(np.prod(spatial)) * 8
+        monkeypatch.setattr(layers, "_COLUMN_BUDGET_BYTES", layers._WORKERS * 6 * unit)
+        fill = layers._fill_columns
+        monkeypatch.setattr(layers, "_fill_columns",
+                            lambda src, k, out: out.fill(0.0) or fill(src, k, out))
+        zeroed = conv_pass(conv, x, dy)
+        monkeypatch.setattr(layers, "_fill_columns", fill)
+        monkeypatch.setattr(layers, "_column_buffer",
+                            lambda size, dtype: np.full(size, np.nan, dtype=dtype))
+        for reference, dirty in zip(zeroed, conv_pass(conv, x, dy)):
+            assert np.array_equal(reference, dirty)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("spatial", [(9,), (5, 6), (2, 3)])
+    def test_padding_and_fill_match_padded_windows(self, spatial, kernel):
+        src = np.random.default_rng(kernel).standard_normal((3, 4) + spatial)
+        out = np.full((3, kernel ** len(spatial), 4) + spatial, np.nan)
+        layers._pad_columns(kernel, out)
+        layers._fill_columns(src, kernel, out)
+        pad = kernel // 2
+        padded = np.pad(src, [(0, 0), (0, 0)] + [(pad, pad)] * len(spatial))
+        for tap, offsets in enumerate(np.ndindex((kernel,) * len(spatial))):
+            window = tuple(slice(o, o + n) for o, n in zip(offsets, spatial))
+            np.testing.assert_array_equal(out[:, tap], padded[(slice(None),) * 2 + window])
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_pooled_and_inline_runs_give_equal_bits(self, name, monkeypatch):
@@ -757,6 +812,18 @@ def small_batch(name, dtype):
     shape = (8, 12) if VARIANTS[name].dimensionality == 1 else (2, 6, 8)
     batch = np.random.default_rng(30).standard_normal((6,) + shape)
     return shape, batch.astype(dtype), (np.arange(6) % 2).astype(float)
+
+
+def adam_steps(name):
+    """named_state bytes after three float32 Adam steps on the variant's small batch."""
+    shape, batch, labels = small_batch(name, np.float32)
+    net = build_network(name, shape, seed=0)
+    optimizer = AdamOptimizer(net.params(), OptimizerConfig())
+    for _ in range(3):
+        net.zero_grads()
+        net.backward(bce_with_logits(net.forward(batch, train=True), labels)[1])
+        optimizer.step()
+    return [arr.tobytes() for _, arr in net.named_state()]
 
 
 class TestComputeDtype:
