@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -202,12 +203,7 @@ def cmd_train(ns) -> int:
     car1_validation = None if ns.car1_validation is None else _parse_counts(ns.car1_validation)
     split = make_split(manifest, ns.test_per_class, ns.empty_test,
                        empty_train=ns.empty_train, car1_validation=car1_validation)
-    settings = TrainSettings(
-        variant=ns.variant, kernel=ns.kernel, snr_lo=ns.snr_lo, snr_hi=ns.snr_hi,
-        exact_scaling=ns.exact_snr_scaling, reuse_occupied=ns.reuse_occupied,
-        reuse_empty=ns.reuse_empty, batch_size=ns.batch_size,
-        learning_rate=ns.learning_rate, patience=ns.patience,
-        max_epochs=ns.max_epochs, validation_snr=ns.validation_snr, seed=ns.seed)
+    settings = TrainSettings(**{f.name: getattr(ns, f.name) for f in fields(TrainSettings)})
     log = None if ns.quiet else print
     network, history, ref = run_training(manifest, samples, split, settings, log=log)
     extra = {
@@ -347,8 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="append", metavar="LABEL=N",
                    help="samples per class, repeatable (breathing/talking/moving/empty)")
     p.add_argument("--scene", help="scene configuration file")
-    p.add_argument("--n-fast", type=int, default=64, help="fast-time bins per column")
-    p.add_argument("--m-slow", type=int, default=100, help="slow-time columns per sample")
+    p.add_argument("--n-fast", type=int, default=RadarConfig.n_fast,
+                   help="fast-time bins per column")
+    p.add_argument("--m-slow", type=int, default=RadarConfig.m_slow,
+                   help="slow-time columns per sample")
     p.add_argument("--sensor-noise", type=float, default=1e-3)
     p.add_argument("--clutter-paths", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
@@ -365,33 +363,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--participant")
     p.add_argument("--window", type=float, default=10.0,
                    help="segment length in seconds (integer multiple of the repetition interval)")
-    p.add_argument("--dt-fast", type=float, default=0.5e-9,
+    p.add_argument("--dt-fast", type=float, default=RadarConfig.dt_fast,
                    help="fast-time sample spacing of the recording, seconds")
-    p.add_argument("--dt-slow", type=float, default=0.1,
+    p.add_argument("--dt-slow", type=float, default=RadarConfig.dt_slow,
                    help="pulse repetition interval of the recording, seconds")
     p.add_argument("--out", help=f"dataset directory (default ${DATA_DIR_ENV})")
     p.add_argument("--append", action="store_true",
                    help="add to an existing dataset instead of requiring a fresh one")
     p.set_defaults(func=cmd_import)
 
+    # Every TrainSettings field is an option of the same name; its default is the field's.
     p = sub.add_parser("train", help="train one network variant on a dataset")
     p.add_argument("--data", help=f"dataset directory or manifest.json (default ${DATA_DIR_ENV})")
     p.add_argument("--out", required=True, help="checkpoint file to write")
-    p.add_argument("--variant", default="1D-E", choices=sorted(VARIANTS))
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--snr-lo", type=float, default=-30.0,
-                   help="lower edge of the training SNR range, dB")
-    p.add_argument("--snr-hi", type=float, default=0.0,
-                   help="upper edge of the training SNR range, dB")
+    p.add_argument("--variant", choices=sorted(VARIANTS))
+    p.add_argument("--kernel", type=int)
+    p.add_argument("--snr-lo", type=float, help="lower edge of the training SNR range, dB")
+    p.add_argument("--snr-hi", type=float, help="upper edge of the training SNR range, dB")
     p.add_argument("--exact-snr-scaling", action="store_true")
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--validation-snr", type=float, default=-15.0)
-    p.add_argument("--reuse-occupied", type=int, default=200,
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--validation-snr", type=float)
+    p.add_argument("--reuse-occupied", type=int,
                    help="noise draws per occupied training sample per epoch")
-    p.add_argument("--reuse-empty", type=int, default=3000,
+    p.add_argument("--reuse-empty", type=int,
                    help="noise draws per empty training sample per epoch")
     p.add_argument("--test-per-class", type=int, default=150,
                    help="held-out car2 records per occupied class")
@@ -399,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empty-train", type=int)
     p.add_argument("--car1-validation", action="append", metavar="LABEL=N",
                    help="move the last N car1 records per class to validation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, **asdict(TrainSettings()))
 
     p = sub.add_parser("evaluate", help="AUC of one detector across an SNR grid")
     add_common_eval(p)

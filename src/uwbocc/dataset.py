@@ -348,8 +348,8 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     return split
 
 
-def build_epoch_plan(split: SplitAssignment, seed: int,
-                     reuse_occupied: int = 200, reuse_empty: int = 3000) -> tuple:
+def build_epoch_plan(split: SplitAssignment, seed: int, *,
+                     reuse_occupied: int, reuse_empty: int) -> tuple:
     """Expand the training records into a seeded, shuffled draw schedule.
 
     Returns the epoch's training records in draw order.  Occupied records

@@ -18,7 +18,6 @@ from .model import (
 )
 from .training import (
     AdamOptimizer,
-    EarlyStoppingConfig,
     OptimizerConfig,
     TrainingHistory,
     bce_with_logits,

@@ -19,7 +19,6 @@ from .model import Network
 
 __all__ = [
     "OptimizerConfig",
-    "EarlyStoppingConfig",
     "TrainingHistory",
     "AdamOptimizer",
     "bce_with_logits",
@@ -37,16 +36,6 @@ class OptimizerConfig:
             raise ConfigError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 2:
             raise ConfigError("batch size must be >= 2 (batch statistics)")
-
-
-@dataclass(frozen=True)
-class EarlyStoppingConfig:
-    patience: int = 10
-    max_epochs: int = 200
-
-    def __post_init__(self):
-        if self.patience < 0 or self.max_epochs < 1:
-            raise ConfigError("patience must be >= 0 and max_epochs >= 1")
 
 
 @dataclass
@@ -103,25 +92,25 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
 
 
 def train_network(network: Network, batches, validation_scorer,
-                  optimizer_config: OptimizerConfig | None = None,
-                  stopping: EarlyStoppingConfig | None = None,
+                  optimizer_config: OptimizerConfig, *, patience: int, max_epochs: int,
                   log=None) -> TrainingHistory:
-    """Run epochs of minibatch gradient descent with early stopping.
+    """Run up to max_epochs epochs of minibatch gradient descent with early stopping.
 
     batches is a callable epoch_index -> iterable of (inputs, labels)
     minibatches; validation_scorer is a callable network -> validation AUC.
+    Training stops after patience + 1 epochs in a row without a better AUC.
     The network is left holding the parameters and running statistics of
     its best validation epoch, so it scores that epoch's validation AUC.
     Raises a divergence error when the loss turns non-finite.
     """
-    opt_cfg = optimizer_config or OptimizerConfig()
-    stop_cfg = stopping or EarlyStoppingConfig()
-    optimizer = AdamOptimizer(network.params(), opt_cfg)
+    if patience < 0 or max_epochs < 1:
+        raise ConfigError("patience must be >= 0 and max_epochs >= 1")
+    optimizer = AdamOptimizer(network.params(), optimizer_config)
     history = TrainingHistory()
     best_state = [(arr, arr.copy()) for _, arr in network.named_state()]
     bad_epochs = 0
 
-    for epoch in range(stop_cfg.max_epochs):
+    for epoch in range(max_epochs):
         losses = []
         for inputs, labels in batches(epoch):
             network.zero_grads()
@@ -146,7 +135,7 @@ def train_network(network: Network, batches, validation_scorer,
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs > stop_cfg.patience:
+            if bad_epochs > patience:
                 history.stopped_early = True
                 break
 

@@ -29,7 +29,7 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
 from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, layout_2d
-from .nn.training import EarlyStoppingConfig, OptimizerConfig, TrainingHistory, train_network
+from .nn.training import OptimizerConfig, TrainingHistory, train_network
 
 __all__ = [
     "ResidualSample",
@@ -165,17 +165,20 @@ class BaselineScorer:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Everything run_training needs beyond the data itself."""
+    """The training recipe: everything run_training needs beyond the data.
+
+    Each field is the `uwbocc train` option of the same name, and its default.
+    """
 
     variant: str = "1D-E"
     kernel: int = 3
     snr_lo: float = -30.0
     snr_hi: float = 0.0
-    exact_scaling: bool = False
+    exact_snr_scaling: bool = False
     reuse_occupied: int = 200
     reuse_empty: int = 3000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
+    batch_size: int = OptimizerConfig.batch_size
+    learning_rate: float = OptimizerConfig.learning_rate
     patience: int = 10
     max_epochs: int = 200
     validation_snr: float = -15.0
@@ -192,12 +195,6 @@ class TrainSettings:
         if not (math.isfinite(self.validation_snr) or self.validation_snr == math.inf):
             raise ConfigError(
                 f"validation SNR must be finite or +inf (noise-free), got {self.validation_snr}")
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
-
-    def stopping(self) -> EarlyStoppingConfig:
-        return EarlyStoppingConfig(patience=self.patience, max_epochs=self.max_epochs)
 
 
 def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
@@ -220,7 +217,7 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
                 for position in range(start, start + len(records))]
         snrs = [float(rng.uniform(settings.snr_lo, settings.snr_hi)) for rng in rngs]
         planes = corrupt_batch([residual_by_file[record.file] for record in records], ref,
-                               snrs, rngs, exact=settings.exact_scaling)
+                               snrs, rngs, exact=settings.exact_snr_scaling)
         labels = np.asarray([1.0 if record.label.occupied else 0.0 for record in records])
         yield batch_input(planes, dim), labels
 
@@ -288,6 +285,6 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
                               variant.dimensionality, epoch)
 
     history = train_network(network, batches, scorer,
-                            optimizer_config=settings.optimizer(),
-                            stopping=settings.stopping(), log=log)
+                            OptimizerConfig(settings.learning_rate, settings.batch_size),
+                            patience=settings.patience, max_epochs=settings.max_epochs, log=log)
     return network, history, ref

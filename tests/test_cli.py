@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from uwbocc.dataset import read_dataset, read_manifest, write_cir
 from uwbocc.errors import ConfigError
 from uwbocc.evaluate import read_report
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
+from uwbocc.pipeline import TrainSettings
 from uwbocc.simulate import Scene, load_scene, simulate_received
 
 SIM = ["simulate", "--count", "breathing=6", "--count", "empty=6",
@@ -211,6 +213,30 @@ class TestTrain:
         assert run("train", "--data", dataset, "--out", "/tmp/never.ckpt",
                    "--test-per-class", "150") == 3
         assert "insufficient" in capsys.readouterr().err
+
+    def test_parser_defaults_are_the_train_settings(self):
+        ns = cli.build_parser().parse_args(["train", "--out", "x"])
+        assert {f.name: getattr(ns, f.name) for f in fields(TrainSettings)} == \
+            asdict(TrainSettings())
+
+    def test_default_flags_train_with_the_default_settings(self, dataset, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(manifest, samples, split, settings, log=None):
+            raise Captured(settings)
+
+        monkeypatch.setattr(cli, "run_training", capture)
+        with pytest.raises(Captured) as caught:
+            run("train", "--data", dataset, "--out", "never.ckpt",
+                "--test-per-class", "0", "--empty-test", "0")
+        assert caught.value.args == (TrainSettings(),)
+
+    def test_negative_patience_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", dataset, "--out", out, *TRAIN_FAST, "--patience=-1") == 2
+        assert "patience must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_variant_rejected_by_parser(self, dataset):
         with pytest.raises(SystemExit) as exc:

@@ -25,10 +25,15 @@ from uwbocc.dataset import (
     write_dataset,
 )
 from uwbocc.errors import ConfigError, DataError
+from uwbocc.pipeline import TrainSettings
 from uwbocc.simulate import RadarConfig
 
 B, T, M, E = (ActivityLabel.BREATHING, ActivityLabel.TALKING,
               ActivityLabel.MOVING, ActivityLabel.EMPTY)
+
+# The reuse factors `uwbocc train` uses by default.
+RECIPE_REUSE = {"reuse_occupied": TrainSettings().reuse_occupied,
+                "reuse_empty": TrainSettings().reuse_empty}
 
 
 def random_records(rng, label, count, n=4, m=6, car="car1"):
@@ -405,11 +410,11 @@ class TestEpochSchedule:
         records += [ManifestRecord(f"e{i}.cir", E, "car2", None, None, i) for i in range(66)]
         manifest = DatasetManifest(tuple(records), RadarConfig())
         split = make_split(manifest, test_per_class=0, empty_test=0, empty_train=66)
-        plan = build_epoch_plan(split, seed=1)
+        plan = build_epoch_plan(split, seed=1, **RECIPE_REUSE)
         assert len(plan) == 421_000
 
     def test_tiny_plan_length(self):
-        plan = build_epoch_plan(self.small_split(1, 1), seed=0)
+        plan = build_epoch_plan(self.small_split(1, 1), seed=0, **RECIPE_REUSE)
         assert len(plan) == 3200
 
     def test_class_mass_ratio(self):
@@ -420,9 +425,9 @@ class TestEpochSchedule:
 
     def test_seeded_shuffle_reproducible_and_seed_sensitive(self):
         split = self.small_split()
-        a = build_epoch_plan(split, seed=5)
-        b = build_epoch_plan(split, seed=5)
-        c = build_epoch_plan(split, seed=6)
+        a = build_epoch_plan(split, seed=5, **RECIPE_REUSE)
+        b = build_epoch_plan(split, seed=5, **RECIPE_REUSE)
+        c = build_epoch_plan(split, seed=6, **RECIPE_REUSE)
         assert a == b
         assert a != c
 
@@ -431,4 +436,4 @@ class TestEpochSchedule:
         manifest = DatasetManifest(tuple(records), RadarConfig())
         split = make_split(manifest, test_per_class=0, empty_test=0)
         with pytest.raises(DataError, match="both classes"):
-            build_epoch_plan(split, seed=0)
+            build_epoch_plan(split, seed=0, **RECIPE_REUSE)

@@ -24,7 +24,6 @@ from uwbocc.nn import (
     Conv1d,
     Conv2d,
     Dense,
-    EarlyStoppingConfig,
     GlobalAvgPool,
     Network,
     OptimizerConfig,
@@ -303,6 +302,20 @@ class TestReLU:
         masked = ReLU.backward
         monkeypatch.setattr(ReLU, "backward", lambda self, dy: masked(self, dy.copy()))
         assert adam_steps(name) == in_place
+
+
+class TestGlobalAvgPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spatial", [(100,), (16, 25)])
+    def test_sample_output_does_not_depend_on_its_batch(self, dtype, spatial):
+        x = np.random.default_rng(12).standard_normal((150, 8) + spatial).astype(dtype)
+        pool = GlobalAvgPool()
+        whole = pool.forward(x, train=False)
+        last = pool.forward(x[50:], train=False)
+        alone = np.concatenate([pool.forward(x[i:i + 1], train=False) for i in range(len(x))])
+        assert whole.dtype == dtype
+        assert whole.tobytes() == alone.tobytes()
+        assert last.tobytes() == alone[50:].tobytes()
 
 
 def residual_blocks(net):
@@ -748,8 +761,7 @@ class TestTraining:
             return roc_auc(network.forward(x, train=False), y)
 
         history = train_network(net, lambda epoch: [(x, y)], scorer,
-                                OptimizerConfig(learning_rate=1e-2),
-                                EarlyStoppingConfig(patience=50, max_epochs=50))
+                                OptimizerConfig(learning_rate=1e-2), patience=50, max_epochs=50)
         assert history.best_val_auc == 1.0
         assert len(history.val_auc) <= 50
 
@@ -757,7 +769,7 @@ class TestTraining:
         x, y = separable_batches()
         net = self.make_net()
         history = train_network(net, lambda epoch: [(x, y)], lambda network: 0.5,
-                                OptimizerConfig(), EarlyStoppingConfig(patience=0, max_epochs=50))
+                                OptimizerConfig(), patience=0, max_epochs=50)
         assert history.stopped_early
         assert len(history.val_auc) == 2  # first sets the best, second stops
 
@@ -766,7 +778,7 @@ class TestTraining:
         nets = [self.make_net(seed=9), self.make_net(seed=9)]
         for net in nets:
             train_network(net, lambda epoch: [(x, y)], lambda network: 0.5,
-                          OptimizerConfig(), EarlyStoppingConfig(patience=2, max_epochs=5))
+                          OptimizerConfig(), patience=2, max_epochs=5)
         for (_, a), (_, b) in zip(nets[0].named_state(), nets[1].named_state()):
             assert np.array_equal(a, b)
 
@@ -777,7 +789,20 @@ class TestTraining:
         net = self.make_net()
         with pytest.raises(DivergenceError):
             train_network(net, lambda epoch: [(x, y)], lambda network: 0.5,
-                          OptimizerConfig(), EarlyStoppingConfig(patience=1, max_epochs=2))
+                          OptimizerConfig(), patience=1, max_epochs=2)
+
+    @pytest.mark.parametrize("patience, max_epochs", [(-1, 5), (2, 0)])
+    def test_stopping_bounds_checked_before_any_step(self, patience, max_epochs):
+        x, y = separable_batches()
+        net = self.make_net()
+        before = [arr.copy() for _, arr in net.named_state()]
+        drawn = []
+        with pytest.raises(ConfigError, match=r"patience must be >= 0 and max_epochs >= 1"):
+            train_network(net, lambda epoch: drawn.append(epoch) or [(x, y)],
+                          lambda network: 0.5, OptimizerConfig(),
+                          patience=patience, max_epochs=max_epochs)
+        assert drawn == []
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(before, net.named_state()))
 
     def test_adam_moves_toward_minimum(self):
         from uwbocc.nn.layers import Param

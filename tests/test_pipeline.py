@@ -181,7 +181,7 @@ class TestEpochBatches:
         assert len(plan) == 78  # 64 + 14 at B=64; 11 * 7 + 1 at B=7, whose last is dropped
 
         def per_position(batch_size):
-            settings = quick_settings(batch_size=batch_size, exact_scaling=True)
+            settings = quick_settings(batch_size=batch_size, exact_snr_scaling=True)
             batches = list(_epoch_batches(plan, residual_by_file, ref, settings, dim, epoch=2))
             assert all(inputs.dtype == np.float32 for inputs, _ in batches)
             return (np.concatenate([inputs for inputs, _ in batches]),
