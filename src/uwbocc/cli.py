@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -69,6 +70,12 @@ def _resolve_data_dir(value) -> Path:
 
 def _manifest_path(location: Path) -> Path:
     return location if location.suffix == ".json" else location / "manifest.json"
+
+
+def _defaults(function, *names) -> dict:
+    """{name: default} of the named keyword parameters of a library function."""
+    parameters = inspect.signature(function).parameters
+    return {name: parameters[name].default for name in names}
 
 
 def _output_path(value) -> Path:
@@ -145,6 +152,8 @@ def cmd_simulate(ns) -> int:
     if ns.count is None:
         raise ConfigError("simulate needs at least one --count label=N")
     counts = {ActivityLabel.from_string(label): n for label, n in _parse_counts(ns.count).items()}
+    if ns.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {ns.seed}")
     out = _resolve_data_dir(ns.out)
     scene = load_scene(ns.scene) if ns.scene else None
     cfg = RadarConfig(n_fast=ns.n_fast, m_slow=ns.m_slow)
@@ -154,7 +163,7 @@ def cmd_simulate(ns) -> int:
     except ConfigError as exc:
         if scene is None:
             raise
-        # The counts and the radar shape are checked above, so the scene is at fault.
+        # The counts, the seed and the radar shape are checked above, so the scene is at fault.
         raise ConfigError(f"scene {ns.scene}: {exc}") from None
     if not records:
         raise ConfigError("all requested counts are zero")
@@ -325,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_eval(p):
         p.add_argument("--data",
                        help=f"dataset directory or manifest.json (default ${DATA_DIR_ENV})")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--seed", type=int)
+        p.add_argument("--threads", type=int,
                        help="worker threads for the sweep (results are identical for any value)")
         p.add_argument("--exact-snr-scaling", action="store_true",
                        help="rescale each noise draw so the per-sample SNR is exact")
@@ -347,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fast-time bins per column")
     p.add_argument("--m-slow", type=int, default=RadarConfig.m_slow,
                    help="slow-time columns per sample")
-    p.add_argument("--sensor-noise", type=float, default=1e-3)
-    p.add_argument("--clutter-paths", type=int, default=4)
+    p.add_argument("--sensor-noise", type=float)
+    p.add_argument("--clutter-paths", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, **_defaults(synth_dataset, "sensor_noise", "clutter_paths"))
 
     p = sub.add_parser("import", help="segment an external recording into a dataset")
     p.add_argument("recording", help="continuous recording in .cir container format")
@@ -373,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_import)
 
     # Every TrainSettings field is an option of the same name; its default is the field's.
+    # The split counts default to make_split's.
     p = sub.add_parser("train", help="train one network variant on a dataset")
     p.add_argument("--data", help=f"dataset directory or manifest.json (default ${DATA_DIR_ENV})")
     p.add_argument("--out", required=True, help="checkpoint file to write")
@@ -390,16 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise draws per occupied training sample per epoch")
     p.add_argument("--reuse-empty", type=int,
                    help="noise draws per empty training sample per epoch")
-    p.add_argument("--test-per-class", type=int, default=150,
+    p.add_argument("--test-per-class", type=int,
                    help="held-out car2 records per occupied class")
-    p.add_argument("--empty-test", type=int, default=20)
+    p.add_argument("--empty-test", type=int)
     p.add_argument("--empty-train", type=int)
     p.add_argument("--car1-validation", action="append", metavar="LABEL=N",
                    help="move the last N car1 records per class to validation")
     p.add_argument("--seed", type=int)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
-    p.set_defaults(func=cmd_train, **asdict(TrainSettings()))
+    p.set_defaults(func=cmd_train, **asdict(TrainSettings()),
+                   **_defaults(make_split, "test_per_class", "empty_test"))
 
     p = sub.add_parser("evaluate", help="AUC of one detector across an SNR grid")
     add_common_eval(p)
@@ -408,11 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-grid", metavar="SPEC",
                    help="dB values: '-10,-20,-40' or 'start:stop:count'; use the "
                         "--eval-grid=SPEC form since values start with a dash "
-                        "(default -10 to -40, 31 points)")
-    p.add_argument("--synthetic-negatives", type=int, default=0,
+                        f"(default {DEFAULT_EVAL_GRID[0]:g} to {DEFAULT_EVAL_GRID[-1]:g}, "
+                        f"{len(DEFAULT_EVAL_GRID)} points)")
+    p.add_argument("--synthetic-negatives", type=int,
                    help="pure-noise negatives to add (flagged in the report)")
     p.add_argument("--out", required=True, help="JSON report to write")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate,
+                   **_defaults(snr_sweep, "seed", "threads", "synthetic_negatives"))
 
     p = sub.add_parser("ablate", help="AUC versus complexity at fixed SNR anchors")
     add_common_eval(p)
@@ -423,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-baselines", action="store_true",
                    help="also score the energy and FFT detectors")
     p.add_argument("--out", required=True, help="JSON report to write")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_ablate, **_defaults(ablation, "seed", "threads"))
 
     p = sub.add_parser("report", help="render or convert a stored report")
     p.add_argument("report", help="report JSON produced by evaluate or ablate")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -235,7 +236,7 @@ def segment_recording(stream: CirMatrix, window: float, label: ActivityLabel,
     indices count from 0 in temporal order.
     """
     ratio = window / stream.dt_slow
-    w = int(round(ratio))
+    w = int(round(ratio)) if math.isfinite(ratio) else 0  # nan or inf is no multiple
     if w < 1 or abs(ratio - w) > 1e-9 * max(ratio, 1.0):
         raise ConfigError(
             f"window {window} s is not a positive integer multiple of the "

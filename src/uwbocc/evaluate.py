@@ -188,43 +188,47 @@ _REPORT_SCHEMA = 3
 _NEGATIVE_STREAM = 2**16
 
 
-def _score_points(scorers, points, negatives, ref, seed, exact, threads) -> list:
-    """Per point, one (auc, n_pos, n_neg) per scorer, in scorer order.
+def _score_rows(scorers: dict, samples, ref, grid, wanted, seed, exact, threads,
+                synthetic_negatives: int = 0) -> list:
+    """EvalRows of each scorer at the (occupied activity, grid SNR) pairs wanted.
 
-    A point is (act_idx, activity, positives, snr_idx, snr_db).  Points are
-    scored by grid SNR: each distinct snr_idx makes one corrupt_batch call,
-    every point's positives first, draw k keyed (seed, act_idx, snr_idx, k),
-    then the negatives once, keyed (seed, _NEGATIVE_STREAM, snr_idx, k).
-    Every scorer gets that one (B, 2, N, M) array, so results depend
+    scorers maps row names to scorers, and wanted(activity, snr_db) picks
+    the pairs; rows come in (name, activity, grid position) order.  Each
+    grid SNR with a wanted pair makes one corrupt_batch call: the wanted
+    activities' positives in activity order, draw k keyed (seed, act_idx,
+    snr_idx, k), then the negatives, keyed (seed, _NEGATIVE_STREAM, snr_idx,
+    k).  Every scorer gets that one (B, 2, N, M) array, so results depend
     neither on threads nor on which scorers share a run.
     """
+    activities, negatives = _test_groups(samples, synthetic_negatives)
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    by_snr: dict = {}
-    for i, (_, _, _, snr_idx, _) in enumerate(points):
-        by_snr.setdefault(snr_idx, []).append(i)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    kept = [[i for i, (activity, _) in enumerate(activities) if wanted(activity, snr_db)]
+            for snr_db in grid]
 
-    def run(indices):
-        _, _, _, snr_idx, snr_db = points[indices[0]]
-        groups = [(points[i][0], points[i][2]) for i in indices] + [(_NEGATIVE_STREAM, negatives)]
+    def run(snr_idx):
+        groups = [(i, activities[i][1]) for i in kept[snr_idx]] + [(_NEGATIVE_STREAM, negatives)]
         residuals = [residual for _, group in groups for residual in group]
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, stream, snr_idx, k)))
                 for stream, group in groups for k in range(len(group))]
-        planes = corrupt_batch(residuals, ref, [snr_db] * len(residuals), rngs, exact=exact)
-        sizes = [len(points[i][2]) for i in indices]
-        return [_score_grid_point(scorer, planes, sizes) for scorer in scorers]
+        planes = corrupt_batch(residuals, ref, [grid[snr_idx]] * len(residuals), rngs, exact=exact)
+        sizes = [len(activities[i][1]) for i in kept[snr_idx]]
+        return {(j, i, snr_idx): result for j, scorer in enumerate(scorers.values())
+                for i, result in zip(kept[snr_idx], _score_grid_point(scorer, planes, sizes))}
 
-    groups = list(by_snr.values())
+    points = [snr_idx for snr_idx, wanted_here in enumerate(kept) if wanted_here]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(run, groups))
+            scored = list(pool.map(run, points))
     else:
-        scored = [run(indices) for indices in groups]
-    results: list = [None] * len(points)
-    for indices, by_scorer in zip(groups, scored):
-        for j, i in enumerate(indices):
-            results[i] = [per_group[j] for per_group in by_scorer]
-    return results
+        scored = [run(snr_idx) for snr_idx in points]
+    # Read after scoring: a baseline scorer learns its count from its first input.
+    names, flops = list(scorers), [int(getattr(s, "flops", 0)) for s in scorers.values()]
+    return [EvalRow(names[j], activities[i][0].value, grid[snr_idx], auc, flops[j], n_pos, n_neg)
+            for (j, i, snr_idx), (auc, n_pos, n_neg)
+            in sorted(item for results in scored for item in results.items())]
 
 
 def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
@@ -243,17 +247,9 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
     grid = _check_grid(grid)
     if synthetic_negatives < 0:
         raise ConfigError(f"synthetic_negatives must be >= 0, got {synthetic_negatives}")
-    activities, negatives = _test_groups(samples, synthetic_negatives)
-    points = [(act_idx, activity, positives, snr_idx, snr_db)
-              for act_idx, (activity, positives) in enumerate(activities)
-              for snr_idx, snr_db in enumerate(grid)]
-    results = _score_points([scorer], points, negatives, ref, seed, exact_scaling, threads)
     name = getattr(scorer, "name", scorer.__class__.__name__)
-    # Read after scoring: a baseline scorer learns its count from its first input.
-    flops = int(getattr(scorer, "flops", 0))
-    rows = [EvalRow(name, activity.value, snr_db, auc, flops, n_pos, n_neg)
-            for (_, activity, _, _, snr_db), [(auc, n_pos, n_neg)] in zip(points, results)]
-
+    rows = _score_rows({name: scorer}, samples, ref, grid, lambda activity, snr_db: True,
+                       seed, exact_scaling, threads, synthetic_negatives)
     config = {
         "schema": _REPORT_SCHEMA,
         "kind": "snr_sweep",
@@ -275,9 +271,11 @@ def ablation(scorers: dict, samples, ref: SnrReference,
     scorers maps a variant name to a scorer carrying .flops; when
     require_all_variants is set, all ten standard variant names must be
     present (a missing trained checkpoint is an error, not a silent gap).
-    Seeds match snr_sweep over the sorted distinct anchor SNRs, so each row
-    equals that sweep's row at the activity's anchor for any scorer that
-    scores each input independently of the others in its batch.
+    The rows come from the function that builds snr_sweep's, run over the
+    sorted distinct anchor SNRs and kept at each activity's anchor, so the
+    seeds are that sweep's.  A row equals the sweep's row only for a scorer
+    that scores each input independently of the others in its batch, which
+    network scorers do not yet do.
     """
     from .nn.model import VARIANTS
 
@@ -287,29 +285,16 @@ def ablation(scorers: dict, samples, ref: SnrReference,
         if missing:
             raise DataError(f"ablation is missing trained checkpoints for: {', '.join(missing)}")
 
-    grid = _check_grid(sorted({float(v) for v in anchors.values()}))
-    activities, negatives = _test_groups(samples)
-    points = [(act_idx, activity, positives, grid.index(float(anchors[activity])),
-               float(anchors[activity]))
-              for act_idx, (activity, positives) in enumerate(activities)
-              if activity in anchors]
-    names = sorted(scorers)
-    results = _score_points([scorers[name] for name in names], points, negatives, ref,
-                            seed, exact_scaling, threads)
-    # Read after scoring: a baseline scorer learns its count from its first input.
-    config_detectors = {name: int(getattr(scorers[name], "flops", 0)) for name in names}
-    rows = []
-    for j, name in enumerate(names):
-        for (_, activity, _, _, snr_db), by_scorer in zip(points, results):
-            auc, n_pos, n_neg = by_scorer[j]
-            rows.append(EvalRow(name, activity.value, snr_db, auc, config_detectors[name],
-                                n_pos, n_neg))
-
+    anchored = {activity: float(snr) for activity, snr in anchors.items()}
+    grid = _check_grid(sorted(set(anchored.values())))
+    rows = _score_rows(dict(sorted(scorers.items())), samples, ref, grid,
+                       lambda activity, snr_db: anchored.get(activity) == snr_db,
+                       seed, exact_scaling, threads)
     config = {
         "schema": _REPORT_SCHEMA,
         "kind": "ablation",
         "anchors": {lab.value: snr for lab, snr in anchors.items()},
-        "detectors": config_detectors,
+        "detectors": {name: int(getattr(scorers[name], "flops", 0)) for name in sorted(scorers)},
         "exact_scaling": exact_scaling,
         "reference_energy": ref.e_s,
     }

@@ -195,6 +195,8 @@ class TrainSettings:
         if not (math.isfinite(self.validation_snr) or self.validation_snr == math.inf):
             raise ConfigError(
                 f"validation SNR must be finite or +inf (noise-free), got {self.validation_snr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):

@@ -319,6 +319,8 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     """
     if scene is None and clutter_paths < 0:
         raise ConfigError(f"clutter_paths must be >= 0, got {clutter_paths}")
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise ConfigError(f"seed must be >= 0, got {rng}")
     cfg = cfg or RadarConfig()
     rng = np.random.default_rng(rng)
     wanted: dict[ActivityLabel, int] = {}

@@ -1,5 +1,6 @@
 """CLI workflows: every subcommand, config precedence, byte-determinism."""
 
+import inspect
 import json
 import os
 import struct
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 import uwbocc
 from uwbocc import cli
 from uwbocc.cli import _parse_counts, main
-from uwbocc.dataset import read_dataset, read_manifest, write_cir
+from uwbocc.dataset import make_split, read_dataset, read_manifest, write_cir
 from uwbocc.errors import ConfigError
-from uwbocc.evaluate import read_report
+from uwbocc.evaluate import ablation, read_report, snr_sweep
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
 from uwbocc.pipeline import TrainSettings
-from uwbocc.simulate import Scene, load_scene, simulate_received
+from uwbocc.simulate import Scene, load_scene, simulate_received, synth_dataset
 
 SIM = ["simulate", "--count", "breathing=6", "--count", "empty=6",
        "--n-fast", "16", "--m-slow", "24", "--seed", "3"]
@@ -215,9 +216,20 @@ class TestTrain:
         assert "insufficient" in capsys.readouterr().err
 
     def test_parser_defaults_are_the_train_settings(self):
-        ns = cli.build_parser().parse_args(["train", "--out", "x"])
+        parse = cli.build_parser().parse_args
+        ns = parse(["train", "--out", "x"])
         assert {f.name: getattr(ns, f.name) for f in fields(TrainSettings)} == \
             asdict(TrainSettings())
+        # Every other option that passes a library keyword defaults to that keyword's default.
+        for argv, function, names in [
+                (["train", "--out", "x"], make_split, ("test_per_class", "empty_test")),
+                (["simulate"], synth_dataset, ("sensor_noise", "clutter_paths")),
+                (["evaluate", "--out", "x"], snr_sweep,
+                 ("seed", "threads", "synthetic_negatives")),
+                (["ablate", "--out", "x", "--models", "m"], ablation, ("seed", "threads"))]:
+            ns, keywords = parse(argv), inspect.signature(function).parameters
+            assert {name: getattr(ns, name) for name in names} == \
+                {name: keywords[name].default for name in names}, argv
 
     def test_default_flags_train_with_the_default_settings(self, dataset, monkeypatch):
         class Captured(Exception):
@@ -726,6 +738,23 @@ USER_MISTAKES = {
        for name, (argv, text, _) in SCENE_CONTENT_MISTAKES.items()},
     "negative simulate count": (
         lambda data, tmp: ["simulate", "--count", "empty=-1", "--out", tmp / "x"], 2),
+    "negative simulate seed": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--seed=-1"], 2),
+    "negative train seed": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--seed=-1", *TRAIN_FAST], 2),
+    "negative evaluate seed": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10", "--seed=-1", "--out", tmp / "r.json"], 2),
+    "negative ablate seed": (
+        lambda data, tmp: ["ablate", "--data", data, "--models", models_dir(tmp),
+                           "--allow-missing", "--seed=-1", "--out", tmp / "r.json"], 2),
+    **{f"import window {window}": (
+        lambda data, tmp, window=window: ["import", recording(tmp), "--label", "empty",
+                                          "--car", "car2", f"--window={window}",
+                                          "--out", tmp / "x"], 2)
+       for window in ("nan", "inf", "-inf", "1e308")},
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2
@@ -767,6 +796,13 @@ def test_scene_content_errors_name_the_scene_file(mistake, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: scene {scene}: ")
     assert cause in proc.stderr
+
+
+def test_negative_seed_is_not_blamed_on_the_scene(tmp_path, capsys):
+    scene = scene_file(tmp_path, "")
+    assert run("simulate", "--count", "empty=2", "--out", tmp_path / "x",
+               "--scene", scene, "--seed=-1") == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("mistake", sorted(CONFIG_MISTAKES))

@@ -320,6 +320,30 @@ def three_activity_samples():
     return samples
 
 
+def three_scorers():
+    from uwbocc.pipeline import BaselineScorer
+
+    return {"spike": named_scorer("spike-scorer", 7), "fft": BaselineScorer("fft"),
+            "energy": BaselineScorer("energy", window_cols=4)}
+
+
+def anchor_rows_of_sweeps(samples, ref, anchors, **kwargs):
+    """Per fresh scorer, its sweep over the sorted anchor SNRs, kept at each anchor.
+
+    This is the ablation as it was first written; rows are renamed to the
+    scorer's key and come in sorted key order.
+    """
+    used = dict(anchors) if anchors is not None else dict(ACTIVITY_SNR_ANCHORS)
+    sub_grid = sorted({float(v) for v in used.values()})
+    wanted = {(lab.value, float(snr)) for lab, snr in used.items()}
+    expected = []
+    for name, scorer in sorted(three_scorers().items()):
+        sweep = snr_sweep(scorer, samples, ref, grid=sub_grid, **kwargs)
+        expected += [replace(row, name=name) for row in sweep.rows
+                     if (row.activity, row.snr_db) in wanted]
+    return tuple(expected)
+
+
 class TestAblation:
     def test_missing_variants_listed(self):
         scorers = {"1D-E": named_scorer("1D-E", 10)}
@@ -366,8 +390,6 @@ class TestAblation:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("case", ["default", "subset"])
     def test_rows_equal_anchor_rows_of_per_scorer_sweeps(self, threads, case):
-        from uwbocc.pipeline import BaselineScorer
-
         samples = three_activity_samples()
         anchors = None
         if case == "subset":
@@ -378,27 +400,66 @@ class TestAblation:
                        ActivityLabel.TALKING: -10.0}
         ref = SnrReference(100.0)
         for exact in (False, True):
-            def scorers():
-                return {"spike": named_scorer("spike-scorer", 7),
-                        "fft": BaselineScorer("fft"),
-                        "energy": BaselineScorer("energy", window_cols=4)}
-
-            report = ablation(scorers(), samples, ref, anchors=anchors, seed=4,
+            report = ablation(three_scorers(), samples, ref, anchors=anchors, seed=4,
                               require_all_variants=False, exact_scaling=exact,
                               threads=threads)
-            # The per-scorer sweep over the anchor SNRs, filtered to each
-            # activity's own anchor, as the ablation was first written.
-            used = dict(anchors) if anchors is not None else dict(ACTIVITY_SNR_ANCHORS)
-            sub_grid = sorted({float(v) for v in used.values()})
-            wanted = {(lab.value, float(snr)) for lab, snr in used.items()}
-            expected = []
-            for name, scorer in sorted(scorers().items()):
-                sweep = snr_sweep(scorer, samples, ref, grid=sub_grid, seed=4,
-                                  exact_scaling=exact, threads=threads)
-                expected += [replace(row, name=name) for row in sweep.rows
-                             if (row.activity, row.snr_db) in wanted]
-            assert report.rows == tuple(expected)
+            assert report.rows == anchor_rows_of_sweeps(samples, ref, anchors, seed=4,
+                                                        exact_scaling=exact, threads=threads)
             assert len(report.rows) == 3 * (3 if case == "default" else 1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(present=st.sets(st.sampled_from([ActivityLabel.BREATHING, ActivityLabel.TALKING,
+                                            ActivityLabel.MOVING]), min_size=1),
+           anchors=st.dictionaries(st.sampled_from(list(ActivityLabel)),
+                                   st.sampled_from([0, -10, -10.0, "-12.5", -12.5, -20, -20.0]),
+                                   min_size=1),
+           exact=st.booleans(), seed=st.integers(0, 2**32))
+    def test_rows_equal_anchor_rows_of_sweeps_for_any_anchor_map(self, threads, present,
+                                                                 anchors, exact, seed):
+        # Anchors may name empty or absent activities, share one SNR, or be ints
+        # or numeric strings.
+        samples = [s for s in three_activity_samples()
+                   if s.label in present or s.label is ActivityLabel.EMPTY]
+        ref = SnrReference(100.0)
+        report = ablation(three_scorers(), samples, ref, anchors=anchors, seed=seed,
+                          require_all_variants=False, exact_scaling=exact, threads=threads)
+        assert report.rows == anchor_rows_of_sweeps(samples, ref, anchors, seed=seed,
+                                                    exact_scaling=exact, threads=threads)
+        assert len(report.rows) == 3 * len(present & set(anchors))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_draw_and_one_call_per_scorer_per_anchor_snr(self, monkeypatch, threads):
+        import uwbocc.augment as augment
+
+        draws = []
+        add_noise = augment.add_noise
+
+        def counted(residuals, *args, **kwargs):
+            draws.append(sorted(id(residual) for residual in residuals))
+            return add_noise(residuals, *args, **kwargs)
+
+        monkeypatch.setattr(augment, "add_noise", counted)
+        samples = three_activity_samples()
+        # Empty's anchor adds a grid SNR where no occupied activity is scored.
+        anchors = {ActivityLabel.BREATHING: -10.0, ActivityLabel.TALKING: -20.0,
+                   ActivityLabel.MOVING: -10, ActivityLabel.EMPTY: -30.0}
+        scorers = {name: CountingScorer() for name in ("a", "b", "c")}
+        report = ablation(scorers, samples, SnrReference(100.0), anchors=anchors,
+                          require_all_variants=False, threads=threads)
+
+        def ids(*labels):
+            return sorted(id(s.residual) for s in samples
+                          if s.label in labels or s.label is ActivityLabel.EMPTY)
+
+        # -20 dB draws talking and the negatives; -10 dB breathing, moving and the negatives.
+        assert sorted(draws) == sorted([ids(ActivityLabel.TALKING),
+                                        ids(ActivityLabel.BREATHING, ActivityLabel.MOVING)])
+        for scorer in scorers.values():
+            assert sorted(scorer.batches) == [3 + 3, 3 + 3 + 3]
+        assert [(r.name, r.activity, r.snr_db) for r in report.rows] == [
+            (name, activity, snr) for name in ("a", "b", "c")
+            for activity, snr in (("breathing", -10.0), ("talking", -20.0), ("moving", -10.0))]
 
     def test_custom_anchor_subset(self):
         scorers = {"x": named_scorer("x", 10)}
