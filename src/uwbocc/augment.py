@@ -118,15 +118,18 @@ def add_noise(residuals, ref: SnrReference, snrs, rngs, *, exact: bool = False) 
     for draw, rng in zip(planes, rngs):
         rng.random(dtype=planes.dtype, out=draw)
     _box_muller(planes)
-    sigma2 = noise_sigma(ref, np.asarray(snrs, dtype=np.float64), n, m)
-    if exact:
-        drawn = _sample_energies(planes)
-        if np.any(drawn == 0.0):
-            raise DataError("drawn noise has zero energy; cannot scale exactly")
-        # Unit normals scaled by sqrt(sigma2 * 2mn / drawn) have energy
-        # 2mn * sigma2 = e_s * 10^(-snr/10).
-        sigma2 = sigma2 * (2.0 * m * n / drawn)
-    planes *= np.sqrt(sigma2).astype(planes.dtype)[:, None, None, None]
+    # Noise too strong for the planes' dtype overflows quietly here;
+    # normalize_unit_energy rejects it as a ConfigError.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma2 = noise_sigma(ref, np.asarray(snrs, dtype=np.float64), n, m)
+        if exact:
+            drawn = _sample_energies(planes)
+            if np.any(drawn == 0.0):
+                raise DataError("drawn noise has zero energy; cannot scale exactly")
+            # Unit normals scaled by sqrt(sigma2 * 2mn / drawn) have energy
+            # 2mn * sigma2 = e_s * 10^(-snr/10).
+            sigma2 = sigma2 * (2.0 * m * n / drawn)
+        planes *= np.sqrt(sigma2).astype(planes.dtype)[:, None, None, None]
     for draw, residual in zip(planes, residuals):
         if residual.shape != first.shape:
             raise DataError(f"residual of shape {residual.shape} in a batch of {first.shape}")
@@ -138,9 +141,13 @@ def normalize_unit_energy(planes: np.ndarray) -> np.ndarray:
     """Scale each sample of a (B, ...) batch to unit energy, in place; returns planes.
 
     Energies are float64 sums over one sample each, so a sample's bytes
-    depend only on itself, never on the batch around it.
+    depend only on itself, never on the batch around it.  A non-finite
+    energy is a ConfigError: the noise of an SNR too low for the planes'
+    dtype overflowed it.
     """
     energy = _sample_energies(planes)
+    if not np.isfinite(energy).all():
+        raise ConfigError(f"SNR too low for {planes.dtype} planes: the noise overflows")
     if np.any(energy <= 0.0):
         raise DataError("cannot normalize a zero-energy sample")
     planes *= (1.0 / np.sqrt(energy)).astype(planes.dtype)[:, None, None, None]

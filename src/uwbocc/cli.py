@@ -104,6 +104,10 @@ def _parse_counts(values) -> dict:
     return counts
 
 
+# The largest start:stop:count count; the default grid has 31 points.
+MAX_GRID_COUNT = 10_000
+
+
 def _parse_grid(spec) -> tuple:
     """SNR grid: comma-separated dB values, or start:stop:count (inclusive)."""
     if spec is None:
@@ -117,8 +121,8 @@ def _parse_grid(spec) -> tuple:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad --eval-grid {spec!r}: {exc}") from None
-    if count < 1:
-        raise ConfigError(f"bad --eval-grid {spec!r}: count must be >= 1")
+    if not 1 <= count <= MAX_GRID_COUNT:
+        raise ConfigError(f"bad --eval-grid {spec!r}: count {count} is not in 1..{MAX_GRID_COUNT}")
     return tuple(float(v) for v in np.linspace(start, stop, count))
 
 

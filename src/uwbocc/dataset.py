@@ -122,6 +122,8 @@ def read_cir(path) -> np.ndarray:
             f"({expected} payload bytes) but file has {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<c8")
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: the payload holds a NaN or infinite sample")
     return flat.reshape((n, m), order="F").astype(np.complex128)
 
 

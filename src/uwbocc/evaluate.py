@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -126,7 +127,7 @@ def _check_grid(grid) -> tuple:
         raise ConfigError("empty SNR grid")
     if not all(math.isfinite(v) for v in grid):
         raise ConfigError("grid SNR values must be finite")
-    repeated = sorted({v for v in grid if grid.count(v) > 1})
+    repeated = sorted(v for v, n in Counter(grid).items() if n > 1)
     if repeated:
         raise ConfigError(f"grid SNR {repeated[0]!r} dB given more than once")
     return grid

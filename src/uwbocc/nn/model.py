@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass
 
@@ -305,39 +306,43 @@ def param_count(network: Network) -> int:
     return int(sum(p.value.size for p in network.params()))
 
 
-def _conv_flops(c_in, c_out, kernel_elems, spatial) -> int:
-    return 2 * c_in * c_out * kernel_elems * spatial
+def _layer_plan(variant: ArchitectureVariant, c_in: int, kernel: int):
+    """Yield (kind, c_in, c_out, taps) for each layer a sample passes through, lazily.
+
+    In build_network's order, with each block's branch sum just before its output ReLU.
+    """
+    taps = kernel ** variant.dimensionality
+    width = variant.initial_filters
+    yield "conv", c_in, width, taps
+    yield "bn", width, width, 1
+    yield "relu", width, width, 1
+    for block_in, width in _blocks(variant):
+        yield "conv", block_in, width, taps
+        yield "bn", width, width, 1
+        yield "relu", width, width, 1
+        yield "conv", width, width, taps
+        yield "bn", width, width, 1
+        if block_in != width:
+            yield "conv", block_in, width, 1
+            yield "bn", width, width, 1
+        yield "sum", width, width, 1
+        yield "relu", width, width, 1
+    yield "pool", width, width, 1
+    yield "dense", width, 1, 1
 
 
 def flop_count(network: Network) -> int:
     """Forward-pass operation count of one sample under the documented convention."""
-    shape = network.input_shape
-    variant = network.variant
-    spatial = int(np.prod(shape[1:]))
-    kernel_elems = network.kernel ** variant.dimensionality
+    spatial = math.prod(network.input_shape[1:])
     total = 0
-
-    def bn_relu(channels):
-        return 2 * channels * spatial + 2 * channels * spatial
-
-    c_in = shape[0]
-    total += _conv_flops(c_in, variant.initial_filters, kernel_elems, spatial)
-    total += bn_relu(variant.initial_filters)
-
-    channels = variant.initial_filters
-    for c_in, channels in _blocks(variant):
-        total += _conv_flops(c_in, channels, kernel_elems, spatial)  # conv1
-        total += 2 * channels * spatial + 2 * channels * spatial  # bn1 + relu1
-        total += _conv_flops(channels, channels, kernel_elems, spatial)  # conv2
-        total += 2 * channels * spatial  # bn2
-        if c_in != channels:
-            total += _conv_flops(c_in, channels, 1, spatial)  # 1x1 projection
-            total += 2 * channels * spatial  # projection bn
-        total += channels * spatial  # branch sum
-        total += 2 * channels * spatial  # output relu
-
-    total += channels * spatial  # global average pool
-    total += 2 * channels  # dense layer on pooled features
+    for kind, c_in, c_out, taps in _layer_plan(network.variant, network.input_shape[0],
+                                               network.kernel):
+        if kind == "conv":
+            total += 2 * c_in * c_out * taps * spatial
+        elif kind == "dense":
+            total += 2 * c_in * c_out  # on the pooled features
+        else:  # bn and relu cost 2 per element, sum and pool 1
+            total += (2 if kind in ("bn", "relu") else 1) * c_out * spatial
     return int(total)
 
 
@@ -366,33 +371,26 @@ def save_checkpoint(network: Network, path, extra: dict | None = None) -> None:
 
 
 def _state_size(variant: ArchitectureVariant, c_in: int, kernel: int, limit: int) -> int:
-    """Values in the named_state of a network built from this spec, counted without building it.
-
-    A convolution holds c_in * c_out * kernel**d weights, a BatchNorm four
-    values per channel (gamma, beta, running mean and variance), the dense
-    layer one weight per channel and a bias.  Block widths come from
-    _blocks.  Counting stops once the total passes limit, so an absurd
-    depth or width costs nothing.
-    """
-    taps = kernel ** variant.dimensionality
-    channels = variant.initial_filters
-    total = c_in * channels * taps + 4 * channels  # stem
-    for block_in, channels in _blocks(variant):
+    """Values in the named_state of this spec's network, unbuilt; stops once past limit."""
+    total = 0
+    for kind, c_in, c_out, taps in _layer_plan(variant, c_in, kernel):
         if not total <= limit:
             return total
-        total += (block_in + channels) * channels * taps + 8 * channels  # conv1, bn1, conv2, bn2
-        if block_in != channels:
-            total += block_in * channels + 4 * channels  # 1x1 projection and its BatchNorm
-    return total + channels + 1
+        if kind == "conv":
+            total += c_in * c_out * taps
+        elif kind == "bn":
+            total += 4 * c_out  # gamma, beta, running mean and variance
+        elif kind == "dense":
+            total += c_in * c_out + c_out
+    return total
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild a network from a checkpoint; returns (network, extra metadata).
 
-    The header's array shapes must tile the payload, and the network its
-    variant, input channels and kernel describe must hold exactly the
-    payload's values.  Both are checked before the network is built, so a
-    garbled header cannot make the load allocate more than the file holds.
+    The payload must hold exactly the values of the network the header
+    describes, checked before the build so a garbled header cannot allocate
+    more than the file holds; the header's array shapes must be the network's.
     """
     try:
         with open(path, "rb") as handle:
@@ -410,36 +408,23 @@ def load_checkpoint(path) -> tuple[Network, dict]:
 
     try:
         variant = ArchitectureVariant(**header["variant"])
-        layout = [(meta["name"], meta["shape"]) for meta in header["arrays"]]
-        if not all(isinstance(d, int) and d >= 0 for _, shape in layout for d in shape):
-            raise DataError(f"checkpoint {path} has a malformed header: "
-                            "array shapes must list non-negative integers")
-        offset = 0  # in bytes; a payload cut inside a value is truncated, not malformed
-        arrays = []
-        for name, shape in layout:
-            size = math.prod(shape)
-            if offset + 4 * size > len(payload):
-                raise DataError(f"checkpoint {path} payload truncated at {name}")
-            arrays.append(np.frombuffer(payload, "<f4", size, offset)
-                          .astype(np.float64).reshape(shape))
-            offset += 4 * size
-        if offset != len(payload):
-            raise DataError(f"checkpoint {path} payload has {len(payload) - offset} trailing bytes")
-        n_values = offset // 4
-        if _state_size(variant, header["input_shape"][0], header["kernel"], n_values) != n_values:
-            raise DataError(f"checkpoint {path}: the {variant.name} network its header describes "
-                            f"does not hold the {n_values} values of its payload")
+        # operator.index: the count would repeat a string or list, not multiply it
+        c_in, kernel = operator.index(header["input_shape"][0]), operator.index(header["kernel"])
+        n_bytes = 4 * _state_size(variant, c_in, kernel, len(payload) // 4)
+        if not n_bytes <= len(payload):  # a payload cut inside a value is truncated too
+            raise DataError(f"checkpoint {path} payload truncated for its {variant.name} network")
+        if n_bytes != len(payload):
+            raise DataError(f"checkpoint {path} payload has {len(payload) - n_bytes} trailing bytes")
         network = build_network(variant, tuple(header["input_shape"]),
-                                kernel=header["kernel"], seed=header["seed"])
+                                kernel=kernel, seed=header["seed"])
+        entries = network.named_state()
+        if [meta["shape"] for meta in header["arrays"]] != [list(a.shape) for _, a in entries]:
+            raise DataError(f"checkpoint {path}: header array shapes are not {variant.name}'s")
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: "
                         f"{type(exc).__name__} {exc}") from None
 
-    entries = network.named_state()
-    if len(entries) != len(arrays):
-        raise DataError(f"checkpoint {path} carries {len(arrays)} arrays, network has {len(entries)}")
-    for (name, target), value in zip(entries, arrays):
-        if target.shape != value.shape:
-            raise DataError(f"checkpoint {path}: array {name} shape {value.shape} != {target.shape}")
-        target[...] = value
+    values = np.frombuffer(payload, "<f4")
+    for _, target in entries:
+        target[...], values = values[:target.size].reshape(target.shape), values[target.size:]
     return network, header.get("extra", {})

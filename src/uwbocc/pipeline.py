@@ -188,8 +188,8 @@ class TrainSettings:
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; known: {', '.join(sorted(VARIANTS))}")
-        if not (math.isfinite(self.snr_lo) and math.isfinite(self.snr_hi)):
-            raise ConfigError("training SNR bounds must be finite")
+        if not math.isfinite(self.snr_hi - self.snr_lo):  # also false for a non-finite bound
+            raise ConfigError("training SNR bounds and their range must be finite")
         if self.snr_lo > self.snr_hi:
             raise ConfigError(f"snr_lo {self.snr_lo} exceeds snr_hi {self.snr_hi}")
         if not (math.isfinite(self.validation_snr) or self.validation_snr == math.inf):

@@ -179,6 +179,13 @@ class TestNormalize:
             normalize_unit_energy(layout_2d([residual_of_energy(1.0),
                                              np.zeros((4, 8), dtype=np.complex128)]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_is_an_snr_too_low_for_the_dtype(self, value):
+        planes = layout_2d([residual_of_energy(1.0)] * 2).astype(np.float32)
+        planes[1, 1, 2, 3] = value
+        with pytest.raises(ConfigError, match="SNR too low for float32 planes"):
+            normalize_unit_energy(planes)
+
 
 class TestPipeline:
     def test_pipeline_is_mean_remove_then_noise_then_normalize(self):
@@ -358,6 +365,21 @@ class TestCorruptBatch:
         rngs, _ = keyed_draws(2)
         with pytest.raises(DataError, match="zero-energy"):
             corrupt_batch(zero_residuals(2, 4, 6), SnrReference(1.0), [math.inf] * 2, rngs)
+
+    @pytest.mark.parametrize("snr", [-800.0, -4000.0])
+    def test_noise_that_overflows_float32_is_a_config_error(self, snr):
+        # At -800 dB the noise scale fits a float64 but not a float32; at
+        # -4000 dB it overflows both.
+        rngs, _ = keyed_draws(2)
+        with pytest.raises(ConfigError, match="SNR too low for float32 planes"):
+            corrupt_batch(random_residuals(2, 4, 6), SnrReference(1.0), [snr] * 2, rngs)
+
+    def test_noise_that_fits_float64_planes_is_drawn(self):
+        rngs, _ = keyed_draws(2)
+        residuals = [r.astype(np.complex128) for r in random_residuals(2, 4, 6)]
+        planes = corrupt_batch(residuals, SnrReference(1.0), [-800.0] * 2, rngs)
+        assert planes.dtype == np.float64
+        assert np.allclose(batch_energies(planes), 1.0)
 
     def test_zero_noise_energy_rejected_in_exact_mode(self):
         residuals = random_residuals(2, 4, 6)

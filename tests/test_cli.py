@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import uwbocc
 from uwbocc import cli
-from uwbocc.cli import _parse_counts, main
-from uwbocc.dataset import make_split, read_dataset, read_manifest, write_cir
+from uwbocc.cli import MAX_GRID_COUNT, _parse_counts, _parse_grid, main
+from uwbocc.dataset import make_split, read_cir, read_dataset, read_manifest, write_cir
 from uwbocc.errors import ConfigError
 from uwbocc.evaluate import ablation, read_report, snr_sweep
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
@@ -549,6 +549,15 @@ def scene_file(tmp_path, text, clutter="[clutter]\namplitude = 1\ndelay = 4e-9\n
     return path
 
 
+def poisoned_cir(data):
+    """The dataset at data, one sample of its first .cir file now NaN."""
+    path = data / read_manifest(data / "manifest.json").records[0].file
+    cir = read_cir(path)
+    cir[0, 0] = complex(np.nan, 0.0)
+    write_cir(path, cir)
+    return path
+
+
 def garbled_manifest(data):
     """The dataset at data, its manifest.json now holding a 0xff byte."""
     non_utf8(data / "manifest.json", (data / "manifest.json").read_text())
@@ -750,6 +759,31 @@ USER_MISTAKES = {
     "negative ablate seed": (
         lambda data, tmp: ["ablate", "--data", data, "--models", models_dir(tmp),
                            "--allow-missing", "--seed=-1", "--out", tmp / "r.json"], 2),
+    "grid count too large to allocate": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10:-20:100000000000", "--out", tmp / "r.json"], 2),
+    "training SNR range wider than a float": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--snr-lo=-1e308", "--snr-hi=1e308", *TRAIN_FAST], 2),
+    # Noise at -4000 dB overflows the float32 planes every draw is made in.
+    "grid SNR whose noise overflows": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-4000", "--out", tmp / "r.json"], 2),
+    "validation SNR whose noise overflows": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--validation-snr=-4000", *TRAIN_FAST], 2),
+    "training SNRs whose noise overflows": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt",
+                           "--snr-lo=-4000", "--snr-hi=-3000", *TRAIN_FAST], 2),
+    "NaN sample in a .cir file, train": (
+        lambda data, tmp: ["train", "--data", poisoned_cir(data).parent,
+                           "--out", tmp / "m.ckpt", *TRAIN_FAST], 3),
+    "NaN sample in a .cir file, evaluate": (
+        lambda data, tmp: ["evaluate", "--data", poisoned_cir(data).parent,
+                           "--detector", "energy", "--out", tmp / "r.json"], 3),
+    "NaN sample in a .cir file, import": (
+        lambda data, tmp: ["import", poisoned_cir(data), "--label", "empty", "--car", "car2",
+                           "--out", tmp / "x"], 3),
     **{f"import window {window}": (
         lambda data, tmp, window=window: ["import", recording(tmp), "--label", "empty",
                                           "--car", "car2", f"--window={window}",
@@ -786,6 +820,13 @@ def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
 def test_repeated_count_label_is_named(values):
     with pytest.raises(ConfigError, match="'empty' given more than once"):
         _parse_counts(values)
+
+
+def test_grid_count_is_capped_before_anything_is_allocated():
+    assert len(_parse_grid(f"-10:-20:{MAX_GRID_COUNT}")) == MAX_GRID_COUNT
+    for count in (MAX_GRID_COUNT + 1, 10**18):
+        with pytest.raises(ConfigError, match=f"count {count} is not in 1..{MAX_GRID_COUNT}"):
+            _parse_grid(f"-10:-20:{count}")
 
 
 @pytest.mark.parametrize("mistake", sorted(SCENE_CONTENT_MISTAKES))

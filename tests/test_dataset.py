@@ -131,6 +131,14 @@ class TestCirFormat:
             except DataError:
                 pass
 
+    @pytest.mark.parametrize("value", [complex(np.nan, 0), complex(0, np.inf), -np.inf])
+    def test_non_finite_sample_rejected_naming_the_file(self, tmp_path, value):
+        data = np.ones((3, 4), dtype=np.complex64)
+        data[2, 1] = value
+        write_cir(tmp_path / "poisoned.cir", data)
+        with pytest.raises(DataError, match="poisoned.cir: the payload holds a NaN or infinite"):
+            read_cir(tmp_path / "poisoned.cir")
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "notcir.cir"
         path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -1,12 +1,15 @@
 """Layer math, network assembly, complexity accounting, training loop."""
 
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from uwbocc.nn import (
     train_network,
 )
 from uwbocc.nn import layers
-from uwbocc.nn.model import ResidualBlock
+from uwbocc.nn.model import ResidualBlock, _layer_plan, _state_size
 
 
 def input_1d(residual):
@@ -352,6 +355,66 @@ class TestBuildNetwork:
     def test_wrong_input_rank(self):
         with pytest.raises(ConfigError):
             build_network("2D-E", (2, 10))
+
+
+def leaf_plan(net):
+    """(kind, c_in, c_out, taps) of every leaf layer of a built network, in forward order.
+
+    ReLU and pool leaves hold no channel count, so they read (kind, None, None, None).
+    """
+    out = []
+    for layer in net.layers:
+        for _, leaf in Network._leaves(layer):
+            if isinstance(leaf, (Conv1d, Conv2d)):
+                c_out, c_in, *kernel = leaf.weight.value.shape
+                out.append(("conv", c_in, c_out, math.prod(kernel)))
+            elif isinstance(leaf, BatchNorm):
+                out.append(("bn", leaf.gamma.value.size, leaf.gamma.value.size, 1))
+            elif isinstance(leaf, Dense):
+                c_out, c_in = leaf.weight.value.shape
+                out.append(("dense", c_in, c_out, 1))
+            else:
+                out.append(({ReLU: "relu", GlobalAvgPool: "pool"}[type(leaf)], None, None, None))
+    return out
+
+
+# flop_count of every variant at kernel 3 on 64 x 100 residuals: (128, 100)
+# inputs for 1D variants, (2, 64, 100) for 2D.
+PINNED_FLOPS = {
+    "1D-A": 300022912, "1D-B": 19892928, "1D-C": 13340928, "1D-D": 6788928,
+    "1D-E": 2037664, "2D-A": 3478835328, "2D-B": 2233753728, "2D-C": 563097664,
+    "2D-D": 139468832, "2D-E": 36147216,
+}
+
+
+class TestLayerPlan:
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_plan_is_the_built_network(self, name, kernel):
+        variant = VARIANTS[name]
+        c_in = 3
+        net = build_network(variant, (c_in,) + (5,) * variant.dimensionality, kernel=kernel)
+        plan = [(kind, *counts) if kind in ("conv", "bn", "dense") else (kind, None, None, None)
+                for kind, *counts in _layer_plan(variant, c_in, kernel) if kind != "sum"]
+        assert plan == leaf_plan(net)
+        assert _state_size(variant, c_in, kernel, 10**12) == sum(
+            arr.size for _, arr in net.named_state())
+
+    def test_each_block_sums_its_branches_before_its_output_relu(self):
+        kinds = [kind for kind, *_ in _layer_plan(VARIANTS["1D-B"], 2, 3)]
+        sums = [i for i, kind in enumerate(kinds) if kind == "sum"]
+        assert len(sums) == VARIANTS["1D-B"].n_total
+        assert all(kinds[i - 1] == "bn" and kinds[i + 1] == "relu" for i in sums)
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_flop_count_is_pinned(self, name):
+        shape = (128, 100) if VARIANTS[name].dimensionality == 1 else (2, 64, 100)
+        assert flop_count(build_network(name, shape, seed=0)) == PINNED_FLOPS[name]
+
+    def test_state_size_stops_past_its_limit(self):
+        # A header may claim any depth; counting it must not walk every block.
+        deep = ArchitectureVariant("deep", 1, 8, 1, 10**15)
+        assert 1000 < _state_size(deep, 2, 3, 1000) < 10**6
 
 
 class TestComplexityAccounting:
@@ -916,6 +979,36 @@ class TestCheckpoints:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(build_network("1D-E", (2, 8), seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 6)
+        with pytest.raises(DataError, match="6 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [{"input_shape": ["x", 8]}, {"input_shape": [[1], 8]},
+                                      {"input_shape": [2.0, 8]}, {"kernel": "x"}])
+    def test_header_counts_must_be_integers(self, tmp_path, edit):
+        # A string or list input channel count times a kernel of 10**6 + 1
+        # taps would be repeated into an 8 * 10**6-element object, not multiplied.
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(build_network("1D-E", (2, 8), seed=0), path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8:8 + size])
+        header.update(kernel=10**6 + 1)
+        header.update(edit)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + size:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="malformed header"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_truncated_payload(self, tmp_path):
         net = build_network("1D-E", (2, 8), seed=0)

@@ -162,7 +162,7 @@ class TestTrainSettings:
     def test_snr_bounds_validated(self):
         with pytest.raises(ConfigError, match="exceeds"):
             TrainSettings(snr_lo=-5.0, snr_hi=-10.0)
-        for lo, hi in ((np.nan, 0.0), (-30.0, np.inf), (-np.inf, 0.0)):
+        for lo, hi in ((np.nan, 0.0), (-30.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)):
             with pytest.raises(ConfigError, match="finite"):
                 TrainSettings(snr_lo=lo, snr_hi=hi)
         assert TrainSettings(snr_lo=-15.0, snr_hi=-15.0).snr_hi == -15.0

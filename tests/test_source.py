@@ -95,3 +95,29 @@ def test_only_the_conv_engine_reaches_into_openblas():
         if "ctypes" in imported or "scipy_openblas" in text:
             offenders.append(module_name(path))
     assert not offenders, f"modules that reach into OpenBLAS besides nn.layers: {offenders}"
+
+
+def references(node, name, scope):
+    """Yield the dotted scope of every reference to name (a load, attribute or import) under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, name, scope)
+
+
+def test_only_the_layer_plan_walks_the_blocks_for_counting():
+    # Every count of a network (flop_count, the checkpoint's _state_size)
+    # walks nn.model._layer_plan, which tests/test_nn.py pins to the built
+    # network, so the block structure is written out for counting once.
+    allowed = {f"uwbocc.nn.model.{name}" for name in ("_layer_plan", "build_network",
+                                                       "channel_plan")}
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        callers.update(references(tree, "_blocks", module_name(path)))
+    assert "uwbocc.nn.model._layer_plan" in callers  # the search sees the one walk it allows
+    assert callers <= allowed, f"code reaching nn.model._blocks: {sorted(callers - allowed)}"
