@@ -73,6 +73,8 @@ class CirMatrix:
             )
         if not (self.dt_fast > 0 and self.dt_slow > 0):
             raise ConfigError("sampling intervals must be positive")
+        if not np.isfinite(arr).all():
+            raise ConfigError("CirMatrix data holds a NaN or infinite sample")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -95,9 +95,13 @@ def write_cir(path, data: np.ndarray) -> None:
     if data.ndim != 2:
         raise DataError(f"cir matrix must be 2-d, got shape {data.shape}")
     n, m = data.shape
+    with np.errstate(over="ignore"):
+        payload = np.asarray(data, dtype="<c8")
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: a sample is NaN, infinite or too large for single precision")
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n, m))
-        handle.write(np.asarray(data, dtype="<c8").tobytes(order="F"))
+        handle.write(payload.tobytes(order="F"))
 
 
 def read_cir(path) -> np.ndarray:

@@ -46,9 +46,8 @@ def check_layer_gradients(layer: Layer, x: np.ndarray, eps: float = 1e-6,
     def loss_at(arr):
         return float(np.sum(layer.forward(arr, train=True) * r))
 
-    for p in layer.params():
-        flat = p.value.reshape(-1)
-        grad = p.grad.reshape(-1)
+    for value, grad in [(p.value, p.grad) for p in layer.params()] + [(x, dx)]:
+        flat, grad = value.reshape(-1), grad.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
@@ -57,17 +56,6 @@ def check_layer_gradients(layer: Layer, x: np.ndarray, eps: float = 1e-6,
             down = loss_at(x)
             flat[i] = keep
             worst = max(worst, relative_error(grad[i], (up - down) / (2 * eps)))
-
-    flat_x = x.reshape(-1)
-    flat_dx = dx.reshape(-1)
-    for i in range(flat_x.size):
-        keep = flat_x[i]
-        flat_x[i] = keep + eps
-        up = loss_at(x)
-        flat_x[i] = keep - eps
-        down = loss_at(x)
-        flat_x[i] = keep
-        worst = max(worst, relative_error(flat_dx[i], (up - down) / (2 * eps)))
     return worst
 
 

@@ -3,10 +3,10 @@
 A network is a stem (convolution, batch normalization, ReLU), a chain of
 residual blocks whose channel count doubles every n_double blocks, a global
 average pool, and a dense layer producing one logit per sample.  Each block
-runs convolution, batch normalization, ReLU, convolution, batch
-normalization on its main branch; the skip branch is the identity, or a
-1x1 convolution plus batch normalization when the block changes the channel
-count; a ReLU follows the branch sum.
+holds two lists of layers: the main branch (convolution, batch
+normalization, ReLU, convolution, batch normalization) and the skip branch,
+empty for the identity or a 1x1 convolution plus batch normalization when
+the block changes the channel count; a ReLU follows the branch sum.
 
 Complexity convention (fixed, used by every reported count): convolutions
 and dense layers cost 2 operations per multiply-accumulate, bias additions
@@ -132,59 +132,41 @@ def batch_input(planes: np.ndarray, dimensionality: int) -> np.ndarray:
 
 
 class ResidualBlock(Layer):
-    """conv-bn-relu-conv-bn plus a parallel skip, joined by a final ReLU."""
+    """A main branch and a parallel skip, summed and joined by a final ReLU.
+
+    main is [conv, bn, relu, conv, bn]; skip is [] for the identity, or
+    [1x1 conv, bn] when the block changes the channel count.
+    """
 
     def __init__(self, dim: int, c_in: int, c_out: int, kernel: int, rng):
         conv = Conv1d if dim == 1 else Conv2d
-        self.conv1 = conv(c_in, c_out, kernel, rng)
-        self.bn1 = BatchNorm(c_out)
-        self.relu1 = ReLU()
-        self.conv2 = conv(c_out, c_out, kernel, rng)
-        self.bn2 = BatchNorm(c_out)
-        if c_in == c_out:
-            self.projection = None
-            self.proj_bn = None
-        else:
-            self.projection = conv(c_in, c_out, 1, rng)
-            self.proj_bn = BatchNorm(c_out)
+        self.main = [conv(c_in, c_out, kernel, rng), BatchNorm(c_out), ReLU(),
+                     conv(c_out, c_out, kernel, rng), BatchNorm(c_out)]
+        self.skip = [] if c_in == c_out else [conv(c_in, c_out, 1, rng), BatchNorm(c_out)]
         self.relu_out = ReLU()
 
-    @property
-    def has_projection(self) -> bool:
-        return self.projection is not None
-
     def sublayers(self) -> list[Layer]:
-        layers = [self.conv1, self.bn1, self.relu1, self.conv2, self.bn2]
-        if self.has_projection:
-            layers += [self.projection, self.proj_bn]
-        return layers + [self.relu_out]
+        return self.main + self.skip + [self.relu_out]
 
     def params(self):
         return [p for layer in self.sublayers() for p in layer.params()]
 
     def forward(self, x, train):
-        main = self.bn2.forward(
-            self.conv2.forward(
-                self.relu1.forward(self.bn1.forward(self.conv1.forward(x, train), train), train),
-                train),
-            train)
-        skip = x
-        if self.has_projection:
-            skip = self.proj_bn.forward(self.projection.forward(x, train), train)
-        main += skip  # bn2's output is fresh and cached by no one
-        return self.relu_out.forward(main, train)
+        out = skip = x
+        for layer in self.main:
+            out = layer.forward(out, train)
+        for layer in self.skip:
+            skip = layer.forward(skip, train)
+        out += skip  # the last BatchNorm's output is fresh and cached by no one
+        return self.relu_out.forward(out, train)
 
     def backward(self, dy):
-        d_sum = self.relu_out.backward(dy)
-        d_main = self.bn2.backward(d_sum)
-        d_main = self.conv2.backward(d_main)
-        d_main = self.relu1.backward(d_main)
-        d_main = self.bn1.backward(d_main)
-        dx = self.conv1.backward(d_main)  # fresh, so the skip gradient adds in place
-        if self.has_projection:
-            dx += self.projection.backward(self.proj_bn.backward(d_sum))
-        else:
-            dx += d_sum
+        dx = d_skip = self.relu_out.backward(dy)
+        for layer in reversed(self.main):
+            dx = layer.backward(dx)  # the first conv's is fresh, so the skip adds in place
+        for layer in reversed(self.skip):
+            d_skip = layer.backward(d_skip)
+        dx += d_skip
         return dx
 
 
@@ -205,24 +187,15 @@ class Network:
 
     def named_state(self) -> list[tuple[str, np.ndarray]]:
         """Checkpoint payload order: every parameter, then every running stat."""
-        out = []
+        leaves = []
         for i, layer in enumerate(self.layers):
-            for sub_name, sub in self._leaves(layer):
-                for p in sub.params():
-                    out.append((f"layer{i:03d}{sub_name}.{p.name}", p.value))
-        for i, layer in enumerate(self.layers):
-            for sub_name, sub in self._leaves(layer):
-                for key, arr in sub.state_arrays().items():
-                    out.append((f"layer{i:03d}{sub_name}.{key}", arr))
-        return out
-
-    @staticmethod
-    def _leaves(layer: Layer):
-        if isinstance(layer, ResidualBlock):
-            for j, sub in enumerate(layer.sublayers()):
-                yield f".sub{j}", sub
-        else:
-            yield "", layer
+            if isinstance(layer, ResidualBlock):
+                leaves += [(f"layer{i:03d}.sub{j}", sub) for j, sub in enumerate(layer.sublayers())]
+            else:
+                leaves.append((f"layer{i:03d}", layer))
+        return ([(f"{name}.{p.name}", p.value) for name, leaf in leaves for p in leaf.params()]
+                + [(f"{name}.{key}", arr) for name, leaf in leaves
+                   for key, arr in leaf.state_arrays().items()])
 
     def forward(self, batch: np.ndarray, train: bool = False) -> np.ndarray:
         """Batch of stacked inputs -> one real logit per sample.

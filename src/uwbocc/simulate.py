@@ -311,7 +311,8 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     templates are used instead of randomized ones (target phase is still
     re-randomized per sample), and sensor_noise and clutter_paths are
     unused; a scene may hold one target per activity, and needs clutter
-    for empty samples.  Deterministic given the seed.
+    for empty samples.  A sample that overflows single precision, the
+    precision .cir files store, is a ConfigError.  Deterministic given the seed.
 
     Occupied samples are spread over two cars (3:2 pattern) and empty samples
     are assigned to car2 only, mirroring the acquisition protocol the split
@@ -353,6 +354,11 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
                 targets = ()
             sample_scene = Scene(target_paths=targets, clutter_paths=clutter, noise_sigma=noise_sigma)
             cir = simulate_received(sample_scene, cfg, rng)
+            with np.errstate(over="ignore"):
+                stored = cir.data.astype(np.complex64)  # the precision write_cir stores
+            if not np.isfinite(stored).all():
+                raise ConfigError(f"{label.value} sample {i} overflows single precision: "
+                                  "lower the noise level or the path amplitudes")
             if label.occupied:
                 participant = f"p{label.value[0]}{i // _SEGMENTS_PER_PARTICIPANT:03d}"
                 seat = _SEATS[(i // _SEGMENTS_PER_PARTICIPANT) % len(_SEATS)]

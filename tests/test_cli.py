@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import uwbocc
 from uwbocc import cli
 from uwbocc.cli import MAX_GRID_COUNT, _parse_counts, _parse_grid, main
-from uwbocc.dataset import make_split, read_cir, read_dataset, read_manifest, write_cir
+from uwbocc.dataset import make_split, read_dataset, read_manifest, write_cir
 from uwbocc.errors import ConfigError
 from uwbocc.evaluate import ablation, read_report, snr_sweep
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
@@ -550,11 +550,14 @@ def scene_file(tmp_path, text, clutter="[clutter]\namplitude = 1\ndelay = 4e-9\n
 
 
 def poisoned_cir(data):
-    """The dataset at data, one sample of its first .cir file now NaN."""
+    """The dataset at data, the first sample of its first .cir file now NaN.
+
+    write_cir refuses a NaN, so the sample's bytes, just after the 16-byte
+    header, are replaced in place.
+    """
     path = data / read_manifest(data / "manifest.json").records[0].file
-    cir = read_cir(path)
-    cir[0, 0] = complex(np.nan, 0.0)
-    write_cir(path, cir)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:16] + np.array(np.nan, dtype="<c8").tobytes() + raw[24:])
     return path
 
 
@@ -577,6 +580,10 @@ SCENE_CONTENT_MISTAKES = {
     "scene target outside the fast-time window": (
         ["simulate", "--n-fast", "16", "--m-slow", "24", "--count", "breathing=2"],
         "[target]\namplitude = 1\ndelay = 10e-9\n", "outside the fast-time window"),
+    "scene amplitude beyond single precision": (
+        ["simulate", "--n-fast", "16", "--m-slow", "24", "--count", "empty=4",
+         "--count", "breathing=4"],
+        "[clutter]\namplitude = 1e300\ndelay = 4e-9\n", "overflows single precision"),
 }
 
 USER_MISTAKES = {
@@ -745,6 +752,10 @@ USER_MISTAKES = {
     **{name: (lambda data, tmp, argv=argv, text=text: [
         *argv, "--out", tmp / "x", "--scene", scene_file(tmp, text, clutter="")], 2)
        for name, (argv, text, _) in SCENE_CONTENT_MISTAKES.items()},
+    "sensor noise beyond single precision": (
+        lambda data, tmp: ["simulate", "--count", "empty=4", "--count", "breathing=4",
+                           "--n-fast", "16", "--m-slow", "24", "--sensor-noise", "1e300",
+                           "--out", tmp / "x"], 2),
     "negative simulate count": (
         lambda data, tmp: ["simulate", "--count", "empty=-1", "--out", tmp / "x"], 2),
     "negative simulate seed": (
@@ -801,6 +812,10 @@ CONFIG_MISTAKES = {
 }
 
 
+def dataset_files(root):
+    return {p for p in Path(root).rglob("*") if p.suffix == ".cir" or p.name == "manifest.json"}
+
+
 def run_cli(argv, **env_vars):
     env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]), **env_vars)
     return subprocess.run([sys.executable, "-m", "uwbocc.cli", *[str(a) for a in argv]],
@@ -810,10 +825,13 @@ def run_cli(argv, **env_vars):
 @pytest.mark.parametrize("mistake", sorted(USER_MISTAKES))
 def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
     argv, code = USER_MISTAKES[mistake]
-    proc = run_cli(argv(dataset, tmp_path))
+    args = argv(dataset, tmp_path)
+    before = dataset_files(tmp_path)
+    proc = run_cli(args)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert dataset_files(tmp_path) == before  # a refused command writes no dataset
 
 
 @pytest.mark.parametrize("values", [["empty=2,empty=3"], ["Empty=2", " empty =3"]])

@@ -133,6 +133,13 @@ class TestDataModel:
         with pytest.raises(ConfigError):
             CirMatrix(np.zeros((4, 1), dtype=np.complex128), DT_FAST, DT_SLOW)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_cir_rejects_non_finite_samples(self, value):
+        data = np.ones((4, 4), dtype=complex)
+        data[2, 1] = value
+        with pytest.raises(ConfigError, match="NaN or infinite sample"):
+            CirMatrix(data, DT_FAST, DT_SLOW)
+
     def test_cir_data_is_read_only(self):
         cir = make_cir(np.zeros((2, 2)))
         with pytest.raises((ValueError, RuntimeError)):

@@ -133,11 +133,22 @@ class TestCirFormat:
 
     @pytest.mark.parametrize("value", [complex(np.nan, 0), complex(0, np.inf), -np.inf])
     def test_non_finite_sample_rejected_naming_the_file(self, tmp_path, value):
+        # write_cir refuses such a sample, so the file is written finite and then edited.
         data = np.ones((3, 4), dtype=np.complex64)
-        data[2, 1] = value
         write_cir(tmp_path / "poisoned.cir", data)
+        data[2, 1] = value
+        raw = (tmp_path / "poisoned.cir").read_bytes()
+        (tmp_path / "poisoned.cir").write_bytes(raw[:16] + data.astype("<c8").tobytes(order="F"))
         with pytest.raises(DataError, match="poisoned.cir: the payload holds a NaN or infinite"):
             read_cir(tmp_path / "poisoned.cir")
+
+    @pytest.mark.parametrize("value", [1e300, complex(0, -1e39), np.nan, np.inf])
+    def test_sample_outside_single_precision_is_refused_before_writing(self, tmp_path, value):
+        data = np.ones((4, 4), dtype=np.complex128)
+        data[1, 2] = value
+        with pytest.raises(DataError, match="big.cir: a sample is NaN, infinite or too large"):
+            write_cir(tmp_path / "big.cir", data)
+        assert not (tmp_path / "big.cir").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "notcir.cir"

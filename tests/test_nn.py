@@ -28,7 +28,6 @@ from uwbocc.nn import (
     Conv2d,
     Dense,
     GlobalAvgPool,
-    Network,
     OptimizerConfig,
     ReLU,
     batch_input,
@@ -337,7 +336,7 @@ class TestBuildNetwork:
         net = build_network(variant, (2, 10))
         assert channel_plan(variant) == [6]
         (block,) = residual_blocks(net)
-        assert not block.has_projection
+        assert block.skip == []
 
     def test_projections_exactly_at_channel_changes(self):
         for name, variant in VARIANTS.items():
@@ -345,7 +344,7 @@ class TestBuildNetwork:
             plan = channel_plan(variant)
             previous = variant.initial_filters
             for block, c_out in zip(residual_blocks(net), plan, strict=True):
-                assert block.has_projection == (previous != c_out), name
+                assert bool(block.skip) == (previous != c_out), name
                 previous = c_out
 
     def test_unknown_variant(self):
@@ -363,18 +362,17 @@ def leaf_plan(net):
     ReLU and pool leaves hold no channel count, so they read (kind, None, None, None).
     """
     out = []
-    for layer in net.layers:
-        for _, leaf in Network._leaves(layer):
-            if isinstance(leaf, (Conv1d, Conv2d)):
-                c_out, c_in, *kernel = leaf.weight.value.shape
-                out.append(("conv", c_in, c_out, math.prod(kernel)))
-            elif isinstance(leaf, BatchNorm):
-                out.append(("bn", leaf.gamma.value.size, leaf.gamma.value.size, 1))
-            elif isinstance(leaf, Dense):
-                c_out, c_in = leaf.weight.value.shape
-                out.append(("dense", c_in, c_out, 1))
-            else:
-                out.append(({ReLU: "relu", GlobalAvgPool: "pool"}[type(leaf)], None, None, None))
+    for leaf in leaf_layers(net):
+        if isinstance(leaf, (Conv1d, Conv2d)):
+            c_out, c_in, *kernel = leaf.weight.value.shape
+            out.append(("conv", c_in, c_out, math.prod(kernel)))
+        elif isinstance(leaf, BatchNorm):
+            out.append(("bn", leaf.gamma.value.size, leaf.gamma.value.size, 1))
+        elif isinstance(leaf, Dense):
+            c_out, c_in = leaf.weight.value.shape
+            out.append(("dense", c_in, c_out, 1))
+        else:
+            out.append(({ReLU: "relu", GlobalAvgPool: "pool"}[type(leaf)], None, None, None))
     return out
 
 
@@ -468,7 +466,7 @@ class TestForward:
 
     def test_zeroed_main_branch_is_identity_for_positive_input(self):
         block = ResidualBlock(dim=1, c_in=3, c_out=3, kernel=3, rng=0)
-        for conv in (block.conv1, block.conv2):
+        for conv in (block.main[0], block.main[3]):
             conv.weight.value[...] = 0.0
         x = np.abs(np.random.default_rng(7).standard_normal((2, 3, 6))) + 0.1
         out = block.forward(x, train=False)

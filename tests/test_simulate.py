@@ -230,6 +230,10 @@ class TestSynthDataset:
         records = synth_dataset({"empty": 2}, CFG, rng=0)
         assert all(r.label is ActivityLabel.EMPTY for r in records)
 
+    def test_sample_beyond_single_precision_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="empty sample 0 overflows single precision"):
+            synth_dataset({"empty": 2}, CFG, rng=0, sensor_noise=1e300)
+
     def test_seeded_determinism(self):
         a = synth_dataset({"breathing": 3, "empty": 2}, CFG, rng=77)
         b = synth_dataset({"breathing": 3, "empty": 2}, CFG, rng=77)
