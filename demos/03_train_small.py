@@ -13,22 +13,21 @@ from pathlib import Path
 
 import numpy as np
 
-from uwbocc.dataset import make_split
+from uwbocc.dataset import make_split, memory_manifest
 from uwbocc.nn import load_checkpoint, save_checkpoint
-from uwbocc.pipeline import TrainSettings, memory_manifest, residual_samples, run_training
+from uwbocc.pipeline import TrainSettings, residual_samples, run_training
 from uwbocc.simulate import synth_dataset
 
 records = synth_dataset({"breathing": 40, "empty": 40}, rng=11)
-manifest = memory_manifest(records)
-samples = residual_samples(records)  # mean-removed once, aligned with manifest.records
-split = make_split(manifest, test_per_class=0, empty_test=0)
+samples = residual_samples(records)  # mean-removed once, aligned with records
+split = make_split(memory_manifest(records), test_per_class=0, empty_test=0)
 
 settings = TrainSettings(variant="1D-E", reuse_occupied=3, reuse_empty=3,
                          batch_size=16, patience=4, max_epochs=10,
                          learning_rate=2e-3, seed=7)
 print(f"training {settings.variant} on {len(records)} samples "
       f"(augmented x{settings.reuse_occupied} per epoch)\n")
-network, history, ref = run_training(manifest, samples, split, settings, log=print)
+network, history, ref = run_training(samples, split, settings, log=print)
 
 print(f"\nbest validation AUC {history.best_val_auc:.4f} at epoch "
       f"{history.best_epoch} (epochs are 0-indexed), "
@@ -47,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"metadata round-trip: reference_energy = {extra['reference_energy']}")
 
     # Same seed, same data, same bytes: training is fully deterministic.
-    rerun, _, _ = run_training(manifest, samples, split, settings)
+    rerun, _, _ = run_training(samples, split, settings)
     identical = all(np.array_equal(a.value, b.value)
                     for a, b in zip(network.params(), rerun.params()))
     print(f"identical weights on re-run with the same seed: {identical}")

@@ -11,13 +11,12 @@ Run: python demos/04_snr_sweep.py
 import tempfile
 from pathlib import Path
 
-from uwbocc.dataset import make_split
+from uwbocc.dataset import make_split, memory_manifest
 from uwbocc.evaluate import emit_report, plot_series, snr_sweep
 from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
-    memory_manifest,
     residual_samples,
     run_training,
 )
@@ -26,14 +25,13 @@ from uwbocc.simulate import synth_dataset
 train_records = synth_dataset({"breathing": 60, "empty": 60}, rng=21)
 test_records = synth_dataset({"breathing": 40, "empty": 40}, rng=22)
 
-manifest = memory_manifest(train_records)
 train_samples = residual_samples(train_records)
-split = make_split(manifest, test_per_class=0, empty_test=0)
+split = make_split(memory_manifest(train_records), test_per_class=0, empty_test=0)
 settings = TrainSettings(variant="1D-E", reuse_occupied=4, reuse_empty=4,
                          batch_size=32, patience=5, max_epochs=16,
                          learning_rate=2e-3, seed=13)
 print(f"training {settings.variant} on {len(train_records)} samples...")
-network, history, ref = run_training(manifest, train_samples, split, settings)
+network, history, ref = run_training(train_samples, split, settings)
 print(f"best validation AUC {history.best_val_auc:.4f}\n")
 
 samples = residual_samples(test_records)

@@ -10,13 +10,12 @@ Run: python demos/05_complexity_ladder.py  (about a minute)
 """
 
 from uwbocc.core import ActivityLabel
-from uwbocc.dataset import make_split
+from uwbocc.dataset import make_split, memory_manifest
 from uwbocc.evaluate import ablation
 from uwbocc.nn import VARIANTS, build_network, channel_plan, flop_count, param_count
 from uwbocc.pipeline import (
     NetworkScorer,
     TrainSettings,
-    memory_manifest,
     residual_samples,
     run_training,
 )
@@ -39,9 +38,8 @@ for flops, params, name, plan in sorted(ladder):
 cfg = RadarConfig(n_fast=32, m_slow=50)  # smaller matrices keep this quick
 train_records = synth_dataset({"breathing": 60, "empty": 60}, cfg, rng=31)
 test_records = synth_dataset({"breathing": 40, "empty": 40}, cfg, rng=32)
-manifest = memory_manifest(train_records)
 train_samples = residual_samples(train_records)
-split = make_split(manifest, test_per_class=0, empty_test=0)
+split = make_split(memory_manifest(train_records), test_per_class=0, empty_test=0)
 
 scorers = {}
 ref = None
@@ -50,7 +48,7 @@ for name in ("1D-E", "1D-D", "2D-E"):
                              batch_size=32, patience=4, max_epochs=12,
                              learning_rate=2e-3, seed=17)
     print(f"\ntraining {name}...", end=" ", flush=True)
-    network, history, ref = run_training(manifest, train_samples, split, settings)
+    network, history, ref = run_training(train_samples, split, settings)
     print(f"best validation AUC {history.best_val_auc:.4f}")
     scorers[name] = NetworkScorer(network)
 
@@ -58,8 +56,7 @@ samples = residual_samples(test_records)
 # The standard anchor sits at -20 dB; these lightly trained models are only
 # separable at a friendlier noise level, so anchor the demo at -10 dB.
 anchors = {ActivityLabel.BREATHING: -10.0}
-report = ablation(scorers, samples, ref, anchors=anchors,
-                  seed=6, require_all_variants=False)
+report = ablation(scorers, samples, ref, anchors=anchors, seed=6)
 print(f"\n{'variant':>8} {'flops':>12} {'activity':>10} {'snr':>7} {'auc':>8}")
 for row in sorted(report.rows, key=lambda r: r.flops):
     print(f"{row.name:>8} {row.flops:>12,} {row.activity:>10} "

@@ -218,7 +218,7 @@ def cmd_train(ns) -> int:
                        empty_train=ns.empty_train, car1_validation=car1_validation)
     settings = TrainSettings(**{f.name: getattr(ns, f.name) for f in fields(TrainSettings)})
     log = None if ns.quiet else print
-    network, history, ref = run_training(manifest, samples, split, settings, log=log)
+    network, history, ref = run_training(samples, split, settings, log=log)
     extra = {
         "best_epoch": history.best_epoch,
         "best_val_auc": history.best_val_auc,
@@ -284,8 +284,10 @@ def cmd_ablate(ns) -> int:
         scorers["energy"] = BaselineScorer("energy", window_cols=ns.energy_window)
         scorers["fft"] = BaselineScorer("fft")
     ref = _reference(ns, samples, stored[1] if stored else None)
+    missing = sorted(set(VARIANTS) - set(scorers))
+    if missing and not ns.allow_missing:
+        raise DataError(f"ablation is missing trained checkpoints for: {', '.join(missing)}")
     report = ablation(scorers, samples, ref, seed=ns.seed,
-                      require_all_variants=not ns.allow_missing,
                       exact_scaling=ns.exact_snr_scaling, threads=ns.threads)
     emit_report(report, "json", _output_path(ns.out))
     if ns.csv:

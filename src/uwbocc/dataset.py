@@ -29,6 +29,7 @@ __all__ = [
     "SplitAssignment",
     "write_cir",
     "read_cir",
+    "memory_manifest",
     "write_dataset",
     "read_manifest",
     "read_dataset",
@@ -79,28 +80,24 @@ class DatasetManifest:
             dupes = sorted({p for p in paths if paths.count(p) > 1})
             raise DataError(f"duplicate file paths in manifest: {dupes[:5]}")
 
-    def by_class(self) -> dict[ActivityLabel, list[ManifestRecord]]:
-        """Records grouped per class, each group in recording order."""
-        groups: dict[ActivityLabel, list[ManifestRecord]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.label, []).append(rec)
-        for recs in groups.values():
-            recs.sort(key=ManifestRecord.sort_key)
-        return groups
 
-
-def write_cir(path, data: np.ndarray) -> None:
-    """Write one complex matrix in the .cir binary format (single precision)."""
+def _cir_payload(path, data) -> np.ndarray:
+    """data as the single-precision payload of the .cir file at path; DataError if unstorable."""
     data = np.asarray(data)
     if data.ndim != 2:
         raise DataError(f"cir matrix must be 2-d, got shape {data.shape}")
-    n, m = data.shape
     with np.errstate(over="ignore"):
         payload = np.asarray(data, dtype="<c8")
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: a sample is NaN, infinite or too large for single precision")
+    return payload
+
+
+def write_cir(path, data: np.ndarray) -> None:
+    """Write one complex matrix in the .cir binary format (single precision)."""
+    payload = _cir_payload(path, data)
     with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n, m))
+        handle.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, *payload.shape))
         handle.write(payload.tobytes(order="F"))
 
 
@@ -151,36 +148,49 @@ def _record_from_json(obj, where: str) -> ManifestRecord:
         raise DataError(f"bad manifest record in {where}: {exc}") from None
 
 
+def memory_manifest(records) -> DatasetManifest:
+    """The manifest write_dataset returns for these records, built without touching disk.
+
+    File names follow record position and label, and the radar
+    configuration is the first record's.
+    """
+    records = list(records)
+    if not records:
+        raise DataError("cannot build a manifest from zero records")
+    first = records[0].cir
+    radar = RadarConfig(n_fast=first.n_fast, m_slow=first.m_slow,
+                        dt_fast=first.dt_fast, dt_slow=first.dt_slow)
+    return DatasetManifest(tuple(
+        ManifestRecord(f"{i:05d}_{rec.label.value}.cir", rec.label, rec.car, rec.seat,
+                       rec.participant, rec.segment_index)
+        for i, rec in enumerate(records)), radar)
+
+
 def write_dataset(records, manifest_path, radar: RadarConfig | None = None) -> DatasetManifest:
     """Write SampleRecords as .cir files plus a manifest.json next to them.
 
     File names are derived from record order and metadata, so writing the
-    same records twice produces byte-identical trees.  Returns the manifest.
+    same records twice produces byte-identical trees.  radar defaults to
+    the first record's configuration.  Every sample is checked before the
+    first file is written, so a refused dataset leaves nothing behind.
+    Returns the manifest.
     """
     records = list(records)
-    if not records:
-        raise DataError("refusing to write an empty dataset")
-    radar = radar or RadarConfig(
-        n_fast=records[0].cir.n_fast,
-        m_slow=records[0].cir.m_slow,
-        dt_fast=records[0].cir.dt_fast,
-        dt_slow=records[0].cir.dt_slow,
-    )
+    manifest = memory_manifest(records)
+    if radar is not None:
+        manifest = DatasetManifest(manifest.records, radar)
     manifest_path = os.fspath(manifest_path)
     directory = os.path.dirname(manifest_path) or "."
+    paths = [os.path.join(directory, entry.file) for entry in manifest.records]
+    for path, rec in zip(paths, records):
+        _cir_payload(path, rec.cir.data)  # one record at a time: the payloads are not kept
     os.makedirs(directory, exist_ok=True)
-
-    entries = []
-    for i, rec in enumerate(records):
-        name = f"{i:05d}_{rec.label.value}.cir"
-        write_cir(os.path.join(directory, name), rec.cir.data)
-        entries.append(ManifestRecord(name, rec.label, rec.car, rec.seat,
-                                      rec.participant, rec.segment_index))
-    manifest = DatasetManifest(tuple(entries), radar)
+    for path, rec in zip(paths, records):
+        write_cir(path, rec.cir.data)
     doc = {
         "format": "uwbocc-dataset",
         "version": _FORMAT_VERSION,
-        "radar": asdict(radar),
+        "radar": asdict(manifest.radar),
         "records": [{**asdict(r), "label": r.label.value} for r in manifest.records],
     }
     with open(manifest_path, "w", encoding="utf-8") as handle:
@@ -259,12 +269,18 @@ def segment_recording(stream: CirMatrix, window: float, label: ActivityLabel,
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    """Partition of manifest records into train/validation/test."""
+    """Partition of a manifest's records into train/validation/test.
 
-    assignment: dict
+    positions[split] holds the manifest positions of that split's records,
+    in recording order (ManifestRecord.sort_key), so a list aligned with
+    manifest.records is indexed by them directly.
+    """
+
+    manifest: DatasetManifest
+    positions: dict
 
     def records(self, split: Split) -> list[ManifestRecord]:
-        return [rec for rec, s in self.assignment.items() if s is split]
+        return [self.manifest.records[i] for i in self.positions[split]]
 
 
 # Empty-class train/validation proportion of the non-test remainder, taken
@@ -299,12 +315,17 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
         except ConfigError as exc:
             raise ConfigError(f"car1_validation: {exc}") from None
         requested[label] = int(value)
-    assignment: dict[ManifestRecord, Split] = {}
+    records = manifest.records
+    order = sorted(range(len(records)), key=lambda i: records[i].sort_key())
+    groups: dict[ActivityLabel, list[int]] = {}
+    for i in order:
+        groups.setdefault(records[i].label, []).append(i)
+    assignment: dict[int, Split] = {}
     deficits = []
 
-    for label, recs in sorted(manifest.by_class().items(), key=lambda kv: kv[0].value):
+    for label, members in sorted(groups.items(), key=lambda kv: kv[0].value):
         if label is ActivityLabel.EMPTY:
-            total = len(recs)
+            total = len(members)
             if total < empty_test:
                 deficits.append(f"{label.value}: {total} records < {empty_test} test")
                 continue
@@ -312,28 +333,28 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
             n_train = empty_train if empty_train is not None else round(remainder * _EMPTY_TRAIN_FRACTION)
             if n_train > remainder:
                 raise ConfigError(f"empty_train {n_train} exceeds the {remainder} non-test empty records")
-            for i, rec in enumerate(recs):
-                if i < n_train:
-                    assignment[rec] = Split.TRAIN
-                elif i >= total - empty_test:
-                    assignment[rec] = Split.TEST
+            for rank, i in enumerate(members):
+                if rank < n_train:
+                    assignment[i] = Split.TRAIN
+                elif rank >= total - empty_test:
+                    assignment[i] = Split.TEST
                 else:
-                    assignment[rec] = Split.VALIDATION
+                    assignment[i] = Split.VALIDATION
             continue
 
-        car2 = [r for r in recs if r.car == "car2"]
-        car1 = [r for r in recs if r.car != "car2"]
+        car2 = [i for i in members if records[i].car == "car2"]
+        car1 = [i for i in members if records[i].car != "car2"]
         if len(car2) < test_per_class:
             deficits.append(f"{label.value}: {len(car2)} car2 records < {test_per_class} test")
         n_val1 = requested.pop(label, 0)
         if not 0 <= n_val1 <= len(car1):
             raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
                               f"car1 has {len(car1)}")
-        for i, rec in enumerate(car1):
-            assignment[rec] = Split.VALIDATION if i >= len(car1) - n_val1 else Split.TRAIN
+        for rank, i in enumerate(car1):
+            assignment[i] = Split.VALIDATION if rank >= len(car1) - n_val1 else Split.TRAIN
         cut = max(len(car2) - test_per_class, 0)
-        for i, rec in enumerate(car2):
-            assignment[rec] = Split.TEST if i >= cut else Split.VALIDATION
+        for rank, i in enumerate(car2):
+            assignment[i] = Split.TEST if rank >= cut else Split.VALIDATION
 
     # Requests the loop above did not take: labels with no occupied records.
     for label, n_val1 in requested.items():
@@ -345,7 +366,8 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     if deficits:
         raise DataError("insufficient samples for the requested split: " + "; ".join(sorted(deficits)))
 
-    split = SplitAssignment(assignment)
+    split = SplitAssignment(manifest, {part: tuple(i for i in order if assignment[i] is part)
+                                       for part in Split})
     for rec in split.records(Split.TRAIN):
         if rec.car == "car2" and rec.label.occupied:
             raise DataError(f"car2 occupied record {rec.file} leaked into train")
@@ -359,19 +381,20 @@ def build_epoch_plan(split: SplitAssignment, seed: int, *,
                      reuse_occupied: int, reuse_empty: int) -> tuple:
     """Expand the training records into a seeded, shuffled draw schedule.
 
-    Returns the epoch's training records in draw order.  Occupied records
-    appear reuse_occupied times and empty records reuse_empty times,
-    rebalancing the class masses.
+    Returns the epoch's training record positions in draw order.  Occupied
+    records appear reuse_occupied times and empty records reuse_empty
+    times, rebalancing the class masses.
     """
     if reuse_occupied < 1 or reuse_empty < 1:
         raise ConfigError("reuse factors must be >= 1")
-    train = sorted(split.records(Split.TRAIN), key=ManifestRecord.sort_key)
-    occupied = [r for r in train if r.label.occupied]
-    empty = [r for r in train if not r.label.occupied]
+    records = split.manifest.records
+    train = split.positions[Split.TRAIN]
+    occupied = [i for i in train if records[i].label.occupied]
+    empty = [i for i in train if not records[i].label.occupied]
     if not occupied or not empty:
         raise DataError(
             f"epoch plan needs both classes in train: {len(occupied)} occupied, {len(empty)} empty")
-    entries = [rec for rec in occupied for _ in range(reuse_occupied)]
-    entries += [rec for rec in empty for _ in range(reuse_empty)]
+    entries = [i for i in occupied for _ in range(reuse_occupied)]
+    entries += [i for i in empty for _ in range(reuse_empty)]
     order = np.random.default_rng(seed).permutation(len(entries))
     return tuple(entries[i] for i in order)

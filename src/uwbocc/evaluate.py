@@ -265,27 +265,17 @@ def snr_sweep(scorer, samples, ref: SnrReference, grid=DEFAULT_EVAL_GRID,
 
 def ablation(scorers: dict, samples, ref: SnrReference,
              anchors: dict | None = None, seed: int = 0, *,
-             require_all_variants: bool = True, exact_scaling: bool = False,
-             threads: int = 1) -> EvalReport:
+             exact_scaling: bool = False, threads: int = 1) -> EvalReport:
     """One (flops, auc) point per detector per activity at its anchor SNR.
 
-    scorers maps a variant name to a scorer carrying .flops; when
-    require_all_variants is set, all ten standard variant names must be
-    present (a missing trained checkpoint is an error, not a silent gap).
-    The rows come from the function that builds snr_sweep's, run over the
-    sorted distinct anchor SNRs and kept at each activity's anchor, so the
-    seeds are that sweep's.  A row equals the sweep's row only for a scorer
+    scorers maps a detector name to a scorer carrying .flops.  The rows
+    come from the function that builds snr_sweep's, run over the sorted
+    distinct anchor SNRs and kept at each activity's anchor, so the seeds
+    are that sweep's.  A row equals the sweep's row only for a scorer
     that scores each input independently of the others in its batch, which
     network scorers do not yet do.
     """
-    from .nn.model import VARIANTS
-
     anchors = dict(anchors) if anchors is not None else dict(ACTIVITY_SNR_ANCHORS)
-    if require_all_variants:
-        missing = sorted(set(VARIANTS) - set(scorers))
-        if missing:
-            raise DataError(f"ablation is missing trained checkpoints for: {', '.join(missing)}")
-
     anchored = {activity: float(snr) for activity, snr in anchors.items()}
     grid = _check_grid(sorted(set(anchored.values())))
     rows = _score_rows(dict(sorted(scorers.items())), samples, ref, grid,

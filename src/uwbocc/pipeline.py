@@ -19,13 +19,7 @@ import numpy as np
 from .augment import SnrReference, compute_reference_energy, corrupt_batch
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
 from .core import ActivityLabel, mean_remove
-from .dataset import (
-    DatasetManifest,
-    ManifestRecord,
-    Split,
-    SplitAssignment,
-    build_epoch_plan,
-)
+from .dataset import Split, SplitAssignment, build_epoch_plan
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
 from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, layout_2d
@@ -34,8 +28,6 @@ from .nn.training import OptimizerConfig, TrainingHistory, train_network
 __all__ = [
     "ResidualSample",
     "residual_samples",
-    "memory_manifest",
-    "assign_samples",
     "reference_from_training",
     "NetworkScorer",
     "BaselineScorer",
@@ -67,45 +59,6 @@ def residual_samples(records) -> list[ResidualSample]:
         residual.setflags(write=False)
         out.append(ResidualSample(rec.label, residual))
     return out
-
-
-def memory_manifest(records) -> DatasetManifest:
-    """Manifest for in-memory records, aligned with them by position.
-
-    Gives split logic something to chew on without touching disk; the
-    fabricated file names only need to be unique and order-stable.
-    """
-    entries = []
-    radar_shape = None
-    for i, rec in enumerate(records):
-        entries.append(ManifestRecord(f"mem_{i:05d}", rec.label, rec.car, rec.seat,
-                                      rec.participant, rec.segment_index))
-        radar_shape = rec.cir
-    if radar_shape is None:
-        raise DataError("cannot build a manifest from zero records")
-    from .simulate import RadarConfig
-
-    radar = RadarConfig(n_fast=radar_shape.n_fast, m_slow=radar_shape.m_slow,
-                        dt_fast=radar_shape.dt_fast, dt_slow=radar_shape.dt_slow)
-    return DatasetManifest(tuple(entries), radar)
-
-
-def assign_samples(manifest: DatasetManifest, samples, split: SplitAssignment) -> dict:
-    """Group (record, sample) pairs by split, using manifest order to pair up.
-
-    Pairs within each split come back in recording order, so downstream
-    consumers see one deterministic sequence.
-    """
-    if len(manifest.records) != len(samples):
-        raise DataError(
-            f"manifest has {len(manifest.records)} records but {len(samples)} samples given")
-    by_split: dict = {s: [] for s in Split}
-    lookup = dict(zip(manifest.records, samples))
-    for rec, assigned in split.assignment.items():
-        by_split[assigned].append((rec, lookup[rec]))
-    for s in Split:
-        by_split[s].sort(key=lambda kv: kv[0].sort_key())
-    return by_split
 
 
 def reference_from_training(train_samples) -> SnrReference:
@@ -199,8 +152,10 @@ class TrainSettings:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
+def _epoch_batches(plan, samples, ref, settings, dim, epoch):
     """Yield (inputs, labels) minibatches for one epoch, deterministically.
+
+    plan holds positions in samples, in draw order (see build_epoch_plan).
 
     Each batch is corrupted in one corrupt_batch call, in the residuals'
     precision (float32), and laid out by batch_input, so the train forward
@@ -211,16 +166,16 @@ def _epoch_batches(plan_records, residual_by_file, ref, settings, dim, epoch):
     dropped because batch statistics are undefined for it.
     """
     size = settings.batch_size
-    for start in range(0, len(plan_records), size):
-        records = plan_records[start:start + size]
-        if len(records) < 2:
+    for start in range(0, len(plan), size):
+        drawn = [samples[i] for i in plan[start:start + size]]
+        if len(drawn) < 2:
             return
         rngs = [np.random.default_rng(np.random.SeedSequence((settings.seed, epoch, position)))
-                for position in range(start, start + len(records))]
+                for position in range(start, start + len(drawn))]
         snrs = [float(rng.uniform(settings.snr_lo, settings.snr_hi)) for rng in rngs]
-        planes = corrupt_batch([residual_by_file[record.file] for record in records], ref,
+        planes = corrupt_batch([sample.residual for sample in drawn], ref,
                                snrs, rngs, exact=settings.exact_snr_scaling)
-        labels = np.asarray([1.0 if record.label.occupied else 0.0 for record in records])
+        labels = np.asarray([1.0 if sample.label.occupied else 0.0 for sample in drawn])
         yield batch_input(planes, dim), labels
 
 
@@ -249,33 +204,33 @@ def _validation_scorer(val_samples, ref, settings):
     return score
 
 
-def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
-                 settings: TrainSettings | None = None, log=None
-                 ) -> tuple[Network, TrainingHistory, SnrReference]:
+def run_training(samples, split: SplitAssignment, settings: TrainSettings | None = None,
+                 log=None) -> tuple[Network, TrainingHistory, SnrReference]:
     """Train one variant on a split dataset; returns (network, history, ref).
 
-    samples are the residual samples aligned with manifest.records, as
-    residual_samples returns them.  The SNR reference comes from the
+    samples are the residual samples aligned with split.manifest.records,
+    as residual_samples returns them.  The SNR reference comes from the
     breathing training residuals; training minibatches follow a fresh seeded
     epoch plan every epoch; early stopping monitors AUC on the
     fixed-corruption validation set.
     """
     settings = settings or TrainSettings()
     variant = VARIANTS[settings.variant]
-    by_split = assign_samples(manifest, samples, split)
-    train_pairs = by_split[Split.TRAIN]
-    if not train_pairs:
+    if len(samples) != len(split.manifest.records):
+        raise DataError(
+            f"manifest has {len(split.manifest.records)} records but {len(samples)} samples given")
+    train_samples = [samples[i] for i in split.positions[Split.TRAIN]]
+    if not train_samples:
         raise DataError("training split is empty")
 
-    ref = reference_from_training([sample for _, sample in train_pairs])
-    residual_by_file = {rec.file: sample.residual for rec, sample in train_pairs}
+    ref = reference_from_training(train_samples)
 
-    val_samples = [sample for _, sample in by_split[Split.VALIDATION]]
+    val_samples = [samples[i] for i in split.positions[Split.VALIDATION]]
     if not val_samples:
         raise DataError("validation split is empty")
     scorer = _validation_scorer(val_samples, ref, settings)
 
-    first_residual = train_pairs[0][1].residual
+    first_residual = train_samples[0].residual
     input_shape = batch_input(layout_2d([first_residual]), variant.dimensionality).shape[1:]
     network = build_network(variant, input_shape, kernel=settings.kernel, seed=settings.seed)
 
@@ -283,8 +238,7 @@ def run_training(manifest: DatasetManifest, samples, split: SplitAssignment,
         plan = build_epoch_plan(split, seed=int(np.random.SeedSequence(
             (settings.seed, epoch)).generate_state(1)[0]),
             reuse_occupied=settings.reuse_occupied, reuse_empty=settings.reuse_empty)
-        return _epoch_batches(plan, residual_by_file, ref, settings,
-                              variant.dimensionality, epoch)
+        return _epoch_batches(plan, samples, ref, settings, variant.dimensionality, epoch)
 
     history = train_network(network, batches, scorer,
                             OptimizerConfig(settings.learning_rate, settings.batch_size),

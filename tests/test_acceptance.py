@@ -17,7 +17,7 @@ from uwbocc.augment import SnrReference, add_noise
 from uwbocc.baselines import energy_detector
 from uwbocc.cli import main as cli_main
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
-from uwbocc.dataset import Split, make_split, read_dataset
+from uwbocc.dataset import Split, make_split, memory_manifest, read_dataset
 from uwbocc.errors import DataError
 from uwbocc.evaluate import snr_sweep, roc_auc
 from uwbocc.nn import (
@@ -40,8 +40,6 @@ from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
-    assign_samples,
-    memory_manifest,
     residual_samples,
     run_training,
 )
@@ -223,13 +221,11 @@ def test_criterion_6_end_to_end_synthetic():
     train_records = synth_dataset({"breathing": 200, "empty": 200}, rng=100)
     test_records = synth_dataset({"breathing": 100, "empty": 100}, rng=200)
 
-    manifest = memory_manifest(train_records)
-    split = make_split(manifest, test_per_class=0, empty_test=0)
+    split = make_split(memory_manifest(train_records), test_per_class=0, empty_test=0)
     settings = TrainSettings(variant="1D-E", reuse_occupied=6, reuse_empty=9,
                              batch_size=64, patience=8, max_epochs=50,
                              learning_rate=2e-3, seed=3)
-    network, history, ref = run_training(manifest, residual_samples(train_records), split,
-                                         settings)
+    network, history, ref = run_training(residual_samples(train_records), split, settings)
 
     samples = residual_samples(test_records)
     grid = (-10.0, -20.0, -40.0)
@@ -275,9 +271,9 @@ def test_criterion_7_recorded_data_reproduction():
     del records
     split = make_split(manifest, test_per_class=150, empty_test=20,
                        car1_validation={"breathing": 144, "talking": 145, "moving": 161})
-    network, _, ref = run_training(manifest, samples, split, TrainSettings(variant="2D-A"))
+    network, _, ref = run_training(samples, split, TrainSettings(variant="2D-A"))
 
-    test_samples = [sample for _, sample in assign_samples(manifest, samples, split)[Split.TEST]]
+    test_samples = [samples[i] for i in split.positions[Split.TEST]]
     report = snr_sweep(NetworkScorer(network), test_samples, ref, grid=(-20.0,), seed=0)
     breathing = [r.auc for r in report.rows if r.activity == "breathing"]
     if not breathing:

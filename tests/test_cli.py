@@ -235,7 +235,7 @@ class TestTrain:
         class Captured(Exception):
             pass
 
-        def capture(manifest, samples, split, settings, log=None):
+        def capture(samples, split, settings, log=None):
             raise Captured(settings)
 
         monkeypatch.setattr(cli, "run_training", capture)
@@ -418,12 +418,16 @@ class TestAblate:
         assert "1D-E.ckpt" in err and "2D-E.ckpt" in err
         assert run(*args, "--reference-energy", "3.0") == 0
 
-    def test_missing_variants_without_flag(self, dataset, checkpoint, tmp_path):
+    def test_missing_variants_without_flag(self, dataset, checkpoint, tmp_path, capsys):
         models = tmp_path / "models"
         models.mkdir()
         (models / "1D-E.ckpt").write_bytes(checkpoint.read_bytes())
-        assert run("ablate", "--data", dataset, "--models", models,
+        assert run("ablate", "--data", dataset, "--models", models, "--include-baselines",
                    "--out", tmp_path / "r.json") == 3
+        err = capsys.readouterr().err
+        assert ("missing trained checkpoints for: "
+                "1D-A, 1D-B, 1D-C, 1D-D, 2D-A, 2D-B, 2D-C, 2D-D, 2D-E\n") in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_allow_missing_with_baselines(self, dataset, checkpoint, tmp_path):
         models = tmp_path / "models"

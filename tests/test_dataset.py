@@ -17,6 +17,7 @@ from uwbocc.dataset import (
     Split,
     build_epoch_plan,
     make_split,
+    memory_manifest,
     read_cir,
     read_dataset,
     read_manifest,
@@ -251,6 +252,22 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="duplicate"):
             DatasetManifest((rec, rec), RadarConfig(n_fast=4, m_slow=6))
 
+    def test_refused_record_leaves_nothing_behind(self, tmp_path):
+        records = random_records(np.random.default_rng(4), E, 3)
+        last = records[-1]
+        records[-1] = SampleRecord(CirMatrix(last.cir.data * 1e300, 0.5e-9, 0.1), last.label,
+                                   last.car, last.seat, last.participant, last.segment_index)
+        with pytest.raises(DataError, match="00002_empty.cir: a sample is NaN, infinite"):
+            write_dataset(records, tmp_path / "manifest.json")
+        assert list(tmp_path.glob("*.cir")) == []
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_memory_manifest_equals_the_written_manifest(self, tmp_path):
+        rng = np.random.default_rng(6)
+        records = random_records(rng, B, 3) + random_records(rng, E, 2)
+        written = write_dataset(records, tmp_path / "manifest.json")
+        assert memory_manifest(records) == written == read_manifest(tmp_path / "manifest.json")
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(9)
         records = random_records(rng, T, 3)
@@ -326,9 +343,10 @@ def table_style_manifest():
 def split_counts(split):
     """{label: {split: record count}} of an assignment."""
     table = {}
-    for rec, assigned in split.assignment.items():
-        row = table.setdefault(rec.label.value, {s.value: 0 for s in Split})
-        row[assigned.value] += 1
+    for assigned in Split:
+        for rec in split.records(assigned):
+            row = table.setdefault(rec.label.value, {s.value: 0 for s in Split})
+            row[assigned.value] += 1
     return table
 
 
@@ -362,18 +380,30 @@ class TestMakeSplit:
     def test_partition_is_exhaustive_and_disjoint(self):
         manifest = table_style_manifest()
         split = make_split(manifest, 150, 20)
-        assert len(split.assignment) == len(manifest.records)
-        assert set(split.assignment) == set(manifest.records)
+        positions = [i for s in Split for i in split.positions[s]]
+        assert sorted(positions) == list(range(len(manifest.records)))
 
     def test_test_set_takes_the_last_records(self):
         manifest = table_style_manifest()
         split = make_split(manifest, 150, 20)
         test_files = {r.file for r in split.records(Split.TEST) if r.label is B}
-        groups = manifest.by_class()
-        expected = {r.file for r in groups[B] if r.car == "car2"}
-        expected = {r.file for r in sorted([x for x in groups[B] if x.car == "car2"],
-                                           key=ManifestRecord.sort_key)[-150:]}
+        car2 = [r for r in manifest.records if r.label is B and r.car == "car2"]
+        expected = {r.file for r in sorted(car2, key=ManifestRecord.sort_key)[-150:]}
         assert test_files == expected
+
+    def test_positions_are_in_recording_order(self):
+        # Shuffled, the manifest's order is not its recording order.
+        per_class = {B: 144, T: 145, M: 161}
+        unshuffled = make_split(table_style_manifest(), 150, 20, car1_validation=per_class)
+        records = unshuffled.manifest.records
+        order = np.random.default_rng(0).permutation(len(records))
+        manifest = DatasetManifest(tuple(records[i] for i in order), RadarConfig())
+        split = make_split(manifest, 150, 20, car1_validation=per_class)
+        for s in Split:
+            assert split.records(s) == [manifest.records[i] for i in split.positions[s]]
+            keys = [rec.sort_key() for rec in split.records(s)]
+            assert keys == sorted(keys)
+            assert split.records(s) == unshuffled.records(s)
 
     def test_car1_only_manifest_is_insufficient(self):
         records = [ManifestRecord(f"b{i}.cir", B, "car1", "front", f"p{i:03d}", 0)
@@ -392,8 +422,9 @@ class TestMakeSplit:
         # the others none.  The guards must raise, so python -O keeps them.
         from uwbocc.dataset import SplitAssignment
 
-        monkeypatch.setattr(SplitAssignment, "records",
-                            lambda self, split: list(self.assignment) if split is leaky else [])
+        monkeypatch.setattr(
+            SplitAssignment, "records",
+            lambda self, split: list(self.manifest.records) if split is leaky else [])
         with pytest.raises(DataError, match=message):
             make_split(table_style_manifest(), 150, 20)
 
@@ -402,7 +433,7 @@ class TestMakeSplit:
         per_class = {B: 100, T: 100, M: 100}
         a = make_split(manifest, 150, 20, car1_validation=per_class)
         b = make_split(manifest, 150, 20, car1_validation=per_class)
-        assert a.assignment == b.assignment
+        assert a.positions == b.positions
 
 
 class TestEpochSchedule:
@@ -415,9 +446,10 @@ class TestEpochSchedule:
         return make_split(manifest, test_per_class=0, empty_test=0, empty_train=n_empty)
 
     def test_multiplicities(self):
-        plan = build_epoch_plan(self.small_split(), seed=0, reuse_occupied=5, reuse_empty=11)
+        split = self.small_split()
+        plan = build_epoch_plan(split, seed=0, reuse_occupied=5, reuse_empty=11)
         from collections import Counter
-        uses = Counter(rec.file for rec in plan)
+        uses = Counter(split.manifest.records[i].file for i in plan)
         assert uses == {"b0.cir": 5, "b1.cir": 5, "b2.cir": 5, "e0.cir": 11, "e1.cir": 11}
 
     def test_published_plan_length(self):
@@ -437,8 +469,9 @@ class TestEpochSchedule:
         assert len(plan) == 3200
 
     def test_class_mass_ratio(self):
-        plan = build_epoch_plan(self.small_split(3, 2), seed=0, reuse_occupied=7, reuse_empty=13)
-        occ = sum(1 for rec in plan if rec.label.occupied)
+        split = self.small_split(3, 2)
+        plan = build_epoch_plan(split, seed=0, reuse_occupied=7, reuse_empty=13)
+        occ = sum(1 for i in plan if split.manifest.records[i].label.occupied)
         emp = len(plan) - occ
         assert emp * (7 * 3) == occ * (13 * 2) * 1  # emp/occ == 13*2/(7*3)
 

@@ -345,10 +345,24 @@ def anchor_rows_of_sweeps(samples, ref, anchors, **kwargs):
 
 
 class TestAblation:
-    def test_missing_variants_listed(self):
+    def test_missing_variants_listed(self, tmp_path, capsys):
+        """ablation scores a partial set; `uwbocc ablate` is what lists the missing variants."""
+        from uwbocc.cli import main
+        from uwbocc.nn import build_network, save_checkpoint
+
         scorers = {"1D-E": named_scorer("1D-E", 10)}
-        with pytest.raises(DataError, match="1D-A.*2D-E"):
-            ablation(scorers, three_activity_samples(), SnrReference(100.0))
+        report = ablation(scorers, three_activity_samples(), SnrReference(100.0))
+        assert {row.name for row in report.rows} == {"1D-E"}
+
+        data, models = tmp_path / "data", tmp_path / "models"
+        assert main(["simulate", "--count", "breathing=6", "--count", "empty=6",
+                     "--n-fast", "16", "--m-slow", "24", "--seed", "3", "--out", str(data)]) == 0
+        models.mkdir()
+        save_checkpoint(build_network("1D-E", (32, 24), seed=0), models / "1D-E.ckpt")
+        assert main(["ablate", "--data", str(data), "--models", str(models),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "missing trained checkpoints for: 1D-A, 1D-B, 1D-C, 1D-D, 2D-A" in err
 
     def test_full_grid_of_rows(self):
         from uwbocc.nn import VARIANTS
@@ -364,8 +378,7 @@ class TestAblation:
     def test_partial_set_allowed_when_not_required(self):
         scorers = {"custom-a": named_scorer("custom-a", 10),
                    "custom-b": named_scorer("custom-b", 20)}
-        report = ablation(scorers, three_activity_samples(), SnrReference(100.0),
-                          require_all_variants=False)
+        report = ablation(scorers, three_activity_samples(), SnrReference(100.0))
         assert len(report.rows) == 6
         assert report.config["detectors"] == {"custom-a": 10, "custom-b": 20}
 
@@ -373,8 +386,7 @@ class TestAblation:
         from uwbocc.pipeline import BaselineScorer
 
         scorers = {kind: BaselineScorer(kind, window_cols=4) for kind in BaselineScorer.KINDS}
-        report = ablation(scorers, three_activity_samples(), SnrReference(100.0),
-                          require_all_variants=False)
+        report = ablation(scorers, three_activity_samples(), SnrReference(100.0))
         assert all(report.config["detectors"].values())
         for row in report.rows:
             assert row.flops == report.config["detectors"][row.name]
@@ -385,7 +397,7 @@ class TestAblation:
     def test_non_finite_anchor_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             ablation({"x": named_scorer("x", 10)}, three_activity_samples(), SnrReference(100.0),
-                     anchors={ActivityLabel.BREATHING: np.nan}, require_all_variants=False)
+                     anchors={ActivityLabel.BREATHING: np.nan})
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("case", ["default", "subset"])
@@ -401,8 +413,7 @@ class TestAblation:
         ref = SnrReference(100.0)
         for exact in (False, True):
             report = ablation(three_scorers(), samples, ref, anchors=anchors, seed=4,
-                              require_all_variants=False, exact_scaling=exact,
-                              threads=threads)
+                              exact_scaling=exact, threads=threads)
             assert report.rows == anchor_rows_of_sweeps(samples, ref, anchors, seed=4,
                                                         exact_scaling=exact, threads=threads)
             assert len(report.rows) == 3 * (3 if case == "default" else 1)
@@ -423,7 +434,7 @@ class TestAblation:
                    if s.label in present or s.label is ActivityLabel.EMPTY]
         ref = SnrReference(100.0)
         report = ablation(three_scorers(), samples, ref, anchors=anchors, seed=seed,
-                          require_all_variants=False, exact_scaling=exact, threads=threads)
+                          exact_scaling=exact, threads=threads)
         assert report.rows == anchor_rows_of_sweeps(samples, ref, anchors, seed=seed,
                                                     exact_scaling=exact, threads=threads)
         assert len(report.rows) == 3 * len(present & set(anchors))
@@ -445,8 +456,7 @@ class TestAblation:
         anchors = {ActivityLabel.BREATHING: -10.0, ActivityLabel.TALKING: -20.0,
                    ActivityLabel.MOVING: -10, ActivityLabel.EMPTY: -30.0}
         scorers = {name: CountingScorer() for name in ("a", "b", "c")}
-        report = ablation(scorers, samples, SnrReference(100.0), anchors=anchors,
-                          require_all_variants=False, threads=threads)
+        report = ablation(scorers, samples, SnrReference(100.0), anchors=anchors, threads=threads)
 
         def ids(*labels):
             return sorted(id(s.residual) for s in samples
@@ -464,8 +474,7 @@ class TestAblation:
     def test_custom_anchor_subset(self):
         scorers = {"x": named_scorer("x", 10)}
         anchors = {ActivityLabel.BREATHING: -18.0}
-        report = ablation(scorers, three_activity_samples(), SnrReference(100.0),
-                          anchors=anchors, require_all_variants=False)
+        report = ablation(scorers, three_activity_samples(), SnrReference(100.0), anchors=anchors)
         assert len(report.rows) == 1
         assert report.rows[0].snr_db == -18.0
 

@@ -6,7 +6,7 @@ import pytest
 from uwbocc.augment import compute_reference_energy, corrupt_batch
 from uwbocc.baselines import energy_detector, fft_detector
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
-from uwbocc.dataset import Split, build_epoch_plan, make_split
+from uwbocc.dataset import Split, build_epoch_plan, make_split, memory_manifest
 from uwbocc.errors import ConfigError, DataError
 from uwbocc.nn import build_network, flop_count, layout_2d, load_checkpoint, save_checkpoint
 from uwbocc.pipeline import (
@@ -15,8 +15,6 @@ from uwbocc.pipeline import (
     TrainSettings,
     _epoch_batches,
     _validation_scorer,
-    assign_samples,
-    memory_manifest,
     reference_from_training,
     residual_samples,
     run_training,
@@ -53,31 +51,6 @@ class TestResidualPrep:
     def test_memory_manifest_rejects_empty(self):
         with pytest.raises(DataError):
             memory_manifest([])
-
-    def test_assign_samples_pairs_by_position(self):
-        records = small_records({"breathing": 6, "empty": 6}, seed=2)
-        manifest = memory_manifest(records)
-        samples = residual_samples(records)
-        split = make_split(manifest, test_per_class=0, empty_test=0)
-        by_split = assign_samples(manifest, samples, split)
-        for s in Split:
-            assert len(by_split[s]) == len(split.records(s))
-        seen = 0
-        rec_by_file = {f"mem_{i:05d}": (records[i], samples[i]) for i in range(len(records))}
-        for s in Split:
-            for man_rec, sample in by_split[s]:
-                source_rec, source_sample = rec_by_file[man_rec.file]
-                assert sample is source_sample
-                assert man_rec.label is source_rec.label
-                seen += 1
-        assert seen == len(records)
-
-    def test_assign_samples_length_mismatch(self):
-        records = small_records({"breathing": 4, "empty": 4}, seed=3)
-        manifest = memory_manifest(records)
-        split = make_split(manifest, test_per_class=0, empty_test=0)
-        with pytest.raises(DataError):
-            assign_samples(manifest, residual_samples(records)[:-1], split)
 
 
 class TestReference:
@@ -172,17 +145,15 @@ class TestEpochBatches:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_each_plan_position_gets_the_same_bytes_at_any_batch_size(self, dim):
         records = small_records({"breathing": 12, "empty": 12}, seed=3)
-        manifest = memory_manifest(records)
-        split = make_split(manifest, test_per_class=0, empty_test=0)
-        pairs = assign_samples(manifest, residual_samples(records), split)[Split.TRAIN]
-        residual_by_file = {rec.file: sample.residual for rec, sample in pairs}
-        ref = reference_from_training([sample for _, sample in pairs])
+        split = make_split(memory_manifest(records), test_per_class=0, empty_test=0)
+        samples = residual_samples(records)
+        ref = reference_from_training([samples[i] for i in split.positions[Split.TRAIN]])
         plan = build_epoch_plan(split, seed=4, reuse_occupied=6, reuse_empty=6)
         assert len(plan) == 78  # 64 + 14 at B=64; 11 * 7 + 1 at B=7, whose last is dropped
 
         def per_position(batch_size):
             settings = quick_settings(batch_size=batch_size, exact_snr_scaling=True)
-            batches = list(_epoch_batches(plan, residual_by_file, ref, settings, dim, epoch=2))
+            batches = list(_epoch_batches(plan, samples, ref, settings, dim, epoch=2))
             assert all(inputs.dtype == np.float32 for inputs, _ in batches)
             return (np.concatenate([inputs for inputs, _ in batches]),
                     np.concatenate([labels for _, labels in batches]))
@@ -193,20 +164,20 @@ class TestEpochBatches:
                                      else (2, SMALL.n_fast, SMALL.m_slow))
         assert len(inputs64) == 78 and len(inputs7) == 77
         assert inputs7.tobytes() == inputs64[:77].tobytes()
-        assert np.array_equal(labels64, [1.0 if r.label.occupied else 0.0 for r in plan])
+        assert np.array_equal(labels64, [1.0 if samples[i].label.occupied else 0.0
+                                         for i in plan])
         assert np.array_equal(labels7, labels64[:77])
 
 
 class TestRunTraining:
     def fixture(self, seed=7):
         records = small_records({"breathing": 12, "empty": 12}, seed=seed)
-        manifest = memory_manifest(records)
-        split = make_split(manifest, test_per_class=0, empty_test=0)
-        return manifest, residual_samples(records), split
+        split = make_split(memory_manifest(records), test_per_class=0, empty_test=0)
+        return residual_samples(records), split
 
     def test_smoke(self):
-        manifest, samples, split = self.fixture()
-        net, history, ref = run_training(manifest, samples, split, quick_settings())
+        samples, split = self.fixture()
+        net, history, ref = run_training(samples, split, quick_settings())
         assert net.variant.name == "1D-E"
         assert 1 <= len(history.val_auc) <= 2
         assert len(history.train_loss) == len(history.val_auc)
@@ -215,9 +186,9 @@ class TestRunTraining:
         assert 0.0 <= history.best_val_auc <= 1.0
 
     def test_same_seed_reproduces_weights_and_history(self):
-        manifest, samples, split = self.fixture()
-        net1, hist1, _ = run_training(manifest, samples, split, quick_settings())
-        net2, hist2, _ = run_training(manifest, samples, split, quick_settings())
+        samples, split = self.fixture()
+        net1, hist1, _ = run_training(samples, split, quick_settings())
+        net2, hist2, _ = run_training(samples, split, quick_settings())
         assert hist1.train_loss == hist2.train_loss
         assert hist1.val_auc == hist2.val_auc
         for (_, a), (_, b) in zip(net1.named_state(), net2.named_state()):
@@ -225,12 +196,12 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_early_stopped_network_scores_its_best_validation_auc(self, seed):
-        manifest, samples, split = self.fixture()
+        samples, split = self.fixture()
         settings = quick_settings(max_epochs=6, seed=seed)
-        net, history, ref = run_training(manifest, samples, split, settings)
+        net, history, ref = run_training(samples, split, settings)
         assert history.stopped_early and history.best_epoch < len(history.val_auc) - 1
-        val_pairs = assign_samples(manifest, samples, split)[Split.VALIDATION]
-        score = _validation_scorer([s for _, s in val_pairs], ref, settings)
+        val_samples = [samples[i] for i in split.positions[Split.VALIDATION]]
+        score = _validation_scorer(val_samples, ref, settings)
         # BatchNorm running statistics are restored with the parameters.
         assert score(net) == history.best_val_auc
 
@@ -238,8 +209,8 @@ class TestRunTraining:
         # Checkpoints store float32.  Over seeds 0-7 of this setup the reloaded
         # logits moved by at most 1.6e-7 (|logit| up to 1.2), so 1e-6 bounds
         # float32 rounding with margin while any real loss of state exceeds it.
-        manifest, samples, split = self.fixture(seed=5)
-        net, _, ref = run_training(manifest, samples, split,
+        samples, split = self.fixture(seed=5)
+        net, _, ref = run_training(samples, split,
                                    quick_settings(max_epochs=3, patience=3))
         path = tmp_path / "trained.ckpt"
         save_checkpoint(net, path)
@@ -250,19 +221,23 @@ class TestRunTraining:
                                    rtol=0, atol=1e-6)
 
     def test_different_seed_differs(self):
-        manifest, samples, split = self.fixture()
-        _, hist1, _ = run_training(manifest, samples, split, quick_settings(seed=5))
-        _, hist2, _ = run_training(manifest, samples, split, quick_settings(seed=6))
+        samples, split = self.fixture()
+        _, hist1, _ = run_training(samples, split, quick_settings(seed=5))
+        _, hist2, _ = run_training(samples, split, quick_settings(seed=6))
         assert hist1.train_loss != hist2.train_loss
 
     def test_unknown_variant(self):
-        manifest, samples, split = self.fixture()
+        samples, split = self.fixture()
         with pytest.raises(ConfigError, match="unknown variant"):
-            run_training(manifest, samples, split, quick_settings(variant="9D-Z"))
+            run_training(samples, split, quick_settings(variant="9D-Z"))
 
     def test_no_breathing_anchor_fails(self):
         records = small_records({"talking": 12, "empty": 12}, seed=8)
-        manifest = memory_manifest(records)
-        split = make_split(manifest, test_per_class=0, empty_test=0)
+        split = make_split(memory_manifest(records), test_per_class=0, empty_test=0)
         with pytest.raises(DataError, match="breathing"):
-            run_training(manifest, residual_samples(records), split, quick_settings())
+            run_training(residual_samples(records), split, quick_settings())
+
+    def test_sample_count_mismatch(self):
+        samples, split = self.fixture()
+        with pytest.raises(DataError, match="24 records but 23 samples"):
+            run_training(samples[:-1], split, quick_settings())
