@@ -171,9 +171,10 @@ def write_dataset(records, manifest_path, radar: RadarConfig | None = None) -> D
 
     File names are derived from record order and metadata, so writing the
     same records twice produces byte-identical trees.  radar defaults to
-    the first record's configuration.  Every sample is checked before the
-    first file is written, so a refused dataset leaves nothing behind.
-    Returns the manifest.
+    the first record's configuration, and every sample must have its
+    (n_fast, m_slow) shape, as read_dataset requires.  Every sample is
+    checked before the first file is written, so a refused dataset leaves
+    nothing behind.  Returns the manifest.
     """
     records = list(records)
     manifest = memory_manifest(records)
@@ -182,7 +183,11 @@ def write_dataset(records, manifest_path, radar: RadarConfig | None = None) -> D
     manifest_path = os.fspath(manifest_path)
     directory = os.path.dirname(manifest_path) or "."
     paths = [os.path.join(directory, entry.file) for entry in manifest.records]
+    shape = (manifest.radar.n_fast, manifest.radar.m_slow)
     for path, rec in zip(paths, records):
+        if rec.cir.data.shape != shape:
+            raise DataError(f"{path}: shape {rec.cir.data.shape} does not match the "
+                            f"manifest's {shape}")
         _cir_payload(path, rec.cir.data)  # one record at a time: the payloads are not kept
     os.makedirs(directory, exist_ok=True)
     for path, rec in zip(paths, records):

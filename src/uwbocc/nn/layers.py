@@ -41,6 +41,15 @@ may use fewer than two CPUs, or when that OpenBLAS is not found.  An error
 in a slice reaches the caller once every worker has stopped: the first in
 slice order.
 
+Those two "uwbocc-conv" workers, made once and kept, are the only threads
+the library keeps.  It starts two more kinds for the length of one call:
+pipeline.run_training's "uwbocc-data" thread, which draws the next training
+batch, and evaluate's --threads pool.  Each of them allocates batch-sized
+arrays, and glibc would give each its own malloc arena.  run_training runs
+_single_malloc_arena first, which caps the process at the main arena;
+evaluate does not, because the shared arena's lock slowed a two-thread
+2D-E evaluate more than its memory saving was worth.
+
 In train mode a convolution keeps a reference to its input, k**d times
 smaller than the columns, and rebuilds the columns in backward.  This
 relies on nothing mutating a layer's input between its forward and its
@@ -198,6 +207,27 @@ def _openblas_thread_setter():
     except OSError:
         pass
     return None
+
+
+# glibc's mallopt parameter number for the arena count cap.
+_M_ARENA_MAX = -8
+
+
+@functools.cache
+def _single_malloc_arena() -> None:
+    """Cap glibc malloc at one arena, once per process; a no-op where mallopt is not found.
+
+    glibc gives each thread that mallocs an arena of its own, up to eight
+    per core, and keeps what an arena frees for that arena, so a thread
+    that allocates batch-sized arrays holds a second heap's worth of
+    resident memory.  Call this before starting such a thread.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _pool():

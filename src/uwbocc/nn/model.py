@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -323,7 +324,12 @@ _CKPT_MAGIC = b"UWBN"
 
 
 def save_checkpoint(network: Network, path, extra: dict | None = None) -> None:
-    """Write variant, shapes, metadata, and all state as float32 payload."""
+    """Write variant, shapes, metadata, and all state as float32 payload.
+
+    The file is written beside path under a temporary name, then renamed
+    onto it, so path holds either its previous bytes or the whole new
+    checkpoint; a failed write removes the temporary file.
+    """
     entries = network.named_state()
     header = {
         "magic": "UWBN",
@@ -335,12 +341,20 @@ def save_checkpoint(network: Network, path, extra: dict | None = None) -> None:
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(_CKPT_MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        for _, arr in entries:
-            handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    directory, name = os.path.split(os.fspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(_CKPT_MAGIC)
+            handle.write(struct.pack("<I", len(blob)))
+            handle.write(blob)
+            for _, arr in entries:
+                handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
 
 
 def _state_size(variant: ArchitectureVariant, c_in: int, kernel: int, limit: int) -> int:

@@ -12,6 +12,7 @@ order.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core import ActivityLabel, mean_remove
 from .dataset import Split, SplitAssignment, build_epoch_plan
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
+from .nn.layers import _single_malloc_arena
 from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, layout_2d
 from .nn.training import OptimizerConfig, TrainingHistory, train_network
 
@@ -162,8 +164,10 @@ def _epoch_batches(plan, samples, ref, settings, dim, epoch):
     and backward passes run in float32.  Each draw's generator is keyed by
     (seed, epoch, draw position) and gives the draw's SNR first, then its
     noise, so a draw's bytes do not depend on the batch size or on any
-    worker arrangement.  A trailing partial batch below 2 samples is
-    dropped because batch statistics are undefined for it.
+    worker arrangement: run_training advances this generator on its data
+    thread, one batch ahead of the step that trains on it.  A trailing
+    partial batch below 2 samples is dropped because batch statistics are
+    undefined for it.
     """
     size = settings.batch_size
     for start in range(0, len(plan), size):
@@ -177,6 +181,21 @@ def _epoch_batches(plan, samples, ref, settings, dim, epoch):
                                snrs, rngs, exact=settings.exact_snr_scaling)
         labels = np.asarray([1.0 if sample.label.occupied else 0.0 for sample in drawn])
         yield batch_input(planes, dim), labels
+
+
+def _one_ahead(items, executor):
+    """Yield what items yields, in order, while executor computes the next item.
+
+    Only executor's thread advances items, one item at a time, so exactly
+    one item is in flight; an error raised there is raised here, in place
+    of the item it stopped.  A caller that stops early drops the item in
+    flight, and its error with it.
+    """
+    items, end = iter(items), object()
+    pending = executor.submit(next, items, end)
+    while (item := pending.result()) is not end:
+        pending = executor.submit(next, items, end)
+        yield item
 
 
 # Stream tags keeping validation-corruption seeds disjoint from the
@@ -213,6 +232,11 @@ def run_training(samples, split: SplitAssignment, settings: TrainSettings | None
     breathing training residuals; training minibatches follow a fresh seeded
     epoch plan every epoch; early stopping monitors AUC on the
     fixed-corruption validation set.
+
+    One "uwbocc-data" thread, alive only during the call, draws each batch
+    while the previous one trains; the bytes are those of drawing inline.
+    It allocates from the main malloc arena (see nn.layers), so it adds
+    the one batch in flight to the memory a step holds, not a heap.
     """
     settings = settings or TrainSettings()
     variant = VARIANTS[settings.variant]
@@ -238,9 +262,13 @@ def run_training(samples, split: SplitAssignment, settings: TrainSettings | None
         plan = build_epoch_plan(split, seed=int(np.random.SeedSequence(
             (settings.seed, epoch)).generate_state(1)[0]),
             reuse_occupied=settings.reuse_occupied, reuse_empty=settings.reuse_empty)
-        return _epoch_batches(plan, samples, ref, settings, variant.dimensionality, epoch)
+        return _one_ahead(_epoch_batches(plan, samples, ref, settings, variant.dimensionality,
+                                         epoch), drawer)
 
-    history = train_network(network, batches, scorer,
-                            OptimizerConfig(settings.learning_rate, settings.batch_size),
-                            patience=settings.patience, max_epochs=settings.max_epochs, log=log)
+    _single_malloc_arena()
+    with ThreadPoolExecutor(1, thread_name_prefix="uwbocc-data") as drawer:
+        history = train_network(network, batches, scorer,
+                                OptimizerConfig(settings.learning_rate, settings.batch_size),
+                                patience=settings.patience, max_epochs=settings.max_epochs,
+                                log=log)
     return network, history, ref

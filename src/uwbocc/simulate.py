@@ -240,6 +240,11 @@ def simulate_received(scene: Scene, cfg: RadarConfig, rng=None) -> CirMatrix:
     delay/amplitude trajectory at time m*dt_slow, the static clutter paths,
     and circularly-symmetric white Gaussian noise.
     """
+    return CirMatrix(_received(scene, cfg, rng), cfg.dt_fast, cfg.dt_slow)
+
+
+def _received(scene: Scene, cfg: RadarConfig, rng) -> np.ndarray:
+    """simulate_received's complex128 (n_fast, m_slow) data; noise too strong overflows to inf."""
     rng = np.random.default_rng(rng)
     n, m = cfg.n_fast, cfg.m_slow
     freqs, spectrum = _pulse_spectrum(cfg)
@@ -261,9 +266,9 @@ def simulate_received(scene: Scene, cfg: RadarConfig, rng=None) -> CirMatrix:
         data += pulses * (path.amplitude * amp_factors * carrier)[None, :]
 
     if scene.noise_sigma > 0:
-        data += scene.noise_sigma * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-
-    return CirMatrix(data, cfg.dt_fast, cfg.dt_slow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            data += scene.noise_sigma * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    return data
 
 
 _SEATS = ("front", "rear", "middle")
@@ -353,12 +358,13 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
             else:
                 targets = ()
             sample_scene = Scene(target_paths=targets, clutter_paths=clutter, noise_sigma=noise_sigma)
-            cir = simulate_received(sample_scene, cfg, rng)
+            data = _received(sample_scene, cfg, rng)
             with np.errstate(over="ignore"):
-                stored = cir.data.astype(np.complex64)  # the precision write_cir stores
+                stored = data.astype(np.complex64)  # the precision write_cir stores
             if not np.isfinite(stored).all():
                 raise ConfigError(f"{label.value} sample {i} overflows single precision: "
                                   "lower the noise level or the path amplitudes")
+            cir = CirMatrix(data, cfg.dt_fast, cfg.dt_slow)
             if label.occupied:
                 participant = f"p{label.value[0]}{i // _SEGMENTS_PER_PARTICIPANT:03d}"
                 seat = _SEATS[(i // _SEGMENTS_PER_PARTICIPANT) % len(_SEATS)]

@@ -760,6 +760,10 @@ USER_MISTAKES = {
         lambda data, tmp: ["simulate", "--count", "empty=4", "--count", "breathing=4",
                            "--n-fast", "16", "--m-slow", "24", "--sensor-noise", "1e300",
                            "--out", tmp / "x"], 2),
+    "sensor noise beyond double precision": (
+        lambda data, tmp: ["simulate", "--count", "empty=4", "--count", "breathing=4",
+                           "--n-fast", "16", "--m-slow", "24", "--sensor-noise=1e308",
+                           "--out", tmp / "x"], 2),
     "negative simulate count": (
         lambda data, tmp: ["simulate", "--count", "empty=-1", "--out", tmp / "x"], 2),
     "negative simulate seed": (
@@ -833,9 +837,31 @@ def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
     before = dataset_files(tmp_path)
     proc = run_cli(args)
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert dataset_files(tmp_path) == before  # a refused command writes no dataset
+
+
+def test_sensor_noise_overflowing_double_precision_is_named(tmp_path):
+    # 1e308 overflows the complex128 noise draw itself, before the
+    # single-precision check that 1e300 reaches.
+    proc = run_cli(["simulate", "--count", "empty=2", "--count", "breathing=2",
+                    "--n-fast", "16", "--m-slow", "24", "--sensor-noise=1e308",
+                    "--out", tmp_path / "x"])
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: breathing sample 0 overflows single precision: "
+                           "lower the noise level or the path amplitudes\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_training_noise_overflow_on_the_data_thread(dataset, tmp_path):
+    # The batches are drawn on a worker thread; its error ends the command
+    # with the error's own message and exit code, and no checkpoint.
+    proc = run_cli(["train", "--data", dataset, "--out", tmp_path / "m.ckpt",
+                    "--snr-lo=-900", "--snr-hi=-890", *TRAIN_FAST])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: SNR too low for float32 planes: the noise overflows\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
 
 @pytest.mark.parametrize("values", [["empty=2,empty=3"], ["Empty=2", " empty =3"]])

@@ -262,6 +262,22 @@ class TestDatasetRoundTrip:
         assert list(tmp_path.glob("*.cir")) == []
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("case", ["radar of another shape", "records of two shapes"])
+    def test_mismatched_shape_is_refused_before_writing(self, tmp_path, case):
+        rng = np.random.default_rng(5)
+        if case == "radar of another shape":
+            records, bad = random_records(rng, E, 2, n=16, m=24), 0
+            radar = RadarConfig(n_fast=4, m_slow=6)
+        else:
+            records = random_records(rng, E, 1) + random_records(rng, E, 1, n=5, m=6)
+            radar, bad = None, 1
+        shape = records[bad].cir.data.shape
+        with pytest.raises(DataError, match=rf"0000{bad}_empty.cir: shape \({shape[0]}, "
+                                            rf"{shape[1]}\) does not match the manifest's"):
+            write_dataset(records, tmp_path / "manifest.json", radar)
+        assert list(tmp_path.glob("*.cir")) == []
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_memory_manifest_equals_the_written_manifest(self, tmp_path):
         rng = np.random.default_rng(6)
         records = random_records(rng, B, 3) + random_records(rng, E, 2)

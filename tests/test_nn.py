@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -639,6 +640,14 @@ class TestConvEngine:
         assert inline_threads == {threading.current_thread().name}
         assert pooled == inline
 
+    def test_single_malloc_arena_caps_glibc_or_does_nothing(self, monkeypatch):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1)
+        for found in (libc, object()):  # object(): a C library without mallopt
+            monkeypatch.setattr(layers.ctypes, "CDLL", lambda name, found=found: found)
+            layers._single_malloc_arena.__wrapped__()
+        assert calls == [(-8, 1)]  # glibc's M_ARENA_MAX, set to one arena
+
     def test_concurrent_callers_share_the_workers(self, monkeypatch):
         # evaluate --threads N calls convolutions from N threads at once; the
         # first calls race to make the executor, and every call shares it.
@@ -971,6 +980,25 @@ class TestCheckpoints:
         save_checkpoint(net, p1)
         save_checkpoint(net, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_network("1D-E", (2, 8), seed=0), path)
+        previous = path.read_bytes()
+
+        class Unwritable:  # fails once the header and the first arrays are written
+            shape = (2,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        net = build_network("1D-E", (2, 8), seed=1)
+        entries = net.named_state()
+        monkeypatch.setattr(net, "named_state", lambda: entries + [("late", Unwritable())])
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(net, path)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"

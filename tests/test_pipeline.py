@@ -1,19 +1,24 @@
 """End-to-end wiring: residual prep, scorers, and the training driver."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import uwbocc.pipeline as pipeline
 from uwbocc.augment import compute_reference_energy, corrupt_batch
 from uwbocc.baselines import energy_detector, fft_detector
 from uwbocc.core import ActivityLabel, frobenius_energy, mean_remove
 from uwbocc.dataset import Split, build_epoch_plan, make_split, memory_manifest
-from uwbocc.errors import ConfigError, DataError
+from uwbocc.errors import ConfigError, DataError, DivergenceError
 from uwbocc.nn import build_network, flop_count, layout_2d, load_checkpoint, save_checkpoint
 from uwbocc.pipeline import (
     BaselineScorer,
     NetworkScorer,
     TrainSettings,
     _epoch_batches,
+    _one_ahead,
     _validation_scorer,
     reference_from_training,
     residual_samples,
@@ -169,6 +174,55 @@ class TestEpochBatches:
         assert np.array_equal(labels7, labels64[:77])
 
 
+def data_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("uwbocc-data")]
+
+
+class TestOneAhead:
+    def test_yields_the_plain_items_in_order(self):
+        records = small_records({"breathing": 12, "empty": 12}, seed=3)
+        split = make_split(memory_manifest(records), test_per_class=0, empty_test=0)
+        samples = residual_samples(records)
+        ref = reference_from_training([samples[i] for i in split.positions[Split.TRAIN]])
+        plan = build_epoch_plan(split, seed=4, reuse_occupied=6, reuse_empty=6)
+        settings = quick_settings(batch_size=7)
+        plain = list(_epoch_batches(plan, samples, ref, settings, 1, epoch=2))
+        with ThreadPoolExecutor(1) as executor:
+            ahead = list(_one_ahead(_epoch_batches(plan, samples, ref, settings, 1, epoch=2),
+                                    executor))
+        assert len(ahead) == len(plain) == 11
+        for (inputs, labels), (want_inputs, want_labels) in zip(ahead, plain):
+            assert inputs.tobytes() == want_inputs.tobytes()
+            assert np.array_equal(labels, want_labels)
+
+    def test_keeps_one_item_in_flight_on_the_executor(self):
+        made = []
+
+        def items():
+            for k in range(4):
+                made.append((k, threading.current_thread().name))
+                yield k
+
+        with ThreadPoolExecutor(1, thread_name_prefix="drawer") as executor:
+            ahead = _one_ahead(items(), executor)
+            assert next(ahead) == 0
+            executor.submit(lambda: None).result(timeout=10)  # the draw in flight is done
+            assert [k for k, _ in made] == [0, 1]
+            assert list(ahead) == [1, 2, 3]
+        assert all(name.startswith("drawer") for _, name in made)
+
+    def test_an_error_on_the_executor_is_raised_in_place_of_its_item(self):
+        def items():
+            yield 0
+            raise DataError("poisoned batch")
+
+        with ThreadPoolExecutor(1) as executor:
+            ahead = _one_ahead(items(), executor)
+            assert next(ahead) == 0
+            with pytest.raises(DataError, match="poisoned batch"):
+                next(ahead)
+
+
 class TestRunTraining:
     def fixture(self, seed=7):
         records = small_records({"breathing": 12, "empty": 12}, seed=seed)
@@ -184,6 +238,7 @@ class TestRunTraining:
         assert ref.e_s > 0
         assert history.best_epoch >= 0  # epochs are 0-indexed
         assert 0.0 <= history.best_val_auc <= 1.0
+        assert data_threads() == []  # the batch-drawing thread ends with the call
 
     def test_same_seed_reproduces_weights_and_history(self):
         samples, split = self.fixture()
@@ -236,6 +291,24 @@ class TestRunTraining:
         split = make_split(memory_manifest(records), test_per_class=0, empty_test=0)
         with pytest.raises(DataError, match="breathing"):
             run_training(residual_samples(records), split, quick_settings())
+
+    @pytest.mark.parametrize("error", [DataError, DivergenceError])
+    def test_an_error_drawing_a_batch_reaches_the_caller(self, monkeypatch, error):
+        samples, split = self.fixture()
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 3:  # the second training batch; the first call is validation
+                raise error("poisoned batch")
+            return corrupt_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "corrupt_batch", poisoned)
+        with pytest.raises(error, match="poisoned batch"):
+            run_training(samples, split, quick_settings())
+        assert calls[0] == threading.current_thread().name
+        assert all(name.startswith("uwbocc-data") for name in calls[1:])
+        assert data_threads() == []
 
     def test_sample_count_mismatch(self):
         samples, split = self.fixture()
