@@ -107,6 +107,13 @@ def _parse_counts(values) -> dict:
 # The largest start:stop:count count; the default grid has 31 points.
 MAX_GRID_COUNT = 10_000
 
+# Sizes simulate refuses before it allocates anything, each over 100 times the
+# largest the tests, demos and benchmark use (64 x 100 values per sample, 400
+# samples, 4 clutter paths).
+MAX_SAMPLE_VALUES = 2**20  # --n-fast x --m-slow
+MAX_RUN_VALUES = 2**28  # every sample of one run together
+MAX_CLUTTER_PATHS = 1024
+
 
 def _parse_grid(spec) -> tuple:
     """SNR grid: comma-separated dB values, or start:stop:count (inclusive)."""
@@ -161,13 +168,25 @@ def cmd_simulate(ns) -> int:
     out = _resolve_data_dir(ns.out)
     scene = load_scene(ns.scene) if ns.scene else None
     cfg = RadarConfig(n_fast=ns.n_fast, m_slow=ns.m_slow)
+    values = cfg.n_fast * cfg.m_slow
+    if values > MAX_SAMPLE_VALUES:
+        raise ConfigError(f"--n-fast {cfg.n_fast} x --m-slow {cfg.m_slow} is over the cap of "
+                          f"{MAX_SAMPLE_VALUES} values per sample")
+    total = sum(counts.values())
+    if total * values > MAX_RUN_VALUES:
+        raise ConfigError(f"--count asks for {total} samples of {values} values, over the cap "
+                          f"of {MAX_RUN_VALUES} values per run")
+    if ns.clutter_paths > MAX_CLUTTER_PATHS:
+        raise ConfigError(f"--clutter-paths {ns.clutter_paths} is over the cap of "
+                          f"{MAX_CLUTTER_PATHS}")
     try:
         records = synth_dataset(counts, cfg, rng=ns.seed, scene=scene,
                                 sensor_noise=ns.sensor_noise, clutter_paths=ns.clutter_paths)
     except ConfigError as exc:
         if scene is None:
             raise
-        # The counts, the seed and the radar shape are checked above, so the scene is at fault.
+        # The counts, the seed, the radar shape and the sizes are checked above, so the
+        # scene is at fault.
         raise ConfigError(f"scene {ns.scene}: {exc}") from None
     if not records:
         raise ConfigError("all requested counts are zero")
@@ -195,16 +214,19 @@ def cmd_import(ns) -> int:
     manifest_path = _manifest_path(out)
     radar = None
     records = segments
-    if ns.append and manifest_path.exists():
+    if manifest_path.exists():
+        if not ns.append:
+            raise ConfigError(f"{manifest_path} already holds a dataset: "
+                              "pass --append to add to it")
         manifest, existing = read_dataset(manifest_path)
-        shape = (manifest.radar.n_fast, manifest.radar.m_slow)
-        got = (segments[0].cir.n_fast, segments[0].cir.m_slow)
-        if shape != got:
+        radar, cir = manifest.radar, segments[0].cir
+        shape, got = (radar.n_fast, radar.m_slow), (cir.n_fast, cir.m_slow)
+        if (shape, radar.dt_slow, radar.dt_fast) != (got, cir.dt_slow, cir.dt_fast):
             raise DataError(
-                f"{ns.recording}: windows of shape {got} do not match the "
-                f"existing dataset's {shape}")
+                f"{ns.recording}: windows of shape {got} sampled every {cir.dt_slow} s "
+                f"(slow time) and {cir.dt_fast} s (fast time) do not match the existing "
+                f"dataset's {shape} every {radar.dt_slow} s and {radar.dt_fast} s")
         records = existing + segments
-        radar = manifest.radar
     out.mkdir(parents=True, exist_ok=True)
     manifest = write_dataset(records, manifest_path, radar)
     print(f"imported {len(segments)} segments ({len(manifest.records)} total) into {out}")

@@ -298,18 +298,24 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
                car1_validation: dict | None = None) -> SplitAssignment:
     """Assign every record to train, validation, or test, car-disjointly.
 
-    Occupied classes: every record not from car2 goes to Train; car2 records
-    are ordered deterministically (participant, seat, segment, file) and the
-    last test_per_class go to Test, the rest to Validation.  Optionally
-    car1_validation maps classes to counts: the last that many car1 records
-    of each class move from Train to Validation; the published split does
-    this, holding out part of the car1 data to steer early stopping.
+    Each class is one sequence in recording order (ManifestRecord.sort_key)
+    cut twice: the records before the first cut go to Train, those between
+    the cuts to Validation, the rest to Test.
 
-    Empty class (car2 only): first empty_train records to Train, last
-    empty_test to Test, the middle to Validation.  empty_train defaults to
-    66/166 of the non-test remainder, the published proportion.
+    Occupied classes: the sequence is the car1 records (every car but car2)
+    followed by the car2 records.  The first cut leaves the last n car1
+    records for Validation, where car1_validation maps the class to n
+    (default 0); the published split does this, holding out part of the
+    car1 data to steer early stopping.  The second cut leaves the last
+    test_per_class car2 records for Test, and puts the car2 records before
+    them in Validation.
 
-    Deterministic: equal inputs give equal assignments.
+    Empty class (car2 only): the first empty_train records go to Train and
+    the last empty_test to Test, so the middle is Validation.  empty_train
+    defaults to 66/166 of the non-test remainder, the published proportion.
+
+    Each part's positions are in recording order.  Deterministic: equal
+    inputs give equal assignments.
     """
     if test_per_class < 0 or empty_test < 0 or (empty_train or 0) < 0:
         raise ConfigError("test and train counts must be >= 0")
@@ -320,46 +326,40 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
         except ConfigError as exc:
             raise ConfigError(f"car1_validation: {exc}") from None
         requested[label] = int(value)
-    records = manifest.records
-    order = sorted(range(len(records)), key=lambda i: records[i].sort_key())
+    # Work in recording ranks: order[rank] is the manifest position of ranked[rank].
+    order = sorted(range(len(manifest.records)), key=lambda i: manifest.records[i].sort_key())
+    ranked = [manifest.records[i] for i in order]
     groups: dict[ActivityLabel, list[int]] = {}
-    for i in order:
-        groups.setdefault(records[i].label, []).append(i)
-    assignment: dict[int, Split] = {}
+    for rank, rec in enumerate(ranked):
+        groups.setdefault(rec.label, []).append(rank)
+    parts: dict[Split, list[int]] = {part: [] for part in Split}
     deficits = []
 
-    for label, members in sorted(groups.items(), key=lambda kv: kv[0].value):
+    for label, ranks in sorted(groups.items(), key=lambda kv: kv[0].value):
         if label is ActivityLabel.EMPTY:
-            total = len(members)
-            if total < empty_test:
-                deficits.append(f"{label.value}: {total} records < {empty_test} test")
+            remainder = len(ranks) - empty_test
+            if remainder < 0:
+                deficits.append(f"{label.value}: {len(ranks)} records < {empty_test} test")
                 continue
-            remainder = total - empty_test
             n_train = empty_train if empty_train is not None else round(remainder * _EMPTY_TRAIN_FRACTION)
             if n_train > remainder:
                 raise ConfigError(f"empty_train {n_train} exceeds the {remainder} non-test empty records")
-            for rank, i in enumerate(members):
-                if rank < n_train:
-                    assignment[i] = Split.TRAIN
-                elif rank >= total - empty_test:
-                    assignment[i] = Split.TEST
-                else:
-                    assignment[i] = Split.VALIDATION
-            continue
-
-        car2 = [i for i in members if records[i].car == "car2"]
-        car1 = [i for i in members if records[i].car != "car2"]
-        if len(car2) < test_per_class:
-            deficits.append(f"{label.value}: {len(car2)} car2 records < {test_per_class} test")
-        n_val1 = requested.pop(label, 0)
-        if not 0 <= n_val1 <= len(car1):
-            raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
-                              f"car1 has {len(car1)}")
-        for rank, i in enumerate(car1):
-            assignment[i] = Split.VALIDATION if rank >= len(car1) - n_val1 else Split.TRAIN
-        cut = max(len(car2) - test_per_class, 0)
-        for rank, i in enumerate(car2):
-            assignment[i] = Split.TEST if rank >= cut else Split.VALIDATION
+            a, b = n_train, remainder
+        else:
+            car1 = [r for r in ranks if ranked[r].car != "car2"]
+            car2 = [r for r in ranks if ranked[r].car == "car2"]
+            if len(car2) < test_per_class:
+                deficits.append(f"{label.value}: {len(car2)} car2 records < {test_per_class} test")
+            n_val1 = requested.pop(label, 0)
+            if not 0 <= n_val1 <= len(car1):
+                raise ConfigError(f"car1_validation asks for {n_val1} {label.value} records, "
+                                  f"car1 has {len(car1)}")
+            # car1's validation tail and car2's validation head are one run.
+            ranks = car1 + car2
+            a, b = len(car1) - n_val1, len(car1) + max(len(car2) - test_per_class, 0)
+        parts[Split.TRAIN] += ranks[:a]
+        parts[Split.VALIDATION] += ranks[a:b]
+        parts[Split.TEST] += ranks[b:]
 
     # Requests the loop above did not take: labels with no occupied records.
     for label, n_val1 in requested.items():
@@ -371,8 +371,8 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     if deficits:
         raise DataError("insufficient samples for the requested split: " + "; ".join(sorted(deficits)))
 
-    split = SplitAssignment(manifest, {part: tuple(i for i in order if assignment[i] is part)
-                                       for part in Split})
+    split = SplitAssignment(manifest, {part: tuple(order[r] for r in sorted(ranks))
+                                       for part, ranks in parts.items()})
     for rec in split.records(Split.TRAIN):
         if rec.car == "car2" and rec.label.occupied:
             raise DataError(f"car2 occupied record {rec.file} leaked into train")

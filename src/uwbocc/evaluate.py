@@ -133,6 +133,12 @@ def _check_grid(grid) -> tuple:
     return grid
 
 
+# The most bytes one grid point's planes may take once synthetic negatives are
+# added: over 100 times the largest set the tests, demos and benchmark score
+# (400 samples of 64 x 100 complex64 values).
+MAX_GRID_POINT_BYTES = 2**31
+
+
 def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
     """([(activity, positive residuals)], negative residuals) of a test set.
 
@@ -147,7 +153,17 @@ def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
         raise DataError("sweep needs empty-class samples as negatives")
     if synthetic_negatives:
         template = (negatives or [r for g in groups.values() for r in g])[0]
-        negatives = negatives + [np.zeros_like(template) for _ in range(synthetic_negatives)]
+        # A sample's planes take its residual's bytes: (2, N, M) of its real dtype.
+        n_planes = sum(map(len, groups.values())) + synthetic_negatives
+        if n_planes * template.nbytes > MAX_GRID_POINT_BYTES:
+            raise ConfigError(
+                f"synthetic_negatives {synthetic_negatives} makes each grid point {n_planes} "
+                f"planes of {template.nbytes} bytes, over the cap of {MAX_GRID_POINT_BYTES} bytes")
+        # One read-only zero residual; each negative is a view of it, an array
+        # object of its own like every other sample.
+        zero = np.zeros_like(template)
+        zero.setflags(write=False)
+        negatives = negatives + [zero.view() for _ in range(synthetic_negatives)]
     activities = [(lab, groups[lab]) for lab in ActivityLabel if lab.occupied and lab in groups]
     if not activities:
         raise DataError("sweep needs at least one occupied activity in the test samples")

@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -803,6 +804,14 @@ USER_MISTAKES = {
     "NaN sample in a .cir file, import": (
         lambda data, tmp: ["import", poisoned_cir(data), "--label", "empty", "--car", "car2",
                            "--out", tmp / "x"], 3),
+    "import into an existing dataset without --append": (
+        lambda data, tmp: ["import", recording(tmp), "--label", "empty", "--car", "car2",
+                           "--window", "2.4", "--out", data], 2),
+    # 1.2 s at 0.05 s is 24 columns, the dataset's shape at 0.1 s.
+    "import --append at other sampling intervals": (
+        lambda data, tmp: ["import", recording(tmp), "--label", "empty", "--car", "car2",
+                           "--window", "1.2", "--dt-slow", "0.05", "--dt-fast", "1e-9",
+                           "--out", data, "--append"], 3),
     **{f"import window {window}": (
         lambda data, tmp, window=window: ["import", recording(tmp), "--label", "empty",
                                           "--car", "car2", f"--window={window}",
@@ -840,6 +849,98 @@ def test_user_mistakes_exit_with_documented_code(mistake, dataset, tmp_path):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert dataset_files(tmp_path) == before  # a refused command writes no dataset
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    ([], 2, "error: {manifest} already holds a dataset: pass --append to add to it\n"),
+    # 1.2 s at 0.05 s is 24 columns, the dataset's shape at 0.1 s.
+    (["--window", "1.2", "--dt-slow", "0.05", "--dt-fast", "1e-9", "--append"], 3,
+     "error: {rec}: windows of shape (16, 24) sampled every 0.05 s (slow time) and 1e-09 s "
+     "(fast time) do not match the existing dataset's (16, 24) every 0.1 s and 5e-10 s\n"),
+])
+def test_import_leaves_an_existing_dataset_as_it_was(flags, code, message, dataset, tmp_path):
+    before = tree_bytes(dataset)
+    rec = recording(tmp_path)
+    proc = run_cli(["import", rec, "--label", "empty", "--car", "car2", "--window", "2.4",
+                    *flags, "--out", dataset])
+    assert proc.returncode == code
+    assert proc.stderr == message.format(manifest=dataset / "manifest.json", rec=rec)
+    assert tree_bytes(dataset) == before
+
+
+def run_cli_capped(argv, limit=2**30):
+    """run_cli with the child's address space capped, so a size that is not refused
+    fails with a MemoryError (or the timeout) instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(uwbocc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "uwbocc.cli", *[str(a) for a in argv]],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap)
+
+
+# Sizes refused before anything is allocated: (argv, what the message names).
+SIZE_MISTAKES = {
+    "simulate --m-slow too large to hold": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--m-slow=1000000000000",
+                           "--out", tmp / "x"], "--m-slow 1000000000000"),
+    "simulate --m-slow too large to hold, with a scene": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--m-slow=1000000000000",
+                           "--scene", scene_file(tmp, ""), "--out", tmp / "x"],
+        "--m-slow 1000000000000"),
+    "simulate --clutter-paths too many to hold": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--clutter-paths=1000000000000",
+                           "--out", tmp / "x"], "--clutter-paths 1000000000000"),
+    "simulate --count too many to hold": (
+        lambda data, tmp: ["simulate", "--count", "empty=1000000000000", "--out", tmp / "x"],
+        "--count asks for 1000000000000 samples"),
+    "simulate --count too many to hold, with a scene": (
+        lambda data, tmp: ["simulate", "--count", "empty=1000000000000",
+                           "--scene", scene_file(tmp, ""), "--out", tmp / "x"],
+        "--count asks for 1000000000000 samples"),
+    "evaluate --synthetic-negatives too many to hold": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10", "--synthetic-negatives=100000000",
+                           "--out", tmp / "r.json"], "synthetic_negatives 100000000"),
+}
+
+
+@pytest.mark.parametrize("mistake", sorted(SIZE_MISTAKES))
+def test_sizes_are_refused_before_they_are_allocated(mistake, dataset, tmp_path):
+    argv, named = SIZE_MISTAKES[mistake]
+    args = argv(dataset, tmp_path)
+    before = {p for p in tmp_path.rglob("*")}
+    proc = run_cli_capped(args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "scene" not in proc.stderr
+    assert {p for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["--n-fast", "1024", "--m-slow", "1024"], False),
+    (["--n-fast", "1024", "--m-slow", "1025"], True),
+    (["--clutter-paths", "1024"], False),
+    (["--clutter-paths", "1025"], True),
+])
+def test_simulate_size_caps_are_inclusive(argv, refused, tmp_path, capsys):
+    # Zero samples pass every cap but the per-sample one, then stop before writing.
+    assert run("simulate", "--count", "empty=0", *argv, "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert ("is over the cap" in err) == refused
+    assert refused or err == "error: all requested counts are zero\n"
+
+
+def test_simulate_run_cap_counts_every_sample(tmp_path):
+    # 2**27 samples of 2 values are the cap; one sample more is refused.
+    proc = run_cli_capped(["simulate", "--count", f"empty={2**27},breathing=1", "--n-fast", "1",
+                           "--m-slow", "2", "--out", tmp_path / "x"])
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: --count asks for {2**27 + 1} samples of 2 values, "
+                           f"over the cap of {2**28} values per run\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_sensor_noise_overflowing_double_precision_is_named(tmp_path):

@@ -452,6 +452,72 @@ class TestMakeSplit:
         assert a.positions == b.positions
 
 
+# Random manifests for the split property: every label, cars car1 to car3,
+# a few participants, seats and segments.  An empty record from car3 becomes
+# car2; one from car1 stays, for the test-set leak guard to refuse.
+SPLIT_RECORDS = st.lists(
+    st.tuples(st.sampled_from(list(ActivityLabel)), st.sampled_from(["car1", "car2", "car3"]),
+              st.sampled_from([None, "front", "rear"]), st.sampled_from([None, "p0", "p1", "p2"]),
+              st.integers(0, 3)),
+    max_size=40)
+
+
+def random_manifest(rows, permutation):
+    records = []
+    for k, (label, car, seat, participant, seg) in enumerate(rows):
+        if label is E:
+            car, seat, participant = ("car2" if car == "car3" else car), None, None
+        records.append(ManifestRecord(f"r{k:03d}.cir", label, car, seat, participant, seg))
+    return DatasetManifest(tuple(records[i] for i in permutation), RadarConfig())
+
+
+class TestSplitProtocol:
+    """The rules of make_split's docstring, checked on random manifests."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_split_follows_the_protocol(self, data):
+        rows = data.draw(SPLIT_RECORDS)
+        manifest = random_manifest(rows, data.draw(st.permutations(range(len(rows)))))
+        records = manifest.records
+        by_label = {label: sorted((r for r in records if r.label is label), key=ManifestRecord.sort_key)
+                    for label in ActivityLabel}
+        car1 = {label: [r for r in by_label[label] if r.car != "car2"] for label in (B, T, M)}
+        car2 = {label: [r for r in by_label[label] if r.car == "car2"] for label in (B, T, M)}
+        # Counts mostly inside what the manifest holds, sometimes one over.
+        most = min((len(car2[label]) for label in car2 if by_label[label]), default=3)
+        test_per_class = data.draw(st.integers(0, most + 1))
+        empty_test = data.draw(st.integers(0, len(by_label[E]) + 1))
+        empty_train = data.draw(st.none() | st.integers(0, len(by_label[E])))
+        requested = {label: data.draw(st.integers(0, len(car1[label]) + 1))
+                     for label in data.draw(st.sets(st.sampled_from([B, T, M])))}
+        # Keys may be labels or their names, in any case.
+        car1_validation = {data.draw(st.sampled_from([label, label.value, label.value.upper()])): n
+                           for label, n in requested.items()}
+        try:
+            split = make_split(manifest, test_per_class, empty_test, empty_train=empty_train,
+                               car1_validation=car1_validation)
+        except (ConfigError, DataError):
+            return
+        parts = {part: split.records(part) for part in Split}
+        # The parts partition the manifest, each in recording order.
+        assert sorted(i for part in Split for i in split.positions[part]) == list(range(len(records)))
+        for part in Split:
+            assert parts[part] == sorted(parts[part], key=ManifestRecord.sort_key)
+        for label, ordered in by_label.items():
+            train, test = ([r for r in parts[part] if r.label is label]
+                           for part in (Split.TRAIN, Split.TEST))
+            if label is E:
+                remainder = len(ordered) - empty_test
+                n_train = empty_train if empty_train is not None else round(remainder * 66 / 166)
+                assert train == ordered[:n_train]
+                assert test == ordered[len(ordered) - empty_test:]
+            else:
+                n_test = min(test_per_class, len(car2[label]))
+                assert test == car2[label][len(car2[label]) - n_test:]
+                assert train == car1[label][:len(car1[label]) - requested.get(label, 0)]
+
+
 class TestEpochSchedule:
     def small_split(self, n_occ=3, n_empty=2):
         records = [ManifestRecord(f"b{i}.cir", B, "car1", "front", f"p{i}", 0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwbocc import evaluate
 from uwbocc.augment import SnrReference
 from uwbocc.baselines import energy_detector
 from uwbocc.core import ActivityLabel
@@ -25,6 +26,7 @@ from uwbocc.evaluate import (
     read_report,
     roc_auc,
     snr_sweep,
+    _test_groups,
 )
 
 
@@ -217,6 +219,28 @@ class TestSnrSweep:
                            grid=[0.0], synthetic_negatives=8)
         assert report.rows[0].n_neg == 8
         assert report.config["synthetic_negatives"] == 8
+
+    def test_synthetic_negatives_share_one_read_only_zero_residual(self):
+        samples = sweep_samples(n_neg=2)
+        _, negatives = _test_groups(samples, 5)
+        assert all(a is b.residual for a, b in zip(negatives, samples[-2:]))
+        zero = negatives[2].base
+        assert len(negatives) == 7 and all(z.base is zero for z in negatives[2:])
+        assert len({id(z) for z in negatives}) == 7  # each negative is drawn as its own sample
+        assert not zero.flags.writeable and not negatives[2].flags.writeable and not zero.any()
+        assert zero.shape == samples[0].residual.shape and zero.dtype == samples[0].residual.dtype
+
+    def test_synthetic_negatives_capped_by_grid_point_bytes(self, monkeypatch):
+        samples = sweep_samples()  # 12 samples; a plane takes a residual's bytes
+        nbytes = samples[0].residual.nbytes
+        monkeypatch.setattr(evaluate, "MAX_GRID_POINT_BYTES", (12 + 4) * nbytes)
+        report = snr_sweep(SpikeScorer(), samples, SnrReference(100.0), grid=[0.0],
+                           synthetic_negatives=4)
+        assert report.rows[0].n_neg == 6 + 4
+        with pytest.raises(ConfigError, match=f"synthetic_negatives 5 makes each grid point "
+                                              f"17 planes of {nbytes} bytes, over the cap"):
+            snr_sweep(SpikeScorer(), samples, SnrReference(100.0), grid=[0.0],
+                      synthetic_negatives=5)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
