@@ -166,6 +166,9 @@ def cmd_simulate(ns) -> int:
     if ns.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {ns.seed}")
     out = _resolve_data_dir(ns.out)
+    if ns.scene and ns.replaced_by_scene:
+        raise ConfigError(f"{ns.replaced_by_scene[0]} has no effect with --scene {ns.scene}: "
+                          "the scene sets the clutter and the noise level")
     scene = load_scene(ns.scene) if ns.scene else None
     cfg = RadarConfig(n_fast=ns.n_fast, m_slow=ns.m_slow)
     values = cfg.n_fast * cfg.m_slow
@@ -352,6 +355,14 @@ def cmd_report(ns) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class _ReplacedByScene(argparse.Action):
+    """Stores the option's value and notes that it was given: simulate refuses it with --scene."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.replaced_by_scene += (option_string,)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbocc",
@@ -384,11 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fast-time bins per column")
     p.add_argument("--m-slow", type=int, default=RadarConfig.m_slow,
                    help="slow-time columns per sample")
-    p.add_argument("--sensor-noise", type=float)
-    p.add_argument("--clutter-paths", type=int)
+    p.add_argument("--sensor-noise", type=float, action=_ReplacedByScene)
+    p.add_argument("--clutter-paths", type=int, action=_ReplacedByScene)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file of option defaults (explicit flags win)")
-    p.set_defaults(func=cmd_simulate, **_defaults(synth_dataset, "sensor_noise", "clutter_paths"))
+    p.set_defaults(func=cmd_simulate, replaced_by_scene=(),
+                   **_defaults(synth_dataset, "sensor_noise", "clutter_paths"))
 
     p = sub.add_parser("import", help="segment an external recording into a dataset")
     p.add_argument("recording", help="continuous recording in .cir container format")
@@ -497,7 +509,7 @@ def _config_args(ns: argparse.Namespace) -> list:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object of option values")
-    valid = set(vars(ns)) - {"func", "command", "config"}
+    valid = set(vars(ns)) - {"func", "command", "config", "replaced_by_scene"}
     tokens = []
     for key in sorted(doc):
         dest = key.replace("-", "_")

@@ -25,6 +25,7 @@ __all__ = [
     "check_provenance",
     "frobenius_energy",
     "mean_remove",
+    "read_counts",
 ]
 
 
@@ -47,6 +48,30 @@ class ActivityLabel(enum.Enum):
         except ValueError:
             valid = ", ".join(m.value for m in cls)
             raise ConfigError(f"unknown activity label {name!r} (valid: {valid})") from None
+
+
+def read_counts(counts, argument: str) -> dict[ActivityLabel, int]:
+    """{label: count} from a mapping keyed by labels or label names in any case.
+
+    Each label may appear once, and each count must be an integer >= 0: a
+    bool, a float or a string is refused.  Every refusal is a ConfigError
+    that starts with argument, the name the caller knows the mapping by.
+    """
+    read: dict[ActivityLabel, int] = {}
+    for key, value in dict(counts).items():
+        try:
+            label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
+        except ConfigError as exc:
+            raise ConfigError(f"{argument}: {exc}") from None
+        if label in read:
+            raise ConfigError(f"{argument}: {label.value} given more than once")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{argument}: the {label.value} count must be an integer, "
+                              f"got {value!r}")
+        if value < 0:
+            raise ConfigError(f"{argument}: negative count for {label.value}: {value}")
+        read[label] = int(value)
+    return read
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ActivityLabel, CirMatrix, SampleRecord, check_provenance
+from .core import ActivityLabel, CirMatrix, SampleRecord, check_provenance, read_counts
 from .errors import ConfigError, DataError
 from .simulate import RadarConfig
 
@@ -305,10 +305,10 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     Occupied classes: the sequence is the car1 records (every car but car2)
     followed by the car2 records.  The first cut leaves the last n car1
     records for Validation, where car1_validation maps the class to n
-    (default 0); the published split does this, holding out part of the
-    car1 data to steer early stopping.  The second cut leaves the last
-    test_per_class car2 records for Test, and puts the car2 records before
-    them in Validation.
+    (default 0; read by core.read_counts); the published split does this,
+    holding out part of the car1 data to steer early stopping.  The second
+    cut leaves the last test_per_class car2 records for Test, and puts the
+    car2 records before them in Validation.
 
     Empty class (car2 only): the first empty_train records go to Train and
     the last empty_test to Test, so the middle is Validation.  empty_train
@@ -319,13 +319,7 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     """
     if test_per_class < 0 or empty_test < 0 or (empty_train or 0) < 0:
         raise ConfigError("test and train counts must be >= 0")
-    requested: dict = {}
-    for key, value in (car1_validation or {}).items():
-        try:
-            label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
-        except ConfigError as exc:
-            raise ConfigError(f"car1_validation: {exc}") from None
-        requested[label] = int(value)
+    requested = read_counts(car1_validation or {}, "car1_validation")
     # Work in recording ranks: order[rank] is the manifest position of ranked[rank].
     order = sorted(range(len(manifest.records)), key=lambda i: manifest.records[i].sort_key())
     ranked = [manifest.records[i] for i in order]

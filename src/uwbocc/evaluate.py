@@ -151,8 +151,11 @@ def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
     negatives = groups.get(ActivityLabel.EMPTY, [])
     if not negatives and synthetic_negatives < 1:
         raise DataError("sweep needs empty-class samples as negatives")
+    activities = [(lab, groups[lab]) for lab in ActivityLabel if lab.occupied and lab in groups]
+    if not activities:
+        raise DataError("sweep needs at least one occupied activity in the test samples")
     if synthetic_negatives:
-        template = (negatives or [r for g in groups.values() for r in g])[0]
+        template = (negatives or activities[0][1])[0]
         # A sample's planes take its residual's bytes: (2, N, M) of its real dtype.
         n_planes = sum(map(len, groups.values())) + synthetic_negatives
         if n_planes * template.nbytes > MAX_GRID_POINT_BYTES:
@@ -164,9 +167,6 @@ def _test_groups(samples, synthetic_negatives: int = 0) -> tuple[list, list]:
         zero = np.zeros_like(template)
         zero.setflags(write=False)
         negatives = negatives + [zero.view() for _ in range(synthetic_negatives)]
-    activities = [(lab, groups[lab]) for lab in ActivityLabel if lab.occupied and lab in groups]
-    if not activities:
-        raise DataError("sweep needs at least one occupied activity in the test samples")
     return activities, negatives
 
 

@@ -13,11 +13,12 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .core import ActivityLabel, CirMatrix, SampleRecord
+from .core import ActivityLabel, CirMatrix, SampleRecord, read_counts
 from .errors import ConfigError
 
 __all__ = [
@@ -309,9 +310,10 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
                   clutter_paths: int = 4) -> list[SampleRecord]:
     """Generate a labeled synthetic dataset with per-class sample counts.
 
-    counts maps ActivityLabel (or its string value) to a non-negative count.
-    Empty samples contain clutter and noise only; occupied samples add one
-    randomized target path with the motion family of their class.  When a
+    counts maps ActivityLabel (or its name, in any case) to a non-negative
+    integer count; core.read_counts says what it refuses.  Empty samples
+    contain clutter and noise only; occupied samples add one randomized
+    target path with the motion family of their class.  When a
     scene is given, its clutter, noise level, and any matching target
     templates are used instead of randomized ones (target phase is still
     re-randomized per sample), and sensor_noise and clutter_paths are
@@ -329,16 +331,15 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
         raise ConfigError(f"seed must be >= 0, got {rng}")
     cfg = cfg or RadarConfig()
     rng = np.random.default_rng(rng)
-    wanted: dict[ActivityLabel, int] = {}
-    for key, value in dict(counts).items():
-        label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
-        if int(value) < 0:
-            raise ConfigError(f"negative sample count for {label.value}")
-        wanted[label] = int(value)
+    wanted = read_counts(counts, "counts")
 
-    noise_sigma = scene.noise_sigma if scene is not None else sensor_noise
     templates: dict[ActivityLabel, tuple[PathComponent, MotionModel]] = {}
-    if scene is not None:
+    if scene is None:
+        draw_clutter = partial(_random_clutter, rng, cfg, clutter_paths)
+        noise_sigma = sensor_noise
+    else:
+        draw_clutter = lambda: scene.clutter_paths
+        noise_sigma = scene.noise_sigma
         for path, motion in scene.target_paths:
             if motion.kind in templates:
                 raise ConfigError(f"the scene has two {motion.kind.value} targets; "
@@ -350,29 +351,23 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
 
     records: list[SampleRecord] = []
     for label in ActivityLabel:
-        total = wanted.get(label, 0)
-        for i in range(total):
-            clutter = scene.clutter_paths if scene is not None else _random_clutter(rng, cfg, clutter_paths)
+        for i in range(wanted.get(label, 0)):
+            clutter = draw_clutter()
             if label.occupied:
                 targets = (_random_target(rng, cfg, label, templates.get(label)),)
+                participant = i // _SEGMENTS_PER_PARTICIPANT
+                provenance = ("car1" if i % 5 < 3 else "car2", _SEATS[participant % len(_SEATS)],
+                              f"p{label.value[0]}{participant:03d}", i % _SEGMENTS_PER_PARTICIPANT)
             else:
-                targets = ()
-            sample_scene = Scene(target_paths=targets, clutter_paths=clutter, noise_sigma=noise_sigma)
-            data = _received(sample_scene, cfg, rng)
+                targets, provenance = (), ("car2", None, None, i)
+            data = _received(Scene(targets, clutter, noise_sigma), cfg, rng)
             with np.errstate(over="ignore"):
                 stored = data.astype(np.complex64)  # the precision write_cir stores
             if not np.isfinite(stored).all():
                 raise ConfigError(f"{label.value} sample {i} overflows single precision: "
                                   "lower the noise level or the path amplitudes")
-            cir = CirMatrix(data, cfg.dt_fast, cfg.dt_slow)
-            if label.occupied:
-                participant = f"p{label.value[0]}{i // _SEGMENTS_PER_PARTICIPANT:03d}"
-                seat = _SEATS[(i // _SEGMENTS_PER_PARTICIPANT) % len(_SEATS)]
-                car = "car1" if i % 5 < 3 else "car2"
-                seg = i % _SEGMENTS_PER_PARTICIPANT
-                records.append(SampleRecord(cir, label, car, seat, participant, seg))
-            else:
-                records.append(SampleRecord(cir, label, "car2", None, None, i))
+            records.append(SampleRecord(CirMatrix(data, cfg.dt_fast, cfg.dt_slow), label,
+                                        *provenance))
     return records
 
 
@@ -402,6 +397,45 @@ def _parse_target_activity(value: str) -> ActivityLabel:
     return kind
 
 
+# The values a scene section's keys hold; every key not listed is a number.
+_SECTION_PARSERS = {"amplitude": _parse_complex_pair, "activity": _parse_target_activity}
+_SECTION_KEYS = {
+    "clutter": ("amplitude", "delay"),
+    "target": ("amplitude", "delay", "activity", "rate", "delay_excursion", "amp_excursion",
+               "jitter", "phase"),
+}
+
+
+def _scene_section(source: str, kind: str, header: int, block: dict):
+    """One section's path, or (path, motion) for a [target], from its {key: (value, line)}.
+
+    header is the line of the section's header.  Keys are read in
+    _SECTION_KEYS order, so the first bad value reported is the first in
+    that order.  amplitude and delay are required, and a target's other
+    keys default to its activity's standard motion.
+    """
+    values = {}
+    for key in _SECTION_KEYS[kind]:
+        if key in block:
+            value, lineno = block.pop(key)
+            try:
+                values[key] = _SECTION_PARSERS.get(key, _parse_number)(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
+        elif key in ("amplitude", "delay"):
+            raise ConfigError(f"{source}:{header}: [{kind}] section missing key {key!r}")
+    try:
+        if block:
+            raise ConfigError(f"unknown {kind} keys {sorted(block)}")
+        path = PathComponent(values.pop("amplitude"), values.pop("delay"))
+        if kind == "clutter":
+            return path
+        return path, MotionModel.default_for(values.pop("activity", ActivityLabel.BREATHING),
+                                             **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}:{header}: {exc}") from None
+
+
 def parse_scene(text: str, source: str = "<scene>") -> Scene:
     """Parse the plain-text scene format into a Scene.
 
@@ -411,82 +445,46 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
     activity, rate, delay_excursion, amp_excursion, jitter, phase.  `#`
     starts a comment.  Every malformed value is a ConfigError naming
     source:line.  See docs/formats.md for the full schema.
+
+    The text is read block by block: the top level, then each section from
+    its header to the next.  A top-level line is checked as it is read; a
+    section is built when its block ends.
     """
     noise_sigma = 0.0
-    clutter: list[PathComponent] = []
-    targets: list[tuple[PathComponent, MotionModel]] = []
-    section: dict[str, tuple[str, int]] | None = None  # key -> (value, line number)
-    section_kind = ""
-    section_line = 0
-    top_level: set[str] = set()  # keys given outside any section
-
-    def pop_value(key, parse, default=None):
-        """The section's value for key through parse, or default when the key is absent."""
-        if key not in section:
-            if default is None:
-                raise ConfigError(
-                    f"{source}:{section_line}: [{section_kind}] section missing key {key!r}")
-            return default
-        value, lineno = section.pop(key)
-        try:
-            return parse(value)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
-
-    def close_section():
-        nonlocal section
-        if section is None:
-            return
-        amplitude = pop_value("amplitude", _parse_complex_pair)
-        delay = pop_value("delay", _parse_number)
-        if section_kind == "target":
-            kind = pop_value("activity", _parse_target_activity, ActivityLabel.BREATHING)
-            defaults = MotionModel.default_for(kind)
-            motion = {key: pop_value(key, _parse_number, getattr(defaults, key))
-                      for key in ("rate", "delay_excursion", "amp_excursion", "jitter", "phase")}
-        try:
-            if section:
-                raise ConfigError(f"unknown {section_kind} keys {sorted(section)}")
-            path = PathComponent(amplitude, delay)
-            if section_kind == "clutter":
-                clutter.append(path)
-            else:
-                targets.append((path, MotionModel(kind=kind, **motion)))
-        except ConfigError as exc:
-            raise ConfigError(f"{source}:{section_line}: {exc}") from None
-        section = None
-
+    sections: dict[str, list] = {"clutter": [], "target": []}
+    kind, header, block = "", 0, {}  # kind "" is the top level
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            close_section()
-            name = line.strip("[] ").lower()
-            if name not in ("clutter", "target"):
-                raise ConfigError(f"{source}:{lineno}: unknown section [{name}]")
-            section, section_kind, section_line = {}, name, lineno
+            if kind:
+                sections[kind].append(_scene_section(source, kind, header, block))
+            kind, header, block = line.strip("[] ").lower(), lineno, {}
+            if kind not in sections:
+                raise ConfigError(f"{source}:{lineno}: unknown section [{kind}]")
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if key in (section if section is not None else top_level):
+        if key in block:
             raise ConfigError(f"{source}:{lineno}: {key} given twice")
-        if section is not None:
-            section[key] = (value, lineno)
-        elif key == "noise_sigma":
-            top_level.add(key)
-            try:
-                noise_sigma = float(value)
-            except ValueError:
-                raise ConfigError(f"{source}:{lineno}: noise_sigma must be a number") from None
-        else:
+        block[key] = (value, lineno)
+        if kind:
+            continue
+        if key != "noise_sigma":
             raise ConfigError(f"{source}:{lineno}: unknown top-level key {key!r}")
-    close_section()
+        try:
+            noise_sigma = float(value)
+        except ValueError:
+            raise ConfigError(f"{source}:{lineno}: noise_sigma must be a number") from None
+    if kind:
+        sections[kind].append(_scene_section(source, kind, header, block))
 
     try:
-        return Scene(target_paths=tuple(targets), clutter_paths=tuple(clutter), noise_sigma=noise_sigma)
+        return Scene(target_paths=tuple(sections["target"]),
+                     clutter_paths=tuple(sections["clutter"]), noise_sigma=noise_sigma)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

@@ -767,6 +767,21 @@ USER_MISTAKES = {
                            "--out", tmp / "x"], 2),
     "negative simulate count": (
         lambda data, tmp: ["simulate", "--count", "empty=-1", "--out", tmp / "x"], 2),
+    # A scene sets the clutter and the noise level, so these options would do nothing.
+    "scene with --sensor-noise": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--scene", scene_file(tmp, ""), "--sensor-noise", "5"], 2),
+    "scene with --clutter-paths": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--scene", scene_file(tmp, ""), "--clutter-paths=9"], 2),
+    "scene with --sensor-noise from the config file": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--scene", scene_file(tmp, ""),
+                           "--config", write_config(tmp, {"sensor-noise": 0.001})], 2),
+    "synthetic negatives for a dataset with no records": (
+        lambda data, tmp: ["evaluate", "--data", edited_manifest(
+            data, lambda doc: doc.update(records=[])), "--detector", "energy",
+            "--reference-energy", "1", "--synthetic-negatives", "3", "--out", tmp / "r.json"], 3),
     "negative simulate seed": (
         lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
                            "--seed=-1"], 2),
@@ -986,6 +1001,33 @@ def test_scene_content_errors_name_the_scene_file(mistake, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: scene {scene}: ")
     assert cause in proc.stderr
+
+
+@pytest.mark.parametrize("flags, option", [
+    (["--sensor-noise", "5"], "--sensor-noise"),
+    (["--clutter-paths=9"], "--clutter-paths"),
+    # Given at its default value, the option is still refused: the scene replaces it.
+    (["--sensor-noise=0.001", "--clutter-paths", "4"], "--sensor-noise"),
+])
+def test_scene_refuses_the_options_it_replaces(flags, option, tmp_path):
+    scene = scene_file(tmp_path, "")
+    out = tmp_path / "x"
+    proc = run_cli(["simulate", "--count", "empty=2", "--count", "breathing=2", "--n-fast", "16",
+                    "--m-slow", "24", "--scene", scene, *flags, "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {option} has no effect with --scene {scene}: "
+                           "the scene sets the clutter and the noise level\n")
+    assert not out.exists()
+
+
+def test_synthetic_negatives_need_an_occupied_activity(dataset, tmp_path):
+    data = edited_manifest(dataset, lambda doc: doc.update(records=[]))
+    out = tmp_path / "r.json"
+    proc = run_cli(["evaluate", "--data", data, "--detector", "energy", "--reference-energy", "1",
+                    "--synthetic-negatives", "3", "--out", out])
+    assert proc.returncode == 3
+    assert proc.stderr == "error: sweep needs at least one occupied activity in the test samples\n"
+    assert not out.exists()
 
 
 def test_negative_seed_is_not_blamed_on_the_scene(tmp_path, capsys):

@@ -11,6 +11,7 @@ from uwbocc.core import (
     SampleRecord,
     frobenius_energy,
     mean_remove,
+    read_counts,
 )
 from uwbocc.errors import ConfigError
 
@@ -172,3 +173,29 @@ class TestDataModel:
         rec = SampleRecord(cir, ActivityLabel.BREATHING, "car1", "front", "p007")
         assert rec.segment_index == 0
         assert rec.label.occupied
+
+
+class TestReadCounts:
+    def test_labels_and_names_in_any_case(self):
+        counts = {ActivityLabel.BREATHING: 2, "Talking": np.int64(3), " MOVING ": 0, "empty": 1}
+        assert read_counts(counts, "counts") == {
+            ActivityLabel.BREATHING: 2, ActivityLabel.TALKING: 3, ActivityLabel.MOVING: 0,
+            ActivityLabel.EMPTY: 1}
+        assert all(type(n) is int for n in read_counts(counts, "counts").values())
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"breathing": 1.7}, "the breathing count must be an integer, got 1.7"),
+        ({"breathing": 2.0}, "the breathing count must be an integer, got 2.0"),
+        ({"breathing": "x"}, "the breathing count must be an integer, got 'x'"),
+        ({"breathing": "3"}, "the breathing count must be an integer, got '3'"),
+        ({"breathing": None}, "the breathing count must be an integer, got None"),
+        ({"breathing": True}, "the breathing count must be an integer, got True"),
+        ({"breathing": -1}, "negative count for breathing: -1"),
+        ({"breathing": 1, "Breathing": 2}, "breathing given more than once"),
+        ({ActivityLabel.EMPTY: 1, "empty": 2}, "empty given more than once"),
+        ({"sleeping": 1}, "unknown activity label 'sleeping'"),
+    ])
+    def test_refusals_name_the_argument(self, counts, message):
+        with pytest.raises(ConfigError) as caught:
+            read_counts(counts, "wanted")
+        assert str(caught.value).startswith(f"wanted: {message}")

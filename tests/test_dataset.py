@@ -377,6 +377,17 @@ class TestMakeSplit:
         assert counts["moving"] == {"train": 380, "validation": 161 + 410, "test": 150}
         assert counts["empty"] == {"train": 66, "validation": 100, "test": 20}
 
+    @pytest.mark.parametrize("car1_validation, message", [
+        ({"breathing": 1.7}, "car1_validation: the breathing count must be an integer, got 1.7"),
+        ({"breathing": "x"}, "car1_validation: the breathing count must be an integer, got 'x'"),
+        ({"breathing": None}, "car1_validation: the breathing count must be an integer, got None"),
+        ({"breathing": 1, "Breathing": 2}, "car1_validation: breathing given more than once"),
+    ])
+    def test_car1_validation_counts_are_one_integer_per_label(self, car1_validation, message):
+        with pytest.raises(ConfigError) as caught:
+            make_split(table_style_manifest(), 150, 20, car1_validation=car1_validation)
+        assert str(caught.value) == message
+
     def test_default_sends_all_car1_to_train(self):
         manifest = table_style_manifest()
         split = make_split(manifest, test_per_class=150, empty_test=20)

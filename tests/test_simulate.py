@@ -246,6 +246,17 @@ class TestSynthDataset:
         with pytest.raises(ConfigError):
             synth_dataset({"empty": -1}, CFG, rng=0)
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"breathing": 1.7}, "counts: the breathing count must be an integer, got 1.7"),
+        ({"breathing": "x"}, "counts: the breathing count must be an integer, got 'x'"),
+        ({"breathing": None}, "counts: the breathing count must be an integer, got None"),
+        ({"breathing": 1, "Breathing": 2}, "counts: breathing given more than once"),
+    ])
+    def test_counts_that_are_not_one_integer_per_label_refused(self, counts, message):
+        with pytest.raises(ConfigError) as caught:
+            synth_dataset(counts, RadarConfig(n_fast=16, m_slow=24), rng=0)
+        assert str(caught.value) == message
+
 
 def format_scene(scene) -> str:
     """The scene in parse_scene's text format, every float written with repr."""
@@ -365,6 +376,59 @@ class TestSceneParsing:
                "rate = -1\n"
         with pytest.raises(ConfigError, match="^cabin.txt:4: motion rate"):
             parse_scene(text, source="cabin.txt")
+
+
+# Lines a scene text is drawn from: whole valid sections, and single lines
+# that are valid or malformed (unknown sections and keys, bad numbers,
+# comments, mixed case, blank lines); a key drawn twice in one block repeats it.
+SCENE_KEYS = ("amplitude", "delay", "activity", "rate", "delay_excursion", "amp_excursion",
+              "jitter", "phase", "noise_sigma", "colour")
+SCENE_VALUES = ("1", "0.5 -0.2", "4e-9", "9e-9", "0", "-1", "x", "nan", "inf", "1 2 3", "",
+                "1e300", "breathing", "TALKING", "empty", "sleeping")
+SCENE_LINES = st.one_of(
+    st.sampled_from(["[clutter]\namplitude = 1\ndelay = 4e-9",
+                     "[target]\namplitude = 0.8\ndelay = 9e-9\nactivity = moving",
+                     "noise_sigma = 0.01"]),
+    st.sampled_from(["[clutter]", "[target]", "[ Target ]", "[CLUTTER", "[windmill]", "[]",
+                     "", "   ", "# a comment", "what is this", "= 1", "a = b = c"]),
+    st.builds("{}{}{}{}".format,
+              st.sampled_from(SCENE_KEYS).flatmap(
+                  lambda key: st.sampled_from([key, key.upper(), key.title(), f"  {key}"])),
+              st.sampled_from(["=", " = ", "= "]), st.sampled_from(SCENE_VALUES),
+              st.sampled_from(["", "  # note"])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SCENE_LINES, max_size=12))
+def test_scene_reader_returns_a_scene_or_names_the_fault(lines):
+    text = "\n".join(lines)
+    try:
+        scene = parse_scene(text, source="cabin.txt")
+    except ConfigError as exc:
+        where, _, _ = str(exc).partition(": ")
+        assert where.startswith("cabin.txt"), exc
+        if where != "cabin.txt":  # a line error names a line of the text that holds something
+            lineno = int(where.removeprefix("cabin.txt:"))
+            assert 1 <= lineno <= len(text.splitlines()), exc
+            assert text.splitlines()[lineno - 1].split("#", 1)[0].strip(), exc
+    else:
+        assert isinstance(scene, Scene)
+
+
+@pytest.mark.parametrize("text, message", [
+    # A section is built when its block ends, so its fault comes before any later line's.
+    ("[clutter]\namplitude = 1\n[target]\nfoo", "cabin.txt:1: [clutter] section missing key 'delay'"),
+    ("[clutter]\namplitude = x\ndelay = 1e-9\n[windmill]\n",
+     "cabin.txt:2: amplitude: expected 're' or 're im', got 'x'"),
+    ("[target]\namplitude = 1\ndelay = 9e-9\nrate = -1\n[clutter]\ndelay = 1 2\n",
+     "cabin.txt:1: motion rate must be positive"),
+    # A top-level line is checked as it is read.
+    ("noise_sigma = x\nwhat is this\n", "cabin.txt:1: noise_sigma must be a number"),
+])
+def test_first_fault_of_several_is_reported(text, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_scene(text, source="cabin.txt")
+    assert str(caught.value) == message
 
 
 class TestSceneDatasets:

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import uwbocc
@@ -121,3 +123,55 @@ def test_only_the_layer_plan_walks_the_blocks_for_counting():
         callers.update(references(tree, "_blocks", module_name(path)))
     assert "uwbocc.nn.model._layer_plan" in callers  # the search sees the one walk it allows
     assert callers <= allowed, f"code reaching nn.model._blocks: {sorted(callers - allowed)}"
+
+
+KNOWN_FUNCTIONS = '''
+def f(xs, flag):
+    """A docstring
+
+    of three lines."""
+    # a comment
+
+    total = 0
+    for x in xs:
+        if x and flag or not x:
+            total += 1 if x else 2
+    try:
+        return [y for y in xs for z in y if z]
+    except TypeError:
+        while False:
+            pass
+        return total
+
+
+class C:
+    def m(self,
+          other):
+        def inner():
+            return 1 if self else other
+        return inner
+'''
+
+
+def decision_point_rows(package: Path) -> dict:
+    """{function: (decision points, code lines)} as tools/decision_points.py prints them."""
+    tool = Path(__file__).parents[1] / "tools" / "decision_points.py"
+    out = subprocess.run([sys.executable, tool, "--package", package], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["function", "decisions", "code", "lines"]
+    return {name: (int(points), int(lines)) for name, points, lines in map(str.split, rows)}
+
+
+def test_decision_point_counter(tmp_path):
+    # f: for, if, one extra and/or operand each in `x and flag or not x`, a
+    # conditional expression, two comprehension fors, except and while; its
+    # docstring, comment and blank lines are not code.  inner counts toward C.m.
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(KNOWN_FUNCTIONS)
+    assert decision_point_rows(tmp_path / "pkg") == {
+        "pkg.mod.f": (9, 10), "pkg.mod.C.m": (1, 3), "total": (10, 13)}
+    rows = decision_point_rows(PACKAGE)
+    total = rows.pop("total")
+    assert "uwbocc.dataset.make_split" in rows and "uwbocc.simulate.parse_scene" in rows
+    assert total == tuple(map(sum, zip(*rows.values())))
