@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .augment import SnrReference
 from .baselines import DEFAULT_ENERGY_WINDOW
-from .core import ActivityLabel, CirMatrix
+from .core import ActivityLabel, CirMatrix, read_json
 from .dataset import make_split, read_cir, read_dataset, segment_recording, write_dataset
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluate import (
@@ -142,12 +142,26 @@ def _residual_dataset(data) -> tuple:
     return manifest, residual_samples(records)
 
 
-def _reference(ns, samples, checkpoint_extra=None) -> SnrReference:
-    """Resolve the SNR reference: flag, then checkpoint, then the data itself."""
+def _reference(ns, samples, checkpoints) -> SnrReference:
+    """Resolve the SNR anchor: the flag, then the checkpoints, then the data itself.
+
+    checkpoints holds (path, extra) of each checkpoint the command loaded, in
+    load order.  Those that store a reference energy must all store the same
+    one, unless --reference-energy chooses; with none stored, the anchor is
+    the breathing median of the scored samples.
+    """
     if ns.reference_energy is not None:
         return SnrReference(ns.reference_energy)
-    if checkpoint_extra and "reference_energy" in checkpoint_extra:
-        return SnrReference(float(checkpoint_extra["reference_energy"]))
+    stored: dict = {}  # each stored reference energy: the first checkpoint that stores it
+    for path, extra in checkpoints:
+        if "reference_energy" in extra:
+            stored.setdefault(extra["reference_energy"], path)
+    if len(stored) > 1:
+        (energy, path), (other, other_path), *_ = stored.items()
+        raise DataError(f"checkpoints {path} and {other_path} store different reference "
+                        f"energies ({energy} and {other}); pass --reference-energy to choose one")
+    if stored:
+        return SnrReference(float(*stored))
     try:
         return reference_from_training(samples)
     except DataError:
@@ -259,25 +273,31 @@ def cmd_train(ns) -> int:
     return 0
 
 
-def cmd_evaluate(ns) -> int:
-    _, samples = _residual_dataset(ns.data)
-    checkpoint_extra = None
-    if ns.detector == "resnet":
-        if not ns.model:
-            raise ConfigError("--detector resnet needs --model CHECKPOINT")
-        network, checkpoint_extra = load_checkpoint(ns.model)
-        scorer = NetworkScorer(network)
-    else:
-        scorer = BaselineScorer(ns.detector, window_cols=ns.energy_window)
-    ref = _reference(ns, samples, checkpoint_extra)
-    report = snr_sweep(scorer, samples, ref, grid=_parse_grid(ns.eval_grid),
-                       seed=ns.seed, exact_scaling=ns.exact_snr_scaling,
-                       synthetic_negatives=ns.synthetic_negatives, threads=ns.threads)
+def _write_report(ns, report, detectors: str) -> int:
+    """Write the report to --out as JSON and, with --csv, as CSV; say what was written."""
     emit_report(report, "json", _output_path(ns.out))
     if ns.csv:
         emit_report(report, "csv", _output_path(ns.csv))
-    print(f"wrote {ns.out} ({len(report.rows)} rows, detector {scorer.name})")
+    print(f"wrote {ns.out} ({len(report.rows)} rows, {detectors})")
     return 0
+
+
+def cmd_evaluate(ns) -> int:
+    _, samples = _residual_dataset(ns.data)
+    if ns.detector == "resnet":
+        if not ns.model:
+            raise ConfigError("--detector resnet needs --model CHECKPOINT")
+        network, extra = load_checkpoint(ns.model)
+        scorer, checkpoints = NetworkScorer(network), [(ns.model, extra)]
+    elif ns.model:
+        raise ConfigError(f"--model is for --detector resnet, not --detector {ns.detector}")
+    else:
+        scorer, checkpoints = BaselineScorer(ns.detector, window_cols=ns.energy_window), []
+    report = snr_sweep(scorer, samples, _reference(ns, samples, checkpoints),
+                       grid=_parse_grid(ns.eval_grid), seed=ns.seed,
+                       exact_scaling=ns.exact_snr_scaling,
+                       synthetic_negatives=ns.synthetic_negatives, threads=ns.threads)
+    return _write_report(ns, report, f"detector {scorer.name}")
 
 
 def cmd_ablate(ns) -> int:
@@ -285,40 +305,26 @@ def cmd_ablate(ns) -> int:
     models_dir = Path(ns.models)
     if not models_dir.is_dir():
         raise DataError(f"{models_dir} is not a directory of checkpoints")
-    scorers: dict = {}
-    stored = None  # (path, extra) of the first checkpoint that stores a reference energy
+    scorers, checkpoints = {}, []
     for path in sorted(models_dir.glob("*.ckpt")):
         network, extra = load_checkpoint(path)
         name = network.variant.name
         if name in scorers:
             raise ConfigError(f"two checkpoints in {models_dir} both claim variant {name}")
         scorers[name] = NetworkScorer(network)
-        if "reference_energy" not in extra:
-            continue
-        if stored is None:
-            stored = (path, extra)
-        elif (extra["reference_energy"] != stored[1]["reference_energy"]
-              and ns.reference_energy is None):
-            raise DataError(
-                f"checkpoints {stored[0]} and {path} store different reference energies "
-                f"({stored[1]['reference_energy']} and {extra['reference_energy']}); "
-                "pass --reference-energy to choose one")
+        checkpoints.append((path, extra))
     if not scorers:
         raise DataError(f"no .ckpt files in {models_dir}")
     if ns.include_baselines:
         scorers["energy"] = BaselineScorer("energy", window_cols=ns.energy_window)
         scorers["fft"] = BaselineScorer("fft")
-    ref = _reference(ns, samples, stored[1] if stored else None)
+    ref = _reference(ns, samples, checkpoints)
     missing = sorted(set(VARIANTS) - set(scorers))
     if missing and not ns.allow_missing:
         raise DataError(f"ablation is missing trained checkpoints for: {', '.join(missing)}")
     report = ablation(scorers, samples, ref, seed=ns.seed,
                       exact_scaling=ns.exact_snr_scaling, threads=ns.threads)
-    emit_report(report, "json", _output_path(ns.out))
-    if ns.csv:
-        emit_report(report, "csv", _output_path(ns.csv))
-    print(f"wrote {ns.out} ({len(report.rows)} rows, {len(scorers)} detectors)")
-    return 0
+    return _write_report(ns, report, f"{len(scorers)} detectors")
 
 
 def _print_text_report(report) -> None:
@@ -500,13 +506,7 @@ def _config_args(ns: argparse.Namespace) -> list:
     path = getattr(ns, "config", None)
     if not path:
         return []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "config", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object of option values")
     valid = set(vars(ns)) - {"func", "command", "config", "replaced_by_scene"}

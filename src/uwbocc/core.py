@@ -12,6 +12,7 @@ in this package operates on.  That residual is a plain read-only complex
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "frobenius_energy",
     "mean_remove",
     "read_counts",
+    "read_json",
 ]
 
 
@@ -72,6 +74,22 @@ def read_counts(counts, argument: str) -> dict[ActivityLabel, int]:
             raise ConfigError(f"{argument}: negative count for {label.value}: {value}")
         read[label] = int(value)
     return read
+
+
+def read_json(path, what: str, error: type[Exception]):
+    """The JSON document in the UTF-8 file at path.
+
+    A file that cannot be opened or read, or that is not UTF-8 JSON, raises
+    error(message), the message naming the file as what (config, manifest,
+    report) and its path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ActivityLabel, CirMatrix, SampleRecord, check_provenance, read_counts
+from .core import (ActivityLabel, CirMatrix, SampleRecord, check_provenance, read_counts,
+                   read_json)
 from .errors import ConfigError, DataError
 from .simulate import RadarConfig
 
@@ -206,13 +207,7 @@ def write_dataset(records, manifest_path, radar: RadarConfig | None = None) -> D
 
 def read_manifest(manifest_path) -> DatasetManifest:
     manifest_path = os.fspath(manifest_path)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {manifest_path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from None
+    doc = read_json(manifest_path, "manifest", DataError)
     if not isinstance(doc, dict) or doc.get("format") != "uwbocc-dataset":
         raise DataError(f"{manifest_path}: not a dataset manifest (format field missing or wrong)")
     try:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .augment import SnrReference, corrupt_batch
-from .core import ActivityLabel
+from .core import ActivityLabel, read_json
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -337,13 +337,7 @@ def emit_report(report: EvalReport, fmt: str, path) -> None:
 
 def read_report(path) -> EvalReport:
     """Load the JSON form back into an EvalReport (CSV is export-only)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"report {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "report", DataError)
     try:
         rows = tuple(
             EvalRow(r["name"], r["activity"], float(r["snr_db"]), float(r["auc"]),

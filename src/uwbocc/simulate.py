@@ -317,9 +317,10 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     scene is given, its clutter, noise level, and any matching target
     templates are used instead of randomized ones (target phase is still
     re-randomized per sample), and sensor_noise and clutter_paths are
-    unused; a scene may hold one target per activity, and needs clutter
-    for empty samples.  A sample that overflows single precision, the
-    precision .cir files store, is a ConfigError.  Deterministic given the seed.
+    unused; a scene may hold one target per activity.  Empty samples need
+    clutter: clutter_paths >= 1, or a scene with clutter.  A sample that
+    overflows single precision, the precision .cir files store, is a
+    ConfigError.  Deterministic given the seed.
 
     Occupied samples are spread over two cars (3:2 pattern) and empty samples
     are assigned to car2 only, mirroring the acquisition protocol the split
@@ -335,6 +336,9 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
 
     templates: dict[ActivityLabel, tuple[PathComponent, MotionModel]] = {}
     if scene is None:
+        if wanted.get(ActivityLabel.EMPTY) and clutter_paths == 0:
+            raise ConfigError("empty samples are clutter and noise only, so they need "
+                              "clutter_paths >= 1, got 0")
         draw_clutter = partial(_random_clutter, rng, cfg, clutter_paths)
         noise_sigma = sensor_noise
     else:

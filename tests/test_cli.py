@@ -419,6 +419,29 @@ class TestAblate:
         assert "1D-E.ckpt" in err and "2D-E.ckpt" in err
         assert run(*args, "--reference-energy", "3.0") == 0
 
+    def test_checkpoints_that_agree_give_their_reference(self, dataset, tmp_path):
+        models = self.write_models(tmp_path, (2.5, 2.5))
+        out = tmp_path / "r.json"
+        assert run("ablate", "--data", dataset, "--models", models,
+                   "--allow-missing", "--out", out) == 0
+        assert read_report(out).config["reference_energy"] == 2.5
+
+    def test_disagreement_names_the_first_checkpoint_and_the_one_that_differs(
+            self, dataset, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name, ref in (("1D-D", 2.5), ("1D-E", 2.5), ("2D-E", 4.0)):
+            shape = (2, 16, 24) if name.startswith("2D") else (32, 24)
+            save_checkpoint(build_network(name, shape, seed=1), models / f"{name}.ckpt",
+                            {"reference_energy": ref})
+        out = tmp_path / "r.json"
+        assert run("ablate", "--data", dataset, "--models", models, "--allow-missing",
+                   "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: checkpoints {models / '1D-D.ckpt'} and {models / '2D-E.ckpt'} store "
+            "different reference energies (2.5 and 4.0); pass --reference-energy to choose one\n")
+        assert not out.exists()
+
     def test_missing_variants_without_flag(self, dataset, checkpoint, tmp_path, capsys):
         models = tmp_path / "models"
         models.mkdir()
@@ -782,6 +805,17 @@ USER_MISTAKES = {
         lambda data, tmp: ["evaluate", "--data", edited_manifest(
             data, lambda doc: doc.update(records=[])), "--detector", "energy",
             "--reference-energy", "1", "--synthetic-negatives", "3", "--out", tmp / "r.json"], 3),
+    # Empty samples are clutter and noise only.
+    "empty samples with no clutter paths": (
+        lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
+                           "--clutter-paths", "0"], 2),
+    "--model with a baseline detector": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--model", tmp / "nowhere.ckpt", "--out", tmp / "r.json"], 2),
+    "--model with a baseline detector from the config file": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "fft",
+                           "--config", write_config(tmp, {"model": str(tmp / "nowhere.ckpt")}),
+                           "--out", tmp / "r.json"], 2),
     "negative simulate seed": (
         lambda data, tmp: ["simulate", "--count", "empty=2", "--out", tmp / "x",
                            "--seed=-1"], 2),
@@ -1028,6 +1062,62 @@ def test_synthetic_negatives_need_an_occupied_activity(dataset, tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == "error: sweep needs at least one occupied activity in the test samples\n"
     assert not out.exists()
+
+
+def test_empty_samples_need_clutter_paths(tmp_path):
+    out = tmp_path / "x"
+    proc = run_cli(["simulate", "--count", "empty=2", "--clutter-paths", "0", "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: empty samples are clutter and noise only, so they need "
+                           "clutter_paths >= 1, got 0\n")
+    assert not out.exists()
+    # Occupied samples have a target path, so they need no clutter.
+    assert run("simulate", "--count", "breathing=2", "--clutter-paths", "0", "--out", out) == 0
+
+
+@pytest.mark.parametrize("detector, as_config", [("energy", False), ("fft", True)])
+def test_model_is_refused_with_a_baseline_detector(detector, as_config, dataset, tmp_path):
+    model = tmp_path / "m.ckpt"
+    given = (["--config", write_config(tmp_path, {"model": str(model)})] if as_config
+             else ["--model", model])
+    out = tmp_path / "r.json"
+    proc = run_cli(["evaluate", "--data", dataset, "--detector", detector, *given, "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --model is for --detector resnet, not --detector {detector}\n"
+    assert not out.exists()
+
+
+# How each JSON input is refused: (file content or None for a missing file,
+# the message's cause after the path).
+JSON_FILE_FAULTS = {
+    "missing": (None, "[Errno 2] No such file or directory: '{path}'"),
+    "not JSON": (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    "not UTF-8": (b'{\xff"seed": 1}',
+                  "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("what", ["config", "manifest", "report"])
+@pytest.mark.parametrize("fault", sorted(JSON_FILE_FAULTS))
+def test_json_inputs_name_the_file_and_the_fault(what, fault, dataset, tmp_path, capsys):
+    content, cause = JSON_FILE_FAULTS[fault]
+    path = dataset / "manifest.json" if what == "manifest" else tmp_path / f"{what}.json"
+    path.unlink(missing_ok=True)
+    if content is not None:
+        path.write_bytes(content)
+    argv = {
+        "config": ["evaluate", "--data", dataset, "--detector", "energy", "--config", path,
+                   "--out", tmp_path / "r.json"],
+        "manifest": ["evaluate", "--data", dataset, "--detector", "energy",
+                     "--out", tmp_path / "r.json"],
+        "report": ["report", path],
+    }[what]
+    assert run(*argv) == (2 if what == "config" else 3)
+    cause = cause.format(path=path)
+    expected = (f"cannot read {what} {path}: {cause}" if fault == "missing"
+                else f"{what} {path} is not valid JSON: {cause}")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_negative_seed_is_not_blamed_on_the_scene(tmp_path, capsys):

@@ -43,6 +43,30 @@ def test_library_raises_its_own_errors():
     assert not offenders, f"raise ValueError( in the library: {offenders}"
 
 
+def json_file_reads(node, scope):
+    """Yield the dotted scope of every json.load( call and json import of load under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if (isinstance(node, ast.Attribute) and node.attr == "load"
+            and isinstance(node.value, ast.Name) and node.value.id == "json"
+            or isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name == "load" for alias in node.names)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from json_file_reads(child, scope)
+
+
+def test_only_core_read_json_opens_a_json_file():
+    # The --config file, a manifest and a report are read by one function, so
+    # a missing file, bad JSON and non-UTF-8 bytes get one set of messages.
+    # json.loads of bytes already read (a checkpoint header) is not a file read.
+    readers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        readers.update(json_file_reads(tree, module_name(path)))
+    assert readers == {"uwbocc.core.read_json"}, f"json.load outside read_json: {readers}"
+
+
 def test_package_holds_only_its_docstring_and_version():
     # Every name is imported from the module that defines it: re-exports here
     # would be a second way in, and would load every module on any import.
