@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__
 from .augment import SnrReference
 from .baselines import DEFAULT_ENERGY_WINDOW
-from .core import ActivityLabel, CirMatrix, read_json
+from .core import ActivityLabel, CirMatrix, check_seed, read_counts, read_json
 from .dataset import make_split, read_cir, read_dataset, segment_recording, write_dataset
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, UwboccError
 from .evaluate import (
     DEFAULT_EVAL_GRID,
     REFERENCE_MESSAGE_PASSING_AUC,
@@ -85,23 +85,22 @@ def _output_path(value) -> Path:
     return path
 
 
-def _parse_counts(values) -> dict:
-    """{label: N} from repeated 'label=N[,label=N]' strings; each label once, in any case."""
-    counts: dict = {}
-    for piece in ",".join(values).split(","):
+def _parse_counts(values) -> list:
+    """(label, N) pairs from repeated 'label=N[,label=N]' strings, none for None.
+
+    core.read_counts checks the labels and the counts.
+    """
+    pairs = []
+    for piece in ",".join(values).split(",") if values is not None else ():
         label, eq, number = piece.partition("=")
         if not eq:
             raise ConfigError(f"counts look like label=N, got {piece!r}")
         label = label.strip()
-        if label.lower() in (known.lower() for known in counts):
-            raise ConfigError(f"count for {label.lower()!r} given more than once")
         try:
-            counts[label] = int(number)
+            pairs.append((label, int(number)))
         except ValueError:
             raise ConfigError(f"bad count for {label!r}: {number!r} is not an integer") from None
-        if counts[label] < 0:
-            raise ConfigError(f"negative count for {label!r}: {number}")
-    return counts
+    return pairs
 
 
 # The largest start:stop:count count; the default grid has 31 points.
@@ -147,15 +146,20 @@ def _reference(ns, samples, checkpoints) -> SnrReference:
 
     checkpoints holds (path, extra) of each checkpoint the command loaded, in
     load order.  Those that store a reference energy must all store the same
-    one, unless --reference-energy chooses; with none stored, the anchor is
-    the breathing median of the scored samples.
+    positive, finite number, unless --reference-energy chooses; with none
+    stored, the anchor is the breathing median of the scored samples.
     """
     if ns.reference_energy is not None:
         return SnrReference(ns.reference_energy)
     stored: dict = {}  # each stored reference energy: the first checkpoint that stores it
     for path, extra in checkpoints:
         if "reference_energy" in extra:
-            stored.setdefault(extra["reference_energy"], path)
+            energy = extra["reference_energy"]
+            # type(), not isinstance: a JSON true is a bool, which is an int.
+            if not (type(energy) in (int, float) and 0 < energy <= sys.float_info.max):
+                raise DataError(f"checkpoint {path} stores reference_energy "
+                                f"{json.dumps(energy)}, not a positive finite number")
+            stored.setdefault(energy, path)
     if len(stored) > 1:
         (energy, path), (other, other_path), *_ = stored.items()
         raise DataError(f"checkpoints {path} and {other_path} store different reference "
@@ -176,9 +180,8 @@ def _reference(ns, samples, checkpoints) -> SnrReference:
 def cmd_simulate(ns) -> int:
     if ns.count is None:
         raise ConfigError("simulate needs at least one --count label=N")
-    counts = {ActivityLabel.from_string(label): n for label, n in _parse_counts(ns.count).items()}
-    if ns.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {ns.seed}")
+    counts = read_counts(_parse_counts(ns.count), "--count")
+    check_seed(ns.seed)
     out = _resolve_data_dir(ns.out)
     if ns.scene and ns.replaced_by_scene:
         raise ConfigError(f"{ns.replaced_by_scene[0]} has no effect with --scene {ns.scene}: "
@@ -252,7 +255,7 @@ def cmd_import(ns) -> int:
 
 def cmd_train(ns) -> int:
     manifest, samples = _residual_dataset(ns.data)
-    car1_validation = None if ns.car1_validation is None else _parse_counts(ns.car1_validation)
+    car1_validation = read_counts(_parse_counts(ns.car1_validation), "--car1-validation")
     split = make_split(manifest, ns.test_per_class, ns.empty_test,
                        empty_train=ns.empty_train, car1_validation=car1_validation)
     settings = TrainSettings(**{f.name: getattr(ns, f.name) for f in fields(TrainSettings)})
@@ -557,20 +560,11 @@ def main(argv=None) -> int:
             at = args.index(ns.command) + 1
             ns = _parse_with_config(parser, args[:at], args[at:], ns.config, tokens)
         return ns.func(ns)
-    except ConfigError as exc:
+    except (UwboccError, OSError) as exc:
+        # An OSError is filesystem trouble the library did not anticipate
+        # (permissions, disk full): a data error rather than a traceback.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        # Filesystem trouble the library did not anticipate (permissions,
-        # disk full); treated as a data error rather than a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code if isinstance(exc, UwboccError) else DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ __all__ = [
     "CirMatrix",
     "SampleRecord",
     "check_provenance",
+    "check_seed",
     "frobenius_energy",
     "mean_remove",
     "read_counts",
@@ -53,14 +54,15 @@ class ActivityLabel(enum.Enum):
 
 
 def read_counts(counts, argument: str) -> dict[ActivityLabel, int]:
-    """{label: count} from a mapping keyed by labels or label names in any case.
+    """{label: count} from a mapping or from (key, count) pairs.
 
-    Each label may appear once, and each count must be an integer >= 0: a
-    bool, a float or a string is refused.  Every refusal is a ConfigError
-    that starts with argument, the name the caller knows the mapping by.
+    Keys are labels or label names in any case.  Each label may appear once,
+    also among pairs, and each count must be an integer >= 0: a bool, a float
+    or a string is refused.  Every refusal is a ConfigError that starts with
+    argument, the name the caller knows the counts by.
     """
     read: dict[ActivityLabel, int] = {}
-    for key, value in dict(counts).items():
+    for key, value in (counts.items() if hasattr(counts, "items") else counts):
         try:
             label = key if isinstance(key, ActivityLabel) else ActivityLabel.from_string(str(key))
         except ConfigError as exc:
@@ -74,6 +76,12 @@ def read_counts(counts, argument: str) -> dict[ActivityLabel, int]:
             raise ConfigError(f"{argument}: negative count for {label.value}: {value}")
         read[label] = int(value)
     return read
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, the rule of every seeded entry point."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def read_json(path, what: str, error: type[Exception]):
@@ -165,8 +173,6 @@ def mean_remove(r: CirMatrix) -> tuple[np.ndarray, np.ndarray]:
     noise draw made from it reuses it.
     """
     data = r.data
-    if data.shape[1] < 2:
-        raise ConfigError("mean removal needs at least 2 slow-time columns")
     ref = data[:, :1]
     mean_profile = (ref + (data - ref).mean(axis=1, keepdims=True))[:, 0]
     residual = data - mean_profile[:, None]

@@ -371,13 +371,19 @@ def make_split(manifest: DatasetManifest, test_per_class: int = 150,
     return split
 
 
+# The most draws build_epoch_plan schedules in one epoch: about 20 times the
+# paper-scale 421,000.
+MAX_EPOCH_DRAWS = 2**23
+
+
 def build_epoch_plan(split: SplitAssignment, seed: int, *,
                      reuse_occupied: int, reuse_empty: int) -> tuple:
     """Expand the training records into a seeded, shuffled draw schedule.
 
     Returns the epoch's training record positions in draw order.  Occupied
     records appear reuse_occupied times and empty records reuse_empty
-    times, rebalancing the class masses.
+    times, rebalancing the class masses.  A plan of more than
+    MAX_EPOCH_DRAWS draws is refused before it is built.
     """
     if reuse_occupied < 1 or reuse_empty < 1:
         raise ConfigError("reuse factors must be >= 1")
@@ -388,6 +394,10 @@ def build_epoch_plan(split: SplitAssignment, seed: int, *,
     if not occupied or not empty:
         raise DataError(
             f"epoch plan needs both classes in train: {len(occupied)} occupied, {len(empty)} empty")
+    draws = len(occupied) * reuse_occupied + len(empty) * reuse_empty
+    if draws > MAX_EPOCH_DRAWS:
+        raise ConfigError(f"reuse_occupied {reuse_occupied} and reuse_empty {reuse_empty} make "
+                          f"{draws} draws per epoch, over the cap of {MAX_EPOCH_DRAWS}")
     entries = [i for i in occupied for _ in range(reuse_occupied)]
     entries += [i for i in empty for _ in range(reuse_empty)]
     order = np.random.default_rng(seed).permutation(len(entries))

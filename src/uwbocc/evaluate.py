@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .augment import SnrReference, corrupt_batch
-from .core import ActivityLabel, read_json
+from .core import ActivityLabel, check_seed, read_json
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -220,15 +220,14 @@ def _score_rows(scorers: dict, samples, ref, grid, wanted, seed, exact, threads,
     activities, negatives = _test_groups(samples, synthetic_negatives)
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     kept = [[i for i, (activity, _) in enumerate(activities) if wanted(activity, snr_db)]
             for snr_db in grid]
 
     def run(snr_idx):
         groups = [(i, activities[i][1]) for i in kept[snr_idx]] + [(_NEGATIVE_STREAM, negatives)]
         residuals = [residual for _, group in groups for residual in group]
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, stream, snr_idx, k)))
+        rngs = [np.random.default_rng((seed, stream, snr_idx, k))
                 for stream, group in groups for k in range(len(group))]
         planes = corrupt_batch(residuals, ref, [grid[snr_idx]] * len(residuals), rngs, exact=exact)
         sizes = [len(activities[i][1]) for i in kept[snr_idx]]

@@ -241,12 +241,21 @@ class Network:
             p.zero_grad()
 
 
+# The most state values (weights and batch-norm statistics) build_network
+# builds: over 15 times the 4,406,657 of 1D-A at kernel 9 on 64 x 100 inputs,
+# the largest the tests, demos and benchmark build.  Training holds each in
+# float64 with its gradient and two Adam moments, 2 GiB at the cap.
+MAX_STATE_VALUES = 2**26
+
+
 def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
                   kernel: int = 3, seed: int = 0) -> Network:
     """Assemble the full layer stack for a variant.
 
     input_shape excludes the batch axis: (channels, length) for 1D variants,
     (channels, height, width) for 2D.  Weights are seeded deterministically.
+    A network of more than MAX_STATE_VALUES state values is refused before
+    any layer is allocated.
     """
     if isinstance(variant, str):
         try:
@@ -259,6 +268,9 @@ def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
         raise ConfigError(
             f"{variant.name} needs a {expected_ndim}-d input shape "
             f"(channels first), got {input_shape}")
+    if _state_size(variant, input_shape[0], kernel, MAX_STATE_VALUES) > MAX_STATE_VALUES:
+        raise ConfigError(f"{variant.name} at kernel {kernel} on {input_shape[0]} input channels "
+                          f"is over the cap of {MAX_STATE_VALUES} state values")
 
     seeds = np.random.SeedSequence(seed).spawn(variant.n_total + 2)
     conv = Conv1d if variant.dimensionality == 1 else Conv2d
@@ -407,6 +419,9 @@ def load_checkpoint(path) -> tuple[Network, dict]:
         entries = network.named_state()
         if [meta["shape"] for meta in header["arrays"]] != [list(a.shape) for _, a in entries]:
             raise DataError(f"checkpoint {path}: header array shapes are not {variant.name}'s")
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise DataError(f"checkpoint {path} has a malformed header: extra must be an object")
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: "
                         f"{type(exc).__name__} {exc}") from None
@@ -414,4 +429,4 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     values = np.frombuffer(payload, "<f4")
     for _, target in entries:
         target[...], values = values[:target.size].reshape(target.shape), values[target.size:]
-    return network, header.get("extra", {})
+    return network, extra

@@ -19,7 +19,7 @@ import numpy as np
 
 from .augment import SnrReference, compute_reference_energy, corrupt_batch
 from .baselines import DEFAULT_ENERGY_WINDOW, energy_detector, fft_detector
-from .core import ActivityLabel, mean_remove
+from .core import ActivityLabel, check_seed, mean_remove
 from .dataset import Split, SplitAssignment, build_epoch_plan
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
@@ -150,8 +150,7 @@ class TrainSettings:
         if not (math.isfinite(self.validation_snr) or self.validation_snr == math.inf):
             raise ConfigError(
                 f"validation SNR must be finite or +inf (noise-free), got {self.validation_snr}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 def _epoch_batches(plan, samples, ref, settings, dim, epoch):
@@ -174,7 +173,7 @@ def _epoch_batches(plan, samples, ref, settings, dim, epoch):
         drawn = [samples[i] for i in plan[start:start + size]]
         if len(drawn) < 2:
             return
-        rngs = [np.random.default_rng(np.random.SeedSequence((settings.seed, epoch, position)))
+        rngs = [np.random.default_rng((settings.seed, epoch, position))
                 for position in range(start, start + len(drawn))]
         snrs = [float(rng.uniform(settings.snr_lo, settings.snr_hi)) for rng in rngs]
         planes = corrupt_batch([sample.residual for sample in drawn], ref,
@@ -209,7 +208,7 @@ def _validation_scorer(val_samples, ref, settings):
     Freezing the corruption keeps the early-stopping signal comparable
     across epochs; draw i's generator is keyed (seed, _VALIDATION_STREAM, i).
     """
-    rngs = [np.random.default_rng(np.random.SeedSequence((settings.seed, _VALIDATION_STREAM, i)))
+    rngs = [np.random.default_rng((settings.seed, _VALIDATION_STREAM, i))
             for i in range(len(val_samples))]
     planes = corrupt_batch([sample.residual for sample in val_samples], ref,
                            [settings.validation_snr] * len(val_samples), rngs)

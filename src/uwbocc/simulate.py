@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ActivityLabel, CirMatrix, SampleRecord, read_counts
+from .core import ActivityLabel, CirMatrix, SampleRecord, check_seed, read_counts
 from .errors import ConfigError
 
 __all__ = [
@@ -328,8 +328,8 @@ def synth_dataset(counts, cfg: RadarConfig | None = None, rng=None, *,
     """
     if scene is None and clutter_paths < 0:
         raise ConfigError(f"clutter_paths must be >= 0, got {clutter_paths}")
-    if isinstance(rng, (int, np.integer)) and rng < 0:
-        raise ConfigError(f"seed must be >= 0, got {rng}")
+    if isinstance(rng, (int, np.integer)):
+        check_seed(rng)
     cfg = cfg or RadarConfig()
     rng = np.random.default_rng(rng)
     wanted = read_counts(counts, "counts")

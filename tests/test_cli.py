@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import uwbocc
 from uwbocc import cli
 from uwbocc.cli import MAX_GRID_COUNT, _parse_counts, _parse_grid, main
+from uwbocc.core import read_counts
 from uwbocc.dataset import make_split, read_dataset, read_manifest, write_cir
-from uwbocc.errors import ConfigError
+from uwbocc.errors import ConfigError, DataError, DivergenceError
 from uwbocc.evaluate import ablation, read_report, snr_sweep
 from uwbocc.nn import VARIANTS, build_network, load_checkpoint, save_checkpoint
 from uwbocc.pipeline import TrainSettings
@@ -541,12 +542,23 @@ def truncated_checkpoint(tmp_path):
     return path
 
 
-def models_dir(tmp_path):
-    """A directory holding one random-init 1D-E checkpoint for SIM's 16 x 24 inputs."""
+def models_dir(tmp_path, extra=None):
+    """A directory holding 1D-E.ckpt, a random-init 1D-E checkpoint for SIM's 16 x 24
+    inputs that stores extra as its metadata."""
     models = tmp_path / "models"
     models.mkdir()
-    save_checkpoint(build_network("1D-E", (32, 24), seed=0), models / "1D-E.ckpt")
+    save_checkpoint(build_network("1D-E", (32, 24), seed=0), models / "1D-E.ckpt", extra=extra)
     return models
+
+
+def scoring_one_checkpoint(command, extra):
+    """USER_MISTAKES argv: evaluate or ablate scoring one checkpoint that stores extra."""
+    def argv(data, tmp):
+        models = models_dir(tmp, extra)
+        given = (["--model", models / "1D-E.ckpt"] if command == "evaluate"
+                 else ["--models", models, "--allow-missing"])
+        return [command, "--data", data, *given, "--out", tmp / "r.json"]
+    return argv
 
 
 def non_utf8(path, text):
@@ -612,6 +624,20 @@ SCENE_CONTENT_MISTAKES = {
         ["simulate", "--n-fast", "16", "--m-slow", "24", "--count", "empty=4",
          "--count", "breathing=4"],
         "[clutter]\namplitude = 1e300\ndelay = 4e-9\n", "overflows single precision"),
+}
+
+# Checkpoint metadata that evaluate and ablate cannot use: {name: extra}.
+UNUSABLE_EXTRAS = {
+    "reference energy a string": {"reference_energy": "abc"},
+    "reference energy null": {"reference_energy": None},
+    "reference energy a list": {"reference_energy": [1]},
+    "reference energy negative": {"reference_energy": -1.0},
+    "reference energy zero": {"reference_energy": 0},
+    "reference energy NaN": {"reference_energy": float("nan")},
+    "reference energy true": {"reference_energy": True},
+    "extra a number": 5,
+    "extra a list": [1],
+    "extra a string": "abc",
 }
 
 USER_MISTAKES = {
@@ -866,6 +892,8 @@ USER_MISTAKES = {
                                           "--car", "car2", f"--window={window}",
                                           "--out", tmp / "x"], 2)
        for window in ("nan", "inf", "-inf", "1e308")},
+    **{f"checkpoint {name}, {command}": (scoring_one_checkpoint(command, extra), 3)
+       for name, extra in UNUSABLE_EXTRAS.items() for command in ("evaluate", "ablate")},
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2
@@ -952,6 +980,17 @@ SIZE_MISTAKES = {
         lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
                            "--eval-grid=-10", "--synthetic-negatives=100000000",
                            "--out", tmp / "r.json"], "synthetic_negatives 100000000"),
+    "train --kernel too large to build": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt", *TRAIN_FAST,
+                           "--kernel", "1000001"], "1D-E at kernel 1000001"),
+    "train --reuse-occupied too many draws to hold": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt", *TRAIN_FAST,
+                           "--reuse-occupied", "1000000000000"],
+        "reuse_occupied 1000000000000 and reuse_empty 2"),
+    "train --reuse-empty too many draws to hold": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt", *TRAIN_FAST,
+                           "--reuse-empty", "1000000000000"],
+        "reuse_occupied 2 and reuse_empty 1000000000000"),
 }
 
 
@@ -1016,8 +1055,52 @@ def test_training_noise_overflow_on_the_data_thread(dataset, tmp_path):
 
 @pytest.mark.parametrize("values", [["empty=2,empty=3"], ["Empty=2", " empty =3"]])
 def test_repeated_count_label_is_named(values):
-    with pytest.raises(ConfigError, match="'empty' given more than once"):
-        _parse_counts(values)
+    with pytest.raises(ConfigError, match="--count: empty given more than once"):
+        read_counts(_parse_counts(values), "--count")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--count", "empty=2,empty=3"], "--count: empty given more than once"),
+    (["simulate", "--count", "empty=-1"], "--count: negative count for empty: -1"),
+    (["simulate", "--count", "foo=1"], "--count: unknown activity label 'foo' "
+                                       "(valid: breathing, talking, moving, empty)"),
+    (["train", "--car1-validation", "breathing=1,Breathing=2"],
+     "--car1-validation: breathing given more than once"),
+])
+def test_count_list_errors_name_the_option(argv, message, dataset, tmp_path, capsys):
+    command, *flags = argv
+    out = tmp_path / ("x" if command == "simulate" else "m.ckpt")
+    rest = [] if command == "simulate" else ["--data", dataset, *TRAIN_FAST]
+    assert run(command, *flags, *rest, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, 2), (DataError, 3), (DivergenceError, 4), (OSError, 3)])
+def test_exit_code_comes_from_the_error_class(error, code, monkeypatch, capsys):
+    def fail(ns):
+        raise error("the command failed")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert run("report", "r.json") == code
+    assert capsys.readouterr().err == "error: the command failed\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+@pytest.mark.parametrize("extra, cause", [
+    ({"reference_energy": float("nan")}, "stores reference_energy NaN, not a positive finite number"),
+    ({"reference_energy": True}, "stores reference_energy true, not a positive finite number"),
+    ({"reference_energy": "abc"}, 'stores reference_energy "abc", not a positive finite number'),
+    ([1], "has a malformed header: extra must be an object"),
+])
+def test_unusable_checkpoint_metadata_names_the_checkpoint(command, extra, cause, dataset,
+                                                           tmp_path, capsys):
+    argv = scoring_one_checkpoint(command, extra)(dataset, tmp_path)
+    assert run(*argv) == 3
+    path = tmp_path / "models" / "1D-E.ckpt"
+    assert capsys.readouterr().err == f"error: checkpoint {path} {cause}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_grid_count_is_capped_before_anything_is_allocated():

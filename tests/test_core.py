@@ -9,6 +9,7 @@ from uwbocc.core import (
     ActivityLabel,
     CirMatrix,
     SampleRecord,
+    check_seed,
     frobenius_energy,
     mean_remove,
     read_counts,
@@ -194,8 +195,23 @@ class TestReadCounts:
         ({"breathing": 1, "Breathing": 2}, "breathing given more than once"),
         ({ActivityLabel.EMPTY: 1, "empty": 2}, "empty given more than once"),
         ({"sleeping": 1}, "unknown activity label 'sleeping'"),
+        ([("empty", 2), ("empty", 3)], "empty given more than once"),
     ])
     def test_refusals_name_the_argument(self, counts, message):
         with pytest.raises(ConfigError) as caught:
             read_counts(counts, "wanted")
         assert str(caught.value).startswith(f"wanted: {message}")
+
+
+def test_check_seed_refuses_only_a_negative_seed():
+    for seed in (0, 2**40, np.int64(7)):
+        check_seed(seed)
+    for seed in (-1, np.int64(-2**40)):
+        with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
+            check_seed(seed)
+
+
+def test_a_single_column_matrix_is_refused_before_mean_removal():
+    # mean_remove relies on CirMatrix for its two-column rule.
+    with pytest.raises(ConfigError, match="at least 2 slow-time columns for mean removal, got 1"):
+        make_cir(np.ones((4, 1)))

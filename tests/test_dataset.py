@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from uwbocc.core import ActivityLabel, CirMatrix, SampleRecord
 from uwbocc.dataset import (
+    MAX_EPOCH_DRAWS,
     DatasetManifest,
     ManifestRecord,
     Split,
@@ -575,6 +576,16 @@ class TestEpochSchedule:
         c = build_epoch_plan(split, seed=6, **RECIPE_REUSE)
         assert a == b
         assert a != c
+
+    def test_plan_over_the_draw_cap_is_refused_before_it_is_built(self, monkeypatch):
+        assert 10 * 421_000 < MAX_EPOCH_DRAWS  # ten paper-scale epochs fit
+        split = self.small_split(3, 2)  # 3 x 5 + 2 x 11 = 37 draws
+        monkeypatch.setattr("uwbocc.dataset.MAX_EPOCH_DRAWS", 37)
+        assert len(build_epoch_plan(split, seed=0, reuse_occupied=5, reuse_empty=11)) == 37
+        monkeypatch.setattr("uwbocc.dataset.MAX_EPOCH_DRAWS", 36)
+        with pytest.raises(ConfigError, match="^reuse_occupied 5 and reuse_empty 11 make 37 "
+                                              "draws per epoch, over the cap of 36$"):
+            build_epoch_plan(split, seed=0, reuse_occupied=5, reuse_empty=11)
 
     def test_needs_both_classes(self):
         records = [ManifestRecord("b0.cir", B, "car1", "front", "p0", 0)]

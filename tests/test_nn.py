@@ -45,7 +45,7 @@ from uwbocc.nn import (
     train_network,
 )
 from uwbocc.nn import layers
-from uwbocc.nn.model import ResidualBlock, _layer_plan, _state_size
+from uwbocc.nn.model import MAX_STATE_VALUES, ResidualBlock, _layer_plan, _state_size
 
 
 def input_1d(residual):
@@ -355,6 +355,22 @@ class TestBuildNetwork:
     def test_wrong_input_rank(self):
         with pytest.raises(ConfigError):
             build_network("2D-E", (2, 10))
+
+    def test_state_cap_holds_the_largest_built_network_ten_times(self):
+        # 1D-A at kernel 9 on 64 x 100 inputs (128 channels) is the largest
+        # network the tests, demos and benchmark build.
+        assert 10 * _state_size(VARIANTS["1D-A"], 128, 9, MAX_STATE_VALUES) <= MAX_STATE_VALUES
+
+    def test_network_over_the_state_cap_is_refused_before_it_is_built(self, monkeypatch):
+        with pytest.raises(ConfigError, match="^1D-E at kernel 1000001 on 16 input channels "
+                                              f"is over the cap of {MAX_STATE_VALUES} state"):
+            build_network("1D-E", (16, 20), kernel=1000001)
+        size = _state_size(VARIANTS["1D-E"], 4, 3, 10**9)
+        monkeypatch.setattr("uwbocc.nn.model.MAX_STATE_VALUES", size)
+        build_network("1D-E", (4, 6))  # a network of exactly the cap is built
+        monkeypatch.setattr("uwbocc.nn.model.MAX_STATE_VALUES", size - 1)
+        with pytest.raises(ConfigError, match=f"over the cap of {size - 1} state values"):
+            build_network("1D-E", (4, 6))
 
 
 def leaf_plan(net):

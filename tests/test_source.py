@@ -67,6 +67,43 @@ def test_only_core_read_json_opens_a_json_file():
     assert readers == {"uwbocc.core.read_json"}, f"json.load outside read_json: {readers}"
 
 
+def scoped_nodes(node, scope):
+    """Yield (dotted scope, node) for node and every node under it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from scoped_nodes(child, scope)
+
+
+def test_only_core_check_seed_states_the_seed_rule():
+    # Every seeded entry point calls core.check_seed, so a negative seed gets
+    # one message wherever it is given.
+    stating = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        stating.update(scope for scope, node in scoped_nodes(tree, module_name(path))
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and "seed must be >= 0" in node.value)
+    assert stating == {"uwbocc.core.check_seed"}, f"seed rule outside check_seed: {stating}"
+
+
+def test_only_the_error_classes_state_the_exit_codes():
+    # cli.main returns the exit_code of the package error it catches, so the
+    # table of exit codes is written once, in errors.py.  A handler of one
+    # package error elsewhere in cli.py only re-raises it with more context.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for scope, node in scoped_nodes(tree, "uwbocc.cli"):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+        if (caught & {"ConfigError", "DataError", "DivergenceError"}
+                and (scope == "uwbocc.cli.main" or not isinstance(node.body[-1], ast.Raise))):
+            offenders.append(f"{scope}:{node.lineno}")
+    assert not offenders, f"handlers that map a package error onto an exit code: {offenders}"
+
+
 def test_package_holds_only_its_docstring_and_version():
     # Every name is imported from the module that defines it: re-exports here
     # would be a second way in, and would load every module on any import.
