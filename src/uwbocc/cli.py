@@ -55,7 +55,7 @@ from .pipeline import (
 )
 from .simulate import RadarConfig, load_scene, synth_dataset
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 DATA_DIR_ENV = "UWBOCC_DATA_DIR"
 
@@ -85,21 +85,22 @@ def _output_path(value) -> Path:
     return path
 
 
-def _parse_counts(values) -> list:
+def _parse_counts(values, option: str = "--count") -> list:
     """(label, N) pairs from repeated 'label=N[,label=N]' strings, none for None.
 
-    core.read_counts checks the labels and the counts.
+    A refusal starts with option; core.read_counts checks the labels and the counts.
     """
     pairs = []
     for piece in ",".join(values).split(",") if values is not None else ():
         label, eq, number = piece.partition("=")
         if not eq:
-            raise ConfigError(f"counts look like label=N, got {piece!r}")
+            raise ConfigError(f"{option}: counts look like label=N, got {piece!r}")
         label = label.strip()
         try:
             pairs.append((label, int(number)))
         except ValueError:
-            raise ConfigError(f"bad count for {label!r}: {number!r} is not an integer") from None
+            raise ConfigError(
+                f"{option}: bad count for {label!r}: {number!r} is not an integer") from None
     return pairs
 
 
@@ -254,11 +255,12 @@ def cmd_import(ns) -> int:
 
 
 def cmd_train(ns) -> int:
+    car1_validation = read_counts(_parse_counts(ns.car1_validation, "--car1-validation"),
+                                  "--car1-validation")
+    settings = TrainSettings(**{f.name: getattr(ns, f.name) for f in fields(TrainSettings)})
     manifest, samples = _residual_dataset(ns.data)
-    car1_validation = read_counts(_parse_counts(ns.car1_validation), "--car1-validation")
     split = make_split(manifest, ns.test_per_class, ns.empty_test,
                        empty_train=ns.empty_train, car1_validation=car1_validation)
-    settings = TrainSettings(**{f.name: getattr(ns, f.name) for f in fields(TrainSettings)})
     log = None if ns.quiet else print
     network, history, ref = run_training(samples, split, settings, log=log)
     extra = {
@@ -286,7 +288,6 @@ def _write_report(ns, report, detectors: str) -> int:
 
 
 def cmd_evaluate(ns) -> int:
-    _, samples = _residual_dataset(ns.data)
     if ns.detector == "resnet":
         if not ns.model:
             raise ConfigError("--detector resnet needs --model CHECKPOINT")
@@ -296,15 +297,15 @@ def cmd_evaluate(ns) -> int:
         raise ConfigError(f"--model is for --detector resnet, not --detector {ns.detector}")
     else:
         scorer, checkpoints = BaselineScorer(ns.detector, window_cols=ns.energy_window), []
-    report = snr_sweep(scorer, samples, _reference(ns, samples, checkpoints),
-                       grid=_parse_grid(ns.eval_grid), seed=ns.seed,
-                       exact_scaling=ns.exact_snr_scaling,
+    grid = _parse_grid(ns.eval_grid)
+    _, samples = _residual_dataset(ns.data)
+    report = snr_sweep(scorer, samples, _reference(ns, samples, checkpoints), grid=grid,
+                       seed=ns.seed, exact_scaling=ns.exact_snr_scaling,
                        synthetic_negatives=ns.synthetic_negatives, threads=ns.threads)
     return _write_report(ns, report, f"detector {scorer.name}")
 
 
 def cmd_ablate(ns) -> int:
-    _, samples = _residual_dataset(ns.data)
     models_dir = Path(ns.models)
     if not models_dir.is_dir():
         raise DataError(f"{models_dir} is not a directory of checkpoints")
@@ -318,14 +319,14 @@ def cmd_ablate(ns) -> int:
         checkpoints.append((path, extra))
     if not scorers:
         raise DataError(f"no .ckpt files in {models_dir}")
-    if ns.include_baselines:
-        scorers["energy"] = BaselineScorer("energy", window_cols=ns.energy_window)
-        scorers["fft"] = BaselineScorer("fft")
-    ref = _reference(ns, samples, checkpoints)
     missing = sorted(set(VARIANTS) - set(scorers))
     if missing and not ns.allow_missing:
         raise DataError(f"ablation is missing trained checkpoints for: {', '.join(missing)}")
-    report = ablation(scorers, samples, ref, seed=ns.seed,
+    if ns.include_baselines:
+        scorers["energy"] = BaselineScorer("energy", window_cols=ns.energy_window)
+        scorers["fft"] = BaselineScorer("fft")
+    _, samples = _residual_dataset(ns.data)
+    report = ablation(scorers, samples, _reference(ns, samples, checkpoints), seed=ns.seed,
                       exact_scaling=ns.exact_snr_scaling, threads=ns.threads)
     return _write_report(ns, report, f"{len(scorers)} detectors")
 

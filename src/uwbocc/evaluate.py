@@ -30,7 +30,6 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "DEFAULT_EVAL_GRID",
-    "ACTIVITY_SNR_ANCHORS",
     "REFERENCE_NETWORK_AUC",
     "REFERENCE_MESSAGE_PASSING_AUC",
     "REFERENCE_OPERATING_POINT",

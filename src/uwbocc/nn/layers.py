@@ -97,6 +97,7 @@ __all__ = [
     "ReLU",
     "GlobalAvgPool",
     "Dense",
+    "check_kernel",
 ]
 
 
@@ -129,6 +130,12 @@ class Layer:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def check_kernel(kernel: int) -> None:
+    """Refuse a convolution kernel size that is not odd and >= 1 (same padding needs a centre)."""
+    if kernel < 1 or kernel % 2 == 0:
+        raise ConfigError(f"kernel size must be odd and >= 1, got {kernel}")
 
 
 def _he_scale(fan_in: int) -> float:
@@ -301,8 +308,7 @@ class _Conv(Layer):
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng=None):
-        if kernel < 1 or kernel % 2 == 0:
-            raise ConfigError(f"kernel size must be odd and >= 1, got {kernel}")
+        check_kernel(kernel)
         rng = np.random.default_rng(rng)
         self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
         weight = rng.standard_normal((c_out, c_in) + (kernel,) * self.rank)

@@ -33,6 +33,7 @@ from .layers import BatchNorm, Conv1d, Conv2d, Dense, GlobalAvgPool, Layer, Para
 __all__ = [
     "ArchitectureVariant",
     "VARIANTS",
+    "lookup_variant",
     "channel_plan",
     "layout_2d",
     "batch_input",
@@ -80,6 +81,14 @@ VARIANTS: dict[str, ArchitectureVariant] = {
         ArchitectureVariant("2D-E", 2, 4, 2, 4),
     )
 }
+
+
+def lookup_variant(name: str) -> ArchitectureVariant:
+    """The published variant of this name; an unknown name is a ConfigError."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ConfigError(f"unknown variant {name!r}; known: {', '.join(sorted(VARIANTS))}") from None
 
 
 def _blocks(variant: ArchitectureVariant):
@@ -258,11 +267,7 @@ def build_network(variant: ArchitectureVariant | str, input_shape: tuple,
     any layer is allocated.
     """
     if isinstance(variant, str):
-        try:
-            variant = VARIANTS[variant]
-        except KeyError:
-            raise ConfigError(
-                f"unknown variant {variant!r}; known: {', '.join(sorted(VARIANTS))}") from None
+        variant = lookup_variant(variant)
     expected_ndim = variant.dimensionality + 1
     if len(input_shape) != expected_ndim:
         raise ConfigError(

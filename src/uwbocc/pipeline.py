@@ -23,8 +23,8 @@ from .core import ActivityLabel, check_seed, mean_remove
 from .dataset import Split, SplitAssignment, build_epoch_plan
 from .errors import ConfigError, DataError
 from .evaluate import roc_auc
-from .nn.layers import _single_malloc_arena
-from .nn.model import VARIANTS, Network, batch_input, build_network, flop_count, layout_2d
+from .nn.layers import _single_malloc_arena, check_kernel
+from .nn.model import Network, batch_input, build_network, flop_count, layout_2d, lookup_variant
 from .nn.training import OptimizerConfig, TrainingHistory, train_network
 
 __all__ = [
@@ -123,6 +123,9 @@ class TrainSettings:
     """The training recipe: everything run_training needs beyond the data.
 
     Each field is the `uwbocc train` option of the same name, and its default.
+    Construction checks the variant, the kernel, the SNR range, the
+    validation SNR, the batch size, the learning rate and the seed; the
+    stopping and reuse rules belong to train_network and build_epoch_plan.
     """
 
     variant: str = "1D-E"
@@ -140,9 +143,8 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}; known: {', '.join(sorted(VARIANTS))}")
+        lookup_variant(self.variant)
+        check_kernel(self.kernel)
         if not math.isfinite(self.snr_hi - self.snr_lo):  # also false for a non-finite bound
             raise ConfigError("training SNR bounds and their range must be finite")
         if self.snr_lo > self.snr_hi:
@@ -150,6 +152,7 @@ class TrainSettings:
         if not (math.isfinite(self.validation_snr) or self.validation_snr == math.inf):
             raise ConfigError(
                 f"validation SNR must be finite or +inf (noise-free), got {self.validation_snr}")
+        OptimizerConfig(self.learning_rate, self.batch_size)  # its batch-size and learning-rate rules
         check_seed(self.seed)
 
 
@@ -238,7 +241,7 @@ def run_training(samples, split: SplitAssignment, settings: TrainSettings | None
     the one batch in flight to the memory a step holds, not a heap.
     """
     settings = settings or TrainSettings()
-    variant = VARIANTS[settings.variant]
+    variant = lookup_variant(settings.variant)
     if len(samples) != len(split.manifest.records):
         raise DataError(
             f"manifest has {len(split.manifest.records)} records but {len(samples)} samples given")

@@ -26,11 +26,8 @@ __all__ = [
     "PathComponent",
     "MotionModel",
     "Scene",
-    "raised_cosine_response",
-    "motion_path",
     "simulate_received",
     "synth_dataset",
-    "parse_scene",
     "load_scene",
 ]
 

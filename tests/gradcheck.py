@@ -1,4 +1,4 @@
-"""Central finite-difference oracles for the analytic gradients.
+"""Central finite-difference oracles for the analytic gradients (a test helper).
 
 Two granularities: exhaustive per-entry checks for individual layers (every
 parameter entry and every input entry), and directional-derivative checks
@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer
-from .model import Network
-from .training import bce_with_logits
-
-__all__ = ["check_layer_gradients", "check_network_gradient"]
+from uwbocc.nn.layers import Layer
+from uwbocc.nn.model import Network
+from uwbocc.nn.training import bce_with_logits
 
 
 def relative_error(analytic: float, numeric: float) -> float:

@@ -30,8 +30,6 @@ from uwbocc.nn import (
     ReLU,
     build_network,
     channel_plan,
-    check_layer_gradients,
-    check_network_gradient,
     flop_count,
     param_count,
 )
@@ -51,6 +49,8 @@ from uwbocc.simulate import (
     simulate_received,
     synth_dataset,
 )
+
+from gradcheck import check_layer_gradients, check_network_gradient
 
 PUBLISHED_COMPLEXITY = {
     "1D-A": (1.5e6, 3.0e8), "1D-B": (1.0e5, 2.0e7), "1D-C": (6.8e4, 1.3e7),

@@ -551,6 +551,13 @@ def models_dir(tmp_path, extra=None):
     return models
 
 
+def twin_checkpoints(tmp_path):
+    """models_dir(tmp_path) with a second copy of its 1D-E checkpoint."""
+    models = models_dir(tmp_path)
+    (models / "copy.ckpt").write_bytes((models / "1D-E.ckpt").read_bytes())
+    return models
+
+
 def scoring_one_checkpoint(command, extra):
     """USER_MISTAKES argv: evaluate or ablate scoring one checkpoint that stores extra."""
     def argv(data, tmp):
@@ -599,6 +606,15 @@ def poisoned_cir(data):
     raw = path.read_bytes()
     path.write_bytes(raw[:16] + np.array(np.nan, dtype="<c8").tobytes() + raw[24:])
     return path
+
+
+def relabelled(data, old, new):
+    """The dataset at data, its records labelled old now labelled new."""
+    def edit(doc):
+        for record in doc["records"]:
+            if record["label"] == old:
+                record["label"] = new
+    return edited_manifest(data, edit)
 
 
 def garbled_manifest(data):
@@ -894,6 +910,43 @@ USER_MISTAKES = {
        for window in ("nan", "inf", "-inf", "1e308")},
     **{f"checkpoint {name}, {command}": (scoring_one_checkpoint(command, extra), 3)
        for name, extra in UNUSABLE_EXTRAS.items() for command in ("evaluate", "ablate")},
+    "count item without a count": (
+        lambda data, tmp: ["simulate", "--count", "empty", "--out", tmp / "x"], 2),
+    "range grid without a count": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--eval-grid=-10:-20", "--out", tmp / "r.json"], 2),
+    "no draws of occupied samples": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt", *TRAIN_FAST,
+                           "--reuse-occupied", "0"], 2),
+    "batch of one sample": (
+        lambda data, tmp: ["train", "--data", data, "--out", tmp / "m.ckpt", *TRAIN_FAST,
+                           "--batch-size", "1"], 2),
+    "--models is a file": (
+        lambda data, tmp: ["ablate", "--data", data, "--models", recording(tmp),
+                           "--allow-missing", "--out", tmp / "r.json"], 3),
+    "two checkpoints of one variant": (
+        lambda data, tmp: ["ablate", "--data", data, "--models", twin_checkpoints(tmp),
+                           "--allow-missing", "--out", tmp / "r.json"], 2),
+    "energy detector with no breathing samples to anchor the SNR": (
+        lambda data, tmp: ["evaluate", "--data", relabelled(data, "breathing", "talking"),
+                           "--detector", "energy", "--eval-grid=-10", "--out", tmp / "r.json"],
+        3),
+    "config file holding a list": (
+        lambda data, tmp: ["evaluate", "--data", data, "--detector", "energy",
+                           "--config", write_config(tmp, [1, 2]), "--out", tmp / "r.json"], 2),
+    # The default 10 s window at 0.1 s is 100 columns.
+    "recording shorter than one window": (
+        lambda data, tmp: ["import", recording(tmp, (16, 50)), "--label", "empty",
+                           "--car", "car2", "--out", tmp / "x"], 3),
+    # Options are checked before the dataset is read.
+    "negative train seed, no dataset": (
+        lambda data, tmp: ["train", "--data", tmp / "nowhere", "--out", tmp / "m.ckpt",
+                           "--seed=-1"], 2),
+    "resnet detector without --model, no dataset": (
+        lambda data, tmp: ["evaluate", "--data", tmp / "nowhere", "--out", tmp / "r.json"], 2),
+    "two checkpoints of one variant, no dataset": (
+        lambda data, tmp: ["ablate", "--data", tmp / "nowhere", "--models",
+                           twin_checkpoints(tmp), "--allow-missing", "--out", tmp / "r.json"], 2),
 }
 
 # Config values argparse itself rejects, as it would the same flag: exit 2
@@ -1066,6 +1119,9 @@ def test_repeated_count_label_is_named(values):
                                        "(valid: breathing, talking, moving, empty)"),
     (["train", "--car1-validation", "breathing=1,Breathing=2"],
      "--car1-validation: breathing given more than once"),
+    (["simulate", "--count", "empty"], "--count: counts look like label=N, got 'empty'"),
+    (["train", "--car1-validation", "breathing=x"],
+     "--car1-validation: bad count for 'breathing': 'x' is not an integer"),
 ])
 def test_count_list_errors_name_the_option(argv, message, dataset, tmp_path, capsys):
     command, *flags = argv
@@ -1074,6 +1130,46 @@ def test_count_list_errors_name_the_option(argv, message, dataset, tmp_path, cap
     assert run(command, *flags, *rest, "--out", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["train", "--seed=-1"], 2, "seed must be >= 0, got -1"),
+    (["train", "--kernel", "2"], 2, "kernel size must be odd and >= 1, got 2"),
+    (["train", "--batch-size", "1"], 2, "batch size must be >= 2 (batch statistics)"),
+    (["train", "--learning-rate", "0"], 2,
+     "learning rate must be finite and positive, got 0.0"),
+    (["train", "--snr-lo=-5", "--snr-hi=-10"], 2, "snr_lo -5.0 exceeds snr_hi -10.0"),
+    (["train", "--car1-validation", "breathing=-1"], 2,
+     "--car1-validation: negative count for breathing: -1"),
+    (["evaluate"], 2, "--detector resnet needs --model CHECKPOINT"),
+    (["evaluate", "--detector", "fft", "--model", "m.ckpt"], 2,
+     "--model is for --detector resnet, not --detector fft"),
+    (["evaluate", "--model", "{models}/1D-E.ckpt", "--eval-grid=-10:-20"], 2,
+     "bad --eval-grid '-10:-20': expected start:stop:count"),
+    (["evaluate", "--model", "{tmp}/none.ckpt"], 3,
+     "cannot read checkpoint {tmp}/none.ckpt: [Errno 2] No such file or directory: "
+     "'{tmp}/none.ckpt'"),
+    (["ablate", "--models", "{tmp}/none"], 3, "{tmp}/none is not a directory of checkpoints"),
+    (["ablate", "--models", "{tmp}"], 3, "no .ckpt files in {tmp}"),
+    (["ablate", "--models", "{models}"], 3, "ablation is missing trained checkpoints for: "
+                                            "1D-A, 1D-B, 1D-C, 1D-D, 2D-A, 2D-B, 2D-C, 2D-D, 2D-E"),
+])
+def test_option_mistakes_are_named_before_the_data_is_read(argv, code, message, tmp_path,
+                                                           capsys):
+    # --data points nowhere, so a check that waited for the data would report
+    # the missing manifest instead.
+    models = models_dir(tmp_path)
+    argv = [arg.format(tmp=tmp_path, models=models) for arg in argv]
+    assert run(*argv, "--data", tmp_path / "nowhere", "--out", tmp_path / "out") == code
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_recipe_is_checked_before_the_split(dataset, tmp_path, capsys):
+    # The 12-sample dataset cannot give the default split's 150 test records
+    # per class, and the negative seed is still the error named.
+    assert run("train", "--data", dataset, "--out", tmp_path / "m.ckpt", "--seed=-1") == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("error, code", [

@@ -35,8 +35,6 @@ from uwbocc.nn import (
     bce_with_logits,
     build_network,
     channel_plan,
-    check_layer_gradients,
-    check_network_gradient,
     flop_count,
     layout_2d,
     load_checkpoint,
@@ -46,6 +44,8 @@ from uwbocc.nn import (
 )
 from uwbocc.nn import layers
 from uwbocc.nn.model import MAX_STATE_VALUES, ResidualBlock, _layer_plan, _state_size
+
+from gradcheck import check_layer_gradients, check_network_gradient
 
 
 def input_1d(residual):

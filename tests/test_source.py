@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,21 @@ def test_only_core_check_seed_states_the_seed_rule():
     assert stating == {"uwbocc.core.check_seed"}, f"seed rule outside check_seed: {stating}"
 
 
+def test_each_recipe_rule_is_stated_once():
+    # TrainSettings, build_network and run_training all call nn.model.lookup_variant,
+    # and TrainSettings and every convolution call nn.layers.check_kernel, so a
+    # recipe mistake gets one message wherever it is caught.
+    for text, home in (("unknown variant", "uwbocc.nn.model.lookup_variant"),
+                       ("kernel size must be odd", "uwbocc.nn.layers.check_kernel")):
+        stating = set()
+        for path in sorted(PACKAGE.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            stating.update(scope for scope, node in scoped_nodes(tree, module_name(path))
+                           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                           and text in node.value)
+        assert stating == {home}, f"{text!r} stated outside {home}: {stating}"
+
+
 def test_only_the_error_classes_state_the_exit_codes():
     # cli.main returns the exit_code of the package error it catches, so the
     # table of exit codes is written once, in errors.py.  A handler of one
@@ -110,6 +126,87 @@ def test_package_holds_only_its_docstring_and_version():
     body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
     assert [type(node).__name__ for node in body] == ["Expr", "Assign"]
     assert [target.id for target in body[1].targets] == ["__version__"]
+
+
+REPO = Path(__file__).parents[1]
+
+# Public names that no workflow calls but a caller receives: the types of what
+# the library returns, whose fields the caller reads.
+RETURN_TYPES = {
+    "uwbocc.dataset.DatasetManifest",  # read_manifest, write_dataset, memory_manifest
+    "uwbocc.dataset.ManifestRecord",  # DatasetManifest.records
+    "uwbocc.evaluate.EvalReport",  # snr_sweep, ablation, read_report
+    "uwbocc.evaluate.EvalRow",  # EvalReport.rows
+    "uwbocc.nn.model.ArchitectureVariant",  # VARIANTS, Network.variant
+    "uwbocc.pipeline.ResidualSample",  # residual_samples
+}
+
+
+def dotted(node) -> str | None:
+    """'a.b.c' for a chain of attributes on a name, None for any other expression."""
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def imported_uses(path: Path, package: str) -> set:
+    """{(module, name)} that the file at path imports by name or reads as module.name.
+
+    package is the dotted package that relative imports start from ('' outside src/).
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules, uses = {}, set()  # modules: each name bound to an imported module, its module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                modules[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to package, one level up for each dot after the first
+                parts = package.split(".")
+                parts = parts[:len(parts) - node.level + 1]
+                base = ".".join(parts + [base] if base else parts)
+            for alias in node.names:
+                uses.add((base, alias.name))
+                modules[alias.asname or alias.name] = f"{base}.{alias.name}"
+        elif isinstance(node, ast.Attribute) and (head := dotted(node.value)):
+            first, _, rest = head.partition(".")
+            if first in modules:
+                uses.add((".".join(filter(None, (modules[first], rest))), node.attr))
+    return uses
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    # A name in __all__ is public: something outside its module calls it (in the
+    # library, the demos or the benchmark), the README or docs/formats.md names
+    # it, or the library returns it.  A name only the tests call is not public;
+    # tests reach it as a module attribute.  A package __init__ only re-exports,
+    # so a use of the re-export is a use of the original.
+    reexports, uses = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = module_name(path)
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        found = imported_uses(path, package)
+        if path.name == "__init__.py":
+            reexports.update({(name, attribute): (home, attribute) for home, attribute in found})
+        else:
+            uses |= {(home, attribute, name) for home, attribute in found}
+    for path in sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py")):
+        uses |= {(home, attribute, str(path)) for home, attribute in imported_uses(path, "")}
+    called = {reexports.get((home, attribute), (home, attribute))
+              for home, attribute, user in uses if user != home}
+    docs = (REPO / "README.md").read_text(encoding="utf-8") + (
+        REPO / "docs" / "formats.md").read_text(encoding="utf-8")
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = importlib.import_module(module_name(path))
+        unused += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                   if (module.__name__, name) not in called
+                   and not re.search(rf"\b{name}\b", docs)
+                   and f"{module.__name__}.{name}" not in RETURN_TYPES]
+    assert not unused, f"public names with no caller, no documentation and no reason: {unused}"
 
 
 def test_benchmark_harness_finds_the_library_names_it_uses():
